@@ -73,18 +73,6 @@ def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarra
             fh.write(text)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau", type=float, required=True, help="round-trip time (1/Gamma)")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--omega-e", type=float, help="transition frequency (Gamma)")
-    group.add_argument("--phase", type=float, help="round-trip phase omega_e * tau")
-    parser.add_argument("--rm", type=float, required=True, help="mirror reflection coefficient")
-    parser.add_argument(
-        "--rm-phase", type=float, default=0.0, help="extra phase turning rm complex"
-    )
-    parser.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-
-
 def _params_from_args(args) -> SystemParams:
     r_m = args.rm * np.exp(1j * args.rm_phase)
     try:
@@ -96,14 +84,7 @@ def _params_from_args(args) -> SystemParams:
 
 
 def _params_meta(params: SystemParams) -> dict:
-    return {
-        "omega_e": params.omega_e,
-        "tau": params.tau,
-        "r_m": params.r_m,
-        "t_m": params.t_m,
-        "gamma": params.gamma,
-        "round_trip_phase": params.round_trip_phase,
-    }
+    return {**asdict(params), "round_trip_phase": params.round_trip_phase}
 
 
 def _time_grid(args) -> np.ndarray:
@@ -282,21 +263,6 @@ def _trajectory_config(args, params: SystemParams) -> TrajectoryConfig:
         raise ConfigError(str(err)) from None
 
 
-def _trajectory_meta(config: TrajectoryConfig) -> dict:
-    return {
-        "boxes": config.boxes,
-        "dt": config.dt,
-        "v_right": config.v_right,
-        "v_left": config.v_left,
-        "r_m": config.r_m,
-        "t_m": config.t_m,
-        "omega_e": config.omega_e,
-        "n_trajectories": config.n_trajectories,
-        "t_max": config.t_max,
-        "master_seed": config.master_seed,
-    }
-
-
 def run_trajectory_scenario(args) -> int:
     """Ensemble-averaged quantum-trajectory excitation probability."""
     params = _params_from_args(args)
@@ -306,7 +272,7 @@ def run_trajectory_scenario(args) -> int:
         "scenario": "trajectory",
         "version": __version__,
         "params": _params_meta(params),
-        "trajectory": _trajectory_meta(config),
+        "trajectory": asdict(config),
     }
     _write_table(
         args.out,
@@ -329,7 +295,7 @@ def run_compare(args) -> int:
         "scenario": "compare",
         "version": __version__,
         "params": _params_meta(params),
-        "trajectory": _trajectory_meta(config),
+        "trajectory": asdict(config),
         "summary": {
             "max_abs_deviation": deviation,
             "tolerance": args.tolerance,
@@ -354,16 +320,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exc = sub.add_parser("excitation", help="exact / long-time / Markovian P_e(t)")
-    _add_param_flags(p_exc)
-    p_exc.add_argument("--tmax", type=float, default=10.0)
-    p_exc.add_argument("--grid", type=int, default=2001)
+    # parent parsers: flags shared by several subcommands
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--tau", type=float, required=True, help="round-trip time (1/Gamma)")
+    group = system.add_mutually_exclusive_group(required=True)
+    group.add_argument("--omega-e", type=float, help="transition frequency (Gamma)")
+    group.add_argument("--phase", type=float, help="round-trip phase omega_e * tau")
+    system.add_argument("--rm", type=float, required=True, help="mirror reflection coefficient")
+    system.add_argument(
+        "--rm-phase", type=float, default=0.0, help="extra phase turning rm complex"
+    )
+    system.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--tmax", type=float, default=10.0)
+    curve.add_argument("--grid", type=int, default=2001)
+    ensemble = argparse.ArgumentParser(add_help=False)
+    ensemble.add_argument("--tmax", type=float, default=10.0)
+    ensemble.add_argument("--boxes", type=int, default=25)
+    ensemble.add_argument("--trajectories", type=int, default=5000)
+    ensemble.add_argument("--seed", type=int, default=0)
+
+    p_exc = sub.add_parser(
+        "excitation", parents=[system, curve], help="exact / long-time / Markovian P_e(t)"
+    )
     p_exc.set_defaults(func=run_excitation)
 
-    p_mar = sub.add_parser("markovian", help="Markovian P_e(t) and dressed parameters")
-    _add_param_flags(p_mar)
-    p_mar.add_argument("--tmax", type=float, default=10.0)
-    p_mar.add_argument("--grid", type=int, default=2001)
+    p_mar = sub.add_parser(
+        "markovian", parents=[system, curve], help="Markovian P_e(t) and dressed parameters"
+    )
     p_mar.set_defaults(func=run_markovian)
 
     p_dre = sub.add_parser("dressed", help="dressed shift/rate vs round-trip phase")
@@ -375,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dre.add_argument("--out", type=str, default=None)
     p_dre.set_defaults(func=run_dressed)
 
-    p_wav = sub.add_parser("wavepacket", help="spatial photon density snapshots")
-    _add_param_flags(p_wav)
+    p_wav = sub.add_parser(
+        "wavepacket", parents=[system], help="spatial photon density snapshots"
+    )
     p_wav.add_argument("--times", type=str, default="2,5,10", help="comma list of snapshot times")
     p_wav.add_argument("--xmin", type=float, default=None)
     p_wav.add_argument("--xmax", type=float, default=0.0)
@@ -384,27 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_wav.add_argument("--peak-normalize", action="store_true")
     p_wav.set_defaults(func=run_wavepacket)
 
-    p_spe = sub.add_parser("spectrum", help="spectral density of the emitted photon")
-    _add_param_flags(p_spe)
+    p_spe = sub.add_parser(
+        "spectrum", parents=[system], help="spectral density of the emitted photon"
+    )
     p_spe.add_argument("--t-final", type=float, default=40.0)
     p_spe.add_argument("--samples", type=int, default=2**14)
     p_spe.add_argument("--allow-undecayed", action="store_true")
     p_spe.set_defaults(func=run_spectrum)
 
-    p_tra = sub.add_parser("trajectory", help="quantum-trajectory ensemble average")
-    _add_param_flags(p_tra)
-    p_tra.add_argument("--tmax", type=float, default=10.0)
-    p_tra.add_argument("--boxes", type=int, default=25)
-    p_tra.add_argument("--trajectories", type=int, default=5000)
-    p_tra.add_argument("--seed", type=int, default=0)
+    p_tra = sub.add_parser(
+        "trajectory", parents=[system, ensemble], help="quantum-trajectory ensemble average"
+    )
     p_tra.set_defaults(func=run_trajectory_scenario)
 
-    p_cmp = sub.add_parser("compare", help="trajectory ensemble vs exact solution")
-    _add_param_flags(p_cmp)
-    p_cmp.add_argument("--tmax", type=float, default=10.0)
-    p_cmp.add_argument("--boxes", type=int, default=25)
-    p_cmp.add_argument("--trajectories", type=int, default=5000)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp = sub.add_parser(
+        "compare", parents=[system, ensemble], help="trajectory ensemble vs exact solution"
+    )
     p_cmp.add_argument("--tolerance", type=float, default=0.03)
     p_cmp.set_defaults(func=run_compare)
 

@@ -1,10 +1,11 @@
 """Discrete-space quantum-trajectory Monte Carlo for the emitter-mirror system.
 
 The waveguide around the emitter is discretized into N right-moving and N
-left-moving boxes of temporal width dt.  The emitter couples to box 0 of each
-direction; the mirror sits between right boxes N-2 and N-1, so dt (N-1) is the
-emitter-mirror distance and one round trip takes 2 (N-1) steps.  The state
-vector has 2N+2 amplitudes ordered as
+left-moving boxes of temporal width dt, as in the time-delay box model of
+Pichler & Zoller, PRL 116, 093601 (2016).  The emitter couples to box 0 of
+each direction; the mirror sits between right boxes N-2 and N-1, so dt (N-1)
+is the emitter-mirror distance and one round trip takes 2 (N-1) steps.  The
+state vector has 2N+2 amplitudes ordered as
 
     [vacuum, excited, right boxes 0..N-1, left boxes N-1..0],
 
@@ -15,8 +16,13 @@ emitter), (4) box shift with mirror transmission/reflection, (5)
 renormalization.  Amplitudes shifted past the output boxes leave the
 simulated region, which maps them onto the vacuum basis state.
 
-Averaging many trajectories reproduces the open-system dynamics and serves
-as an independent check of the exact analytic solution.
+With a single excitation a detection leaves the vacuum for good, so all
+trajectories share one deterministic no-jump evolution until their first
+detection.  The ensemble is that evolution, run once, plus one waiting time
+per trajectory: the waiting-time form of quantum jumps (Dalibard, Castin &
+Molmer, PRL 68, 580 (1992)).  Averaging the trajectories reproduces the
+open-system dynamics and serves as an independent check of the exact
+analytic solution.
 """
 
 from __future__ import annotations
@@ -141,28 +147,6 @@ class TrajectoryConfig:
         return 2 * self.boxes + 2
 
 
-@dataclass
-class TrajectoryState:
-    """State vector of one trajectory: 2N+2 complex amplitudes."""
-
-    amplitudes: np.ndarray
-
-    @classmethod
-    def initial(cls, config: TrajectoryConfig) -> "TrajectoryState":
-        """Emitter excited, field vacuum (basis element 2)."""
-        amps = np.zeros(config.state_size, dtype=complex)
-        amps[1] = 1.0
-        return cls(amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    @property
-    def excited_probability(self) -> float:
-        return float(np.abs(self.amplitudes[1]) ** 2)
-
-
 @dataclass(frozen=True)
 class Propagator:
     """One-step unitary exp(-i (H_S + H_I) dt), stored as its 3x3 active block.
@@ -217,22 +201,41 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _initial_state(config: TrajectoryConfig) -> np.ndarray:
+    """One-row batch holding |e, 0>: emitter excited, field vacuum."""
+    amps = np.zeros((1, config.state_size), dtype=complex)
+    amps[0, 1] = 1.0
+    return amps
+
+
+def _detection_draws(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
+    """Detection thresholds eps1[k] in (0, 1] of one trajectory, one per step.
+
+    The trajectory's stream is read as one (n_steps, 2) block.  The first
+    uniform u of each step gives eps1 = 1 - u, so a zero-probability event
+    can never fire.  The second would pick the detection channel, which does
+    not alter the post-step state; it is drawn only to keep the layout fixed.
+    """
+    draws = trajectory_rng(config.master_seed, trajectory_index).random((config.n_steps, 2))
+    return 1.0 - draws[:, 0]
+
+
 def _advance(
     amps: np.ndarray,
     config: TrajectoryConfig,
     propagator: Propagator,
-    eps1: np.ndarray,
-    eps2: np.ndarray,
+    eps1: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply algorithm steps (2)-(5) to a batch of states, shape (..., 2N+2).
 
-    eps1/eps2 are uniform draws in (0, 1] per state.  Returns the advanced
-    batch and the detection flags.  All arithmetic is expressed elementwise
-    so a batch row evolves bit-identically to a standalone single state.
+    A row is detected iff eps1 <= p, its probability of a photon detection in
+    this step, and a detected row becomes the vacuum state.  Returns the
+    advanced batch and p; `amps` itself is left unchanged.
     """
     n = config.boxes
     i_l0 = 2 * n + 1  # left box 0: at the emitter, also the left output
     i_rout = n + 1  # right box N-1: behind the mirror, the right output
+    amps = amps.copy()
 
     # (2) coherent evolution on the active triple
     u = propagator.matrix
@@ -246,10 +249,6 @@ def _advance(
     p_left = np.abs(amps[..., i_l0]) ** 2
     p_total = p_right + p_left
     detected = eps1 <= p_total
-    # channel choice (left iff eps2 * p_total <= p_left) does not alter the
-    # post-step state -- either detected photon leaves the region -- but the
-    # draw is always consumed to keep the stream layout fixed
-    del eps2
     # no-detection projection: remove the output amplitudes (detected rows
     # are overwritten below, so zeroing unconditionally is safe)
     amps[..., i_rout] = 0.0
@@ -275,72 +274,83 @@ def _advance(
     if np.any(norm < _NORM_FLOOR):
         raise NormUnderflow(f"state norm fell below {_NORM_FLOOR}")
     out /= norm[..., np.newaxis]
-    return out, detected
+    return out, p_total
 
 
-def step(
-    state: TrajectoryState,
-    config: TrajectoryConfig,
-    propagator: Propagator,
-    rng: np.random.Generator,
-) -> tuple[TrajectoryState, bool]:
-    """Advance one trajectory by one time step; returns (new state, detected).
+def _evolve(
+    config: TrajectoryConfig, eps1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run `_advance` from |e, 0> on a one-row batch with thresholds eps1[k].
 
-    Draws two uniforms from `rng` (detection test and channel choice), maps
-    them to (0, 1] as 1 - u so zero-probability events can never fire.
+    Returns P_e at every step start (n_steps + 1 values, zero once the row is
+    in the vacuum), the detection probability p[k] of every step, and the
+    number of steps completed: n_steps, or the step k at which the
+    undetected norm underflowed (p[k] is still recorded).  P_e is read with
+    the same array expression as p; a complex-scalar abs can differ from the
+    array ufunc in the last bit.
     """
-    draws = rng.random(2)
-    eps1 = np.array([1.0 - draws[0]])
-    eps2 = np.array([1.0 - draws[1]])
-    batch = state.amplitudes[np.newaxis, :].copy()
-    advanced, detected = _advance(batch, config, propagator, eps1, eps2)
-    return TrajectoryState(advanced[0]), bool(detected[0])
+    propagator = build_propagator(config)
+    amps = _initial_state(config)
+    excited = np.zeros(config.n_steps + 1)
+    p = np.zeros(config.n_steps)
+    for k in range(config.n_steps):
+        excited[k : k + 1] = np.abs(amps[:, 1]) ** 2
+        try:
+            amps, p[k : k + 1] = _advance(amps, config, propagator, eps1[k])
+        except NormUnderflow:
+            # a forced detection (eps1 = 0) skips the norm check but yields p
+            p[k : k + 1] = _advance(amps, config, propagator, 0.0)[1]
+            return excited, p, k
+    excited[-1:] = np.abs(amps[:, 1]) ** 2
+    return excited, p, config.n_steps
 
 
 def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
     """P_e time series of a single trajectory, sampled at every step start.
 
     The first sample is exactly 1 (initial state |e, 0>); the series has
-    n_steps + 1 entries covering t = 0 .. t_max.
+    n_steps + 1 entries covering t = 0 .. t_max.  The trajectory is stepped
+    directly, detections and all, from its own (master_seed, index) stream.
     """
-    rng = trajectory_rng(config.master_seed, trajectory_index)
-    propagator = build_propagator(config)
-    state = TrajectoryState.initial(config)
-    series = np.empty(config.n_steps + 1)
-    for k in range(config.n_steps):
-        series[k] = state.excited_probability
-        state, _ = step(state, config, propagator, rng)
-    series[config.n_steps] = state.excited_probability
-    return series
+    excited, _, completed = _evolve(config, _detection_draws(config, trajectory_index))
+    if completed < config.n_steps:
+        raise NormUnderflow(f"state norm fell below {_NORM_FLOOR} at step {completed}")
+    return excited
 
 
-def ensemble_average(config: TrajectoryConfig, batch_size: int = 4096) -> EnsembleResult:
+def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     """Mean P_e over the ensemble with per-time-point standard error.
 
-    Trajectories evolve as vectorized batches but each one consumes its own
-    (master_seed, index) stream, so every row is bit-identical to
-    run_trajectory(config, index) and the index-ordered reduction does not
-    depend on the batch size.
+    With a single excitation, a detection puts the system in the vacuum,
+    which no later step leaves, so every trajectory not yet detected holds
+    the same state.  The ensemble is therefore one no-jump evolution plus a waiting
+    time per trajectory (the waiting-time form of quantum jumps: Dalibard,
+    Castin & Molmer, PRL 68, 580 (1992)).  The no-jump run records P_e[k]
+    and the detection probability p[k]; trajectory i draws its thresholds
+    eps1 from its own (master_seed, i) stream and is first detected at the
+    first step k with eps1[k] <= p[k].  Its row is P_e[:k+1] followed by
+    zeros, bit-identical to run_trajectory(config, i), and the rows are
+    reduced in index order.
+
+    The no-jump run uses the largest threshold a trajectory can draw,
+    eps1 = 1, so it reaches the vacuum only where every trajectory is
+    detected.  NormUnderflow is raised when the no-jump norm underflows at a
+    step that some trajectory passes undetected.
     """
     n_steps = config.n_steps
     n_traj = config.n_trajectories
-    propagator = build_propagator(config)
-    samples = np.empty((n_traj, n_steps + 1))
-    for start in range(0, n_traj, batch_size):
-        stop = min(start + batch_size, n_traj)
-        count = stop - start
-        draws = np.empty((count, n_steps, 2))
-        for i in range(count):
-            draws[i] = trajectory_rng(config.master_seed, start + i).random(
-                (n_steps, 2)
-            )
-        eps = 1.0 - draws
-        batch = np.zeros((count, config.state_size), dtype=complex)
-        batch[:, 1] = 1.0
-        for k in range(n_steps):
-            samples[start:stop, k] = np.abs(batch[:, 1]) ** 2
-            batch, _ = _advance(batch, config, propagator, eps[:, k, 0], eps[:, k, 1])
-        samples[start:stop, n_steps] = np.abs(batch[:, 1]) ** 2
+    excited, p, completed = _evolve(config, np.ones(n_steps))
+    first = np.empty(n_traj, dtype=np.int64)
+    for i in range(n_traj):
+        hits = np.flatnonzero(_detection_draws(config, i) <= p)
+        first[i] = hits[0] if hits.size else n_steps
+    survivors = np.count_nonzero(first > completed)
+    if survivors:
+        raise NormUnderflow(
+            f"state norm fell below {_NORM_FLOOR} at step {completed} "
+            f"with {survivors} trajectories undetected"
+        )
+    samples = np.where(np.arange(n_steps + 1) <= first[:, np.newaxis], excited, 0.0)
     mean = samples.mean(axis=0)
     if n_traj > 1:
         stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_traj)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mirrorqed
 from mirrorqed import SystemParams, excitation_probability_exact
 from mirrorqed.cli import run
 
@@ -210,16 +212,20 @@ def test_stdout_output(capsys):
 
 
 def test_module_entry_point():
+    # the child interpreter imports the same package as this one, installed or not
+    package_root = os.path.dirname(os.path.dirname(mirrorqed.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "mirrorqed", "excitation", "--tau", "1", "--phase",
          "1.0", "--rm", "0", "--tmax", "1", "--grid", "3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# {")
     bad = subprocess.run(
         [sys.executable, "-m", "mirrorqed", "excitation", "--tau", "1", "--phase",
          "1.0", "--rm", "3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert bad.returncode == 1
