@@ -35,6 +35,9 @@ import numpy as np
 from .core import SystemParams
 
 _NORM_FLOOR = 1e-300
+# Bytes of uniforms ensemble_average draws per block of trajectories: enough
+# rows to amortize the per-block array calls, small next to the samples matrix.
+_DRAW_BLOCK_BYTES = 256 * 1024
 
 
 class NormUnderflow(ArithmeticError):
@@ -112,6 +115,8 @@ class TrajectoryConfig:
         """
         if params.tau <= 0:
             raise ValueError("trajectory discretization requires tau > 0")
+        if boxes < 2:  # checked before dt divides by boxes - 1
+            raise ValueError(f"boxes must be >= 2, got {boxes}")
         if abs(complex(params.r_m).imag) > 1e-12:
             raise ValueError("trajectory mirror rule requires real r_m")
         if v_right is None and v_left is None:
@@ -186,6 +191,25 @@ def build_propagator(config: TrajectoryConfig) -> Propagator:
     return Propagator(matrix=matrix, boxes=config.boxes)
 
 
+def _stream_start(master_seed: int, trajectory_index: int) -> dict:
+    """`np.random.Philox` state at the start of stream (master_seed, index).
+
+    The key is the pair (master_seed, trajectory_index), each taken mod
+    2**64; the counter is 0 and the buffer empty, as in a freshly keyed
+    Philox.  Assigning it to a generator's `bit_generator.state` re-keys that
+    generator, so one generator can read any number of streams.
+    """
+    key = (master_seed & 0xFFFFFFFFFFFFFFFF, trajectory_index & 0xFFFFFFFFFFFFFFFF)
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
     """Counter-based RNG stream for one trajectory.
 
@@ -193,12 +217,12 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     index), so any trajectory can be reproduced in isolation and ensembles
     are independent of execution order.  Each step consumes exactly two
     uniforms (the second is drawn even when no detection occurs).
+    `ensemble_average` builds one such generator and re-keys it to the start
+    of every index in turn, which yields the same numbers.
     """
-    key = np.array(
-        [master_seed & 0xFFFFFFFFFFFFFFFF, trajectory_index & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    generator = np.random.Generator(np.random.Philox(key=0))
+    generator.bit_generator.state = _stream_start(master_seed, trajectory_index)
+    return generator
 
 
 def _initial_state(config: TrajectoryConfig) -> np.ndarray:
@@ -330,7 +354,11 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     eps1 from its own (master_seed, i) stream and is first detected at the
     first step k with eps1[k] <= p[k].  Its row is P_e[:k+1] followed by
     zeros, bit-identical to run_trajectory(config, i), and the rows are
-    reduced in index order.
+    reduced in index order.  The thresholds are drawn a block of
+    trajectories at a time from one Philox generator, re-keyed to the start
+    of stream (master_seed, i) before trajectory i: the same numbers as
+    trajectory_rng(master_seed, i), without building a generator per
+    trajectory.
 
     The no-jump run uses the largest threshold a trajectory can draw,
     eps1 = 1, so it reaches the vacuum only where every trajectory is
@@ -340,10 +368,23 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     n_steps = config.n_steps
     n_traj = config.n_trajectories
     excited, p, completed = _evolve(config, np.ones(n_steps))
+    # one generator, re-keyed to the start of each trajectory's stream
+    generator = trajectory_rng(config.master_seed, 0)
+    bit_generator = generator.bit_generator
+    # each row holds two float64 uniforms per step
+    block_rows = min(n_traj, max(1, _DRAW_BLOCK_BYTES // (16 * max(n_steps, 1))))
+    block = np.empty((block_rows, n_steps, 2))
+    # column n_steps stays True, so argmax is the first detection or n_steps
+    hits = np.ones((block_rows, n_steps + 1), dtype=bool)
     first = np.empty(n_traj, dtype=np.int64)
-    for i in range(n_traj):
-        hits = np.flatnonzero(_detection_draws(config, i) <= p)
-        first[i] = hits[0] if hits.size else n_steps
+    for start in range(0, n_traj, block_rows):
+        rows = block[: n_traj - start]
+        for i, row in enumerate(rows, start):
+            bit_generator.state = _stream_start(config.master_seed, i)
+            generator.random(out=row)
+        eps1 = np.subtract(1.0, rows[..., 0], out=rows[..., 0])  # as in _detection_draws
+        np.less_equal(eps1, p, out=hits[: len(rows), :n_steps])
+        first[start : start + len(rows)] = hits[: len(rows)].argmax(axis=1)
     survivors = np.count_nonzero(first > completed)
     if survivors:
         raise NormUnderflow(

@@ -229,3 +229,12 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert bad.returncode == 1
+    # a box count that leaves no room between emitter and mirror is a
+    # configuration error, reported without a traceback
+    no_boxes = subprocess.run(
+        [sys.executable, "-m", "mirrorqed", "trajectory", "--tau", "1", "--phase",
+         "1", "--rm", "-1", "--boxes", "1"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert no_boxes.returncode == 1
+    assert no_boxes.stderr == "configuration error: boxes must be >= 2, got 1\n"

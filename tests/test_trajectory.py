@@ -90,6 +90,11 @@ def test_config_validation():
         TrajectoryConfig.from_params(
             SystemParams(omega_e=1.0, tau=1.0, r_m=0.5j), boxes=4
         )
+    # rejected before dt = tau / (2 (boxes - 1)) divides by zero
+    with pytest.raises(ValueError, match="boxes must be >= 2"):
+        TrajectoryConfig.from_params(
+            SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0), boxes=1
+        )
 
 
 def test_config_from_params_geometry():
@@ -305,6 +310,24 @@ def test_rng_block_draws_match_sequential_draws():
     assert np.array_equal(block, sequential)
 
 
+def test_rekeyed_generator_matches_freshly_keyed_streams():
+    # ensemble_average re-keys one generator to the start of every stream;
+    # each must equal a Philox keyed afresh with (master_seed, index) mod 2**64
+    n_steps = 61
+    block_rows = trajectory._DRAW_BLOCK_BYTES // (16 * n_steps)
+    for seed in (0, 2**63 + 5, 2**64 - 1, -1):
+        generator = trajectory_rng(seed, 0)
+        generator.random(3)  # leave a partly used buffer behind
+        for index in (0, block_rows - 1, block_rows, 2**32 + 3):
+            key = np.array([seed % 2**64, index], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key)).random((n_steps, 2))
+            generator.bit_generator.state = trajectory._stream_start(seed, index)
+            rekeyed = np.empty((n_steps, 2))
+            generator.random(out=rekeyed)
+            assert np.array_equal(rekeyed, fresh)
+            assert np.array_equal(trajectory_rng(seed, index).random((n_steps, 2)), fresh)
+
+
 def test_trajectory_follows_no_jump_oracle_until_detection():
     config = config_for(tau=1.0, phase=math.pi, r_m=0.0, boxes=9, t_max=4.0, seed=21)
     oracle = dense_no_jump_oracle(config, config.n_steps)
@@ -332,18 +355,31 @@ def test_ensemble_single_trajectory_matches_run_trajectory():
     assert np.all(result.stderr == 0.0)
 
 
-def test_ensemble_rows_match_individual_trajectories():
-    configs = [
-        config_for(boxes=7, n_traj=5, t_max=2.0, seed=31),
-        # here a complex-scalar abs and the array ufunc differ in the last bit
-        # (steps 123 and 153): P_e read either way must agree across paths
-        config_for(phase=2 * math.pi, boxes=25, n_traj=40, t_max=10.0, seed=2**63 + 5),
-    ]
-    for config in configs:
+def test_ensemble_rows_match_individual_trajectories(monkeypatch):
+    def check(config):
         result = ensemble_average(config)
         stacked = np.stack([run_trajectory(config, i) for i in range(config.n_trajectories)])
         assert np.array_equal(result.mean, stacked.mean(axis=0))
         assert np.array_equal(result.stderr, stacked.std(axis=0, ddof=1) / math.sqrt(len(stacked)))
+
+    check(config_for(boxes=7, n_traj=5, t_max=2.0, seed=31))
+    # here a complex-scalar abs and the array ufunc differ in the last bit
+    # (steps 123 and 153): P_e read either way must agree across paths
+    check(config_for(phase=2 * math.pi, boxes=25, n_traj=40, t_max=10.0, seed=2**63 + 5))
+    # 33 steps drawn eight trajectories at a time: blocks of 8, 8 and 5 rows
+    monkeypatch.setattr(trajectory, "_DRAW_BLOCK_BYTES", 16 * 33 * 8)
+    config = config_for(r_m=-0.5, boxes=9, n_traj=21, t_max=33 / 16, seed=2**63 + 5)
+    assert config.n_steps == 33
+    check(config)
+
+
+def test_ensemble_without_steps_is_the_initial_state():
+    config = config_for(boxes=2, n_traj=10, t_max=0.2)  # dt = 0.5: no step fits
+    assert config.n_steps == 0
+    result = ensemble_average(config)
+    assert np.array_equal(result.times, [0.0])
+    assert np.array_equal(result.mean, [1.0])
+    assert np.array_equal(result.stderr, [0.0])
 
 
 def test_ensemble_free_space_tracks_exponential():
