@@ -140,7 +140,7 @@ def delay_series(u, a: complex, tau: float):
     Returns:
         Complex scalar or array matching the shape of u.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if a == 0:
         return _delay_series_core(u, -math.inf, 0.0, tau)
@@ -319,7 +319,7 @@ def excitation_amplitude_exact(params: SystemParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be non-negative")
-    omega_complex = params.omega_e - 0.5j * params.gamma
+    omega_complex = derived_constants(params).omega_complex
     result = np.exp(-1j * omega_complex * t_arr) * round_trip_series(params, t_arr)
     return complex(result[()]) if t_arr.ndim == 0 else result
 

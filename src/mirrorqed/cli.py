@@ -88,7 +88,7 @@ def _params_meta(params: SystemParams) -> dict:
 
 
 def _time_grid(args) -> np.ndarray:
-    if args.tmax <= 0:
+    if not args.tmax > 0:
         raise ConfigError(f"--tmax must be positive, got {args.tmax}")
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2 points, got {args.grid}")
@@ -191,12 +191,12 @@ def run_wavepacket(args) -> int:
         snapshot_times = sorted(float(v) for v in args.times.split(","))
     except ValueError:
         raise ConfigError(f"--times must be a comma list of floats, got {args.times!r}") from None
-    if not snapshot_times or snapshot_times[0] <= 0:
+    if not snapshot_times or not all(v > 0 for v in snapshot_times):
         raise ConfigError("snapshot times must be positive")
     if args.xpoints < 2:
         raise ConfigError(f"--xpoints must be at least 2, got {args.xpoints}")
     xmin = args.xmin if args.xmin is not None else -(snapshot_times[-1] + 1.0)
-    if xmin >= args.xmax:
+    if not xmin < args.xmax:
         raise ConfigError(f"--xmin must be below --xmax, got [{xmin}, {args.xmax}]")
     positions = np.linspace(xmin, args.xmax, args.xpoints)
     header = ["x"]

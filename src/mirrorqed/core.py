@@ -46,20 +46,20 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_m", complex(self.r_m))
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if self.omega_e < 0:
+        if not self.omega_e >= 0:
             raise ValueError(f"omega_e must be non-negative, got {self.omega_e}")
-        if abs(self.r_m) > 1 + UNITARITY_TOL:
+        if not abs(self.r_m) <= 1 + UNITARITY_TOL:
             raise ValueError(f"|r_m| must not exceed 1, got {abs(self.r_m)}")
         if self.t_m is None:
             object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - abs(self.r_m) ** 2)))
-        if self.t_m < 0:
+        if not self.t_m >= 0:
             raise ValueError(f"t_m must be non-negative, got {self.t_m}")
         budget = self.t_m**2 + abs(self.r_m) ** 2
-        if abs(budget - 1.0) > UNITARITY_TOL:
+        if not abs(budget - 1.0) <= UNITARITY_TOL:
             raise ValueError(f"mirror must be unitary: t_m^2 + |r_m|^2 = {budget}, expected 1")
 
     @classmethod

@@ -79,19 +79,21 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if self.boxes < 2:
             raise ValueError(f"boxes must be >= 2, got {self.boxes}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.v_right < 0 or self.v_left < 0:
+        if not (self.v_right >= 0 and self.v_left >= 0):
             raise ValueError("coupling rates v_right/v_left must be non-negative")
         if not -1.0 <= self.r_m <= 1.0:
             raise ValueError(f"r_m must be real in [-1, 1], got {self.r_m}")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if self.t_max <= 0:
+        if math.isnan(self.omega_e):
+            raise ValueError("omega_e must not be nan")
+        if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.t_m is None:
             object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - self.r_m**2)))
-        elif abs(self.t_m**2 + self.r_m**2 - 1.0) > 1e-9:
+        elif not abs(self.t_m**2 + self.r_m**2 - 1.0) <= 1e-9:
             raise ValueError(
                 f"mirror must be unitary: t_m^2 + r_m^2 = {self.t_m**2 + self.r_m**2}"
             )

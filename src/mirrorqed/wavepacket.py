@@ -36,8 +36,10 @@ class SpatialProfile:
     """Photon probability density per unit length sampled on a position grid.
 
     `region_index` is the number of completed round trips n that labels the
-    interval -c t + n d <= x < -c t + (n+1) d each sample falls into
-    (-1 outside the light cone).
+    interval each sample falls into: -c t + n d <= x < -c t + (n+1) d for
+    left-movers and c t - (n+1) d < x <= c t - n d for right-movers, with
+    d = c tau.  It is -1 outside the light cone: x < -c t for left-movers,
+    and x < 0 or x > c t for right-movers.
     """
 
     positions: np.ndarray
@@ -65,14 +67,38 @@ class Spectrum:
     omega_e: float
 
 
-def _amp_prefactor(params: SystemParams) -> complex:
-    # -i g / c with g = sqrt(Gamma c / 2) and c = 1
-    return -1j * math.sqrt(params.gamma / 2.0)
+def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
+    """Region table of the field at positions x: yields (support, amplitude on it).
 
-
-def _series(params: SystemParams, u: np.ndarray) -> np.ndarray:
-    """Causal series f(u), including the collapsed lattice tau = 0."""
-    return round_trip_series(params, u)
+    Each row is (support mask, emission time s, weight), and the component
+    carries -i (g/c) weight exp(-i Omega s) f(s): the emitter amplitude at
+    the retarded emission time s.  Left-movers are the direct part (weight 1)
+    and the part reflected one round trip later (r_m).  Right-movers share
+    one emission time, so they form one row whose weight is 1 before the
+    mirror and t_m behind it (one series evaluation for both parts).
+    Boundary points use the convention Theta(0) = 1, except that the mirror
+    position x = d/2 belongs to the transmitted region for right-movers and
+    to the reflected region for left-movers (no double counting).
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
+    if direction is Direction.LEFT:
+        s = x + t
+        rows = [
+            ((x <= 0) & (s >= 0), s, 1.0),
+            ((x <= half_d) & (s >= params.tau), s - params.tau, params.r_m),
+        ]
+    else:
+        s = t - x
+        rows = [((x >= 0) & (s >= 0), s, np.where(x >= half_d, params.t_m, 1.0))]
+    omega = derived_constants(params).omega_complex
+    pre = -1j * params.coupling
+    for support, s, weight in rows:
+        if support.any():
+            s = s[support]
+            weight = weight[support] if np.ndim(weight) else weight
+            yield support, pre * weight * np.exp(-1j * omega * s) * round_trip_series(params, s)
 
 
 def field_components(
@@ -82,39 +108,12 @@ def field_components(
 
     Left of the emitter the direct and reflected parts appear separately so
     their interference can be inspected; elsewhere at most one component
-    survives.  Boundary points use the convention Theta(0) = 1, except that
-    the mirror position x = d/2 belongs to the transmitted region for
-    right-movers and to the reflected region for left-movers (no double
-    counting).
+    survives.  Their amplitudes sum to `field_amplitude` at x.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    consts = derived_constants(params)
-    omega = consts.omega_complex
-    half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
-    pre = _amp_prefactor(params)
-    components: list[BlipComponent] = []
-    if direction is Direction.LEFT:
-        u = x + t
-        if x <= 0 and u >= 0:  # emitted directly to the left
-            amp = pre * np.exp(-1j * omega * u) * _series(params, np.asarray(u))
-            components.append(BlipComponent(Direction.LEFT, x, complex(amp)))
-        if x <= half_d and u >= params.tau:  # reflected part
-            amp = (
-                pre
-                * params.r_m
-                * np.exp(-1j * omega * (u - params.tau))
-                * _series(params, np.asarray(u - params.tau))
-            )
-            components.append(BlipComponent(Direction.LEFT, x, complex(amp)))
-    else:
-        v = t - x
-        if x >= 0 and v >= 0:
-            amp = pre * np.exp(-1j * omega * v) * _series(params, np.asarray(v))
-            if x >= half_d:
-                amp = amp * params.t_m  # transmitted through the mirror
-            components.append(BlipComponent(Direction.RIGHT, x, complex(amp)))
-    return components
+    return [
+        BlipComponent(direction, x, complex(amp[0]))
+        for _, amp in _components(params, np.array([x], dtype=float), direction, t)
+    ]
 
 
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
@@ -123,40 +122,12 @@ def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
     Vectorized over x; returns 0 outside the light cone and outside each
     component's support.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
     x_in = np.asarray(x, dtype=float)
-    x_arr = np.atleast_1d(x_in).astype(float)
-    consts = derived_constants(params)
-    omega = consts.omega_complex
-    half_d = params.tau / 2.0
-    pre = _amp_prefactor(params)
+    x_arr = np.atleast_1d(x_in)
     amp = np.zeros(x_arr.shape, dtype=complex)
-    if direction is Direction.LEFT:
-        u = x_arr + t
-        direct = (x_arr <= 0) & (u >= 0)
-        if direct.any():
-            amp[direct] += (
-                pre * np.exp(-1j * omega * u[direct]) * _series(params, u[direct])
-            )
-        reflected = (x_arr <= half_d) & (u >= params.tau)
-        if reflected.any():
-            shifted = u[reflected] - params.tau
-            amp[reflected] += (
-                pre
-                * params.r_m
-                * np.exp(-1j * omega * shifted)
-                * _series(params, shifted)
-            )
-    else:
-        v = t - x_arr
-        support = (x_arr >= 0) & (v >= 0)
-        if support.any():
-            base = pre * np.exp(-1j * omega * v[support]) * _series(params, v[support])
-            factor = np.where(x_arr[support] >= half_d, params.t_m, 1.0)
-            amp[support] = factor * base
-    amp = amp.reshape(x_in.shape) if x_in.ndim else amp[0]
-    return complex(amp) if x_in.ndim == 0 else amp
+    for support, values in _components(params, x_arr, direction, t):
+        amp[support] += values
+    return amp if x_in.ndim else complex(amp[0])
 
 
 def left_amplitude(params: SystemParams, x: float, t: float) -> complex:
@@ -169,7 +140,7 @@ def left_amplitude(params: SystemParams, x: float, t: float) -> complex:
     Raises:
         OutOfDomain: If x >= 0 or x < -c t.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if x >= 0:
         raise OutOfDomain(f"left amplitude is defined for x < 0, got x = {x}")
@@ -202,11 +173,13 @@ def spatial_profile(
         positions = np.linspace(-t, 0.0, 4001, endpoint=False)
     positions = np.asarray(positions, dtype=float)
     amplitudes = field_amplitude(params, positions, direction, t)
+    emitted = positions + t if direction is Direction.LEFT else t - positions
+    outside = (emitted < 0) | ((direction is Direction.RIGHT) & (positions < 0))
     if params.tau > 0:
-        region = np.floor((positions + t) / params.tau).astype(int)
+        region = np.floor(emitted / params.tau).astype(int)
     else:
         region = np.zeros(positions.shape, dtype=int)
-    region = np.where(positions + t < 0, -1, region)
+    region = np.where(outside, -1, region)
     return SpatialProfile(
         positions=positions,
         amplitudes=amplitudes,
@@ -243,7 +216,7 @@ def spectrum(
     """
     if sample_count < 2 or sample_count & (sample_count - 1):
         raise ValueError(f"sample_count must be a power of two, got {sample_count}")
-    if t_final <= 0:
+    if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
     residual = excitation_probability_exact(params, t_final)
     if residual > _DECAYED_THRESHOLD and not allow_undecayed:

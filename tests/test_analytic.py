@@ -58,6 +58,12 @@ def test_series_negative_argument_is_zero():
     assert delay_series(-0.5, 0.3 + 0.1j, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+def test_series_rejects_nonpositive_or_nan_delay(tau):
+    with pytest.raises(ValueError, match="tau must be positive"):
+        delay_series(2.0, 0.3, tau)
+
+
 def test_series_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(40):

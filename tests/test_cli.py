@@ -194,6 +194,27 @@ def test_invalid_reflection_is_config_error(tmp_path, capsys):
     assert "r_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["excitation", "--tau", "1", "--phase", "1", "--rm", "nan"],
+        ["excitation", "--tau", "nan", "--phase", "1", "--rm", "-1"],
+        ["excitation", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "nan"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2,nan"],
+        ["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "0", "--t-final", "nan"],
+        ["trajectory", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "nan"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--xmin", "nan"],
+    ],
+)
+def test_nan_input_is_config_error(argv, tmp_path, capsys):
+    # NaN used to slip through every check: the mirror was silently dropped
+    # or NaN tables were written with exit code 0
+    code = run([*argv, "--out", str(tmp_path / "nan.csv")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "nan.csv").exists()
+
+
 def test_missing_required_flag_is_config_error(capsys):
     code = run(["excitation", "--tau", "1.0", "--rm", "0"])
     assert code == 1

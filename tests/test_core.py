@@ -86,6 +86,30 @@ def test_params_validation():
         SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5, t_m=0.5)
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("gamma", {"gamma": math.nan}),
+        ("tau", {"tau": math.nan}),
+        ("omega_e", {"omega_e": math.nan}),
+        ("r_m", {"r_m": math.nan}),
+        ("r_m", {"r_m": complex(-0.5, math.nan)}),
+        ("t_m", {"r_m": 0.0, "t_m": math.nan}),
+    ],
+)
+def test_params_reject_nan(field, overrides):
+    # each check is written so that NaN fails it rather than slipping through
+    kwargs = {"omega_e": 1.0, "tau": 1.0, "r_m": -0.5, **overrides}
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**kwargs)
+
+
+def test_params_accept_infinite_delay():
+    # infinities keep their meaning: a mirror infinitely far away never acts
+    params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0)
+    assert params.tau == math.inf
+
+
 def test_params_derives_transmission():
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5)
     assert params.t_m == pytest.approx(math.sqrt(0.75), abs=1e-15)

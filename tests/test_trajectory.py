@@ -97,6 +97,27 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("dt", {"dt": math.nan}),
+        ("v_right", {"v_right": math.nan}),
+        ("v_right", {"v_left": math.nan}),
+        ("r_m", {"r_m": math.nan}),
+        ("omega_e", {"omega_e": math.nan}),
+        ("t_max", {"t_max": math.nan}),
+        ("unitary", {"t_m": math.nan}),
+    ],
+)
+def test_config_rejects_nan(field, overrides):
+    kwargs = dict(
+        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
+        n_trajectories=1, t_max=1.0, master_seed=0,
+    )
+    with pytest.raises(ValueError, match=field):
+        TrajectoryConfig(**{**kwargs, **overrides})
+
+
 def test_config_from_params_geometry():
     config = config_for(tau=1.0, boxes=25)
     assert config.dt == pytest.approx(1.0 / 48.0, rel=1e-15)

@@ -107,6 +107,9 @@ def test_left_amplitude_domain_errors():
         left_amplitude(params, -3.0, 2.0)
     with pytest.raises(ValueError):
         left_amplitude(params, -0.5, 0.0)
+    for direction in Direction:
+        with pytest.raises(ValueError, match="t must be positive"):
+            field_amplitude(params, -0.5, direction, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +147,37 @@ def test_density_no_left_movers_behind_mirror():
     assert photon_density(params, 0.7, Direction.LEFT, 3.0) == 0.0
 
 
-def test_field_components_interfere_left_of_emitter():
-    params = params_for(1.0, math.pi, -1)
-    t, x = 4.0, -2.5
-    comps = field_components(params, x, Direction.LEFT, t)
-    assert len(comps) == 2  # direct and reflected overlap here
-    total = sum(c.amplitude for c in comps)
-    assert total == pytest.approx(left_amplitude(params, x, t), abs=1e-12)
-    for c in comps:
-        assert c.direction is Direction.LEFT
-        assert c.position == x
+def documented_component_count(params, x, direction, t):
+    """Components at (x, direction, t) under the convention Theta(0) = 1.
+
+    Left-movers: direct for -c t <= x <= 0, reflected for x <= d/2 once the
+    reflection front x = -c t + d has passed.  Right-movers: exactly one
+    (before or behind the mirror) for 0 <= x <= c t.
+    """
+    if direction is Direction.LEFT:
+        return int(-t <= x <= 0) + int(x <= params.tau / 2 and x + t >= params.tau)
+    return int(0 <= x <= t)
 
 
-def test_field_components_single_between_emitter_and_mirror():
-    params = params_for(1.0, math.pi, -1)
-    comps = field_components(params, 0.3, Direction.LEFT, 4.0)
-    assert len(comps) == 1  # reflected only
-    comps_r = field_components(params, 0.3, Direction.RIGHT, 4.0)
-    assert len(comps_r) == 1
+@pytest.mark.parametrize(
+    "params, t, extra_points",
+    [
+        (params_for(1.0, math.pi, -1), 4.0, (-2.5, 0.3)),
+        (SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5), 1.5, (-0.7, 0.4)),
+        (params_for(0.7, 1.3, 0.6 * cmath.exp(0.4j)), 2.0, (-1.6, 0.2, 1.1)),
+        (params_for(3.0, 2.0, -0.8j), 1.0, (-0.5, 1.2)),  # front short of the mirror
+    ],
+)
+@pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
+def test_field_components_sum_to_field_amplitude(params, t, extra_points, direction):
+    boundaries = (0.0, params.tau / 2, -t, params.tau - t, t)
+    for x in boundaries + extra_points:
+        comps = field_components(params, x, direction, t)
+        assert len(comps) == documented_component_count(params, x, direction, t), x
+        assert sum(c.amplitude for c in comps) == field_amplitude(params, x, direction, t)
+        for c in comps:
+            assert c.direction is direction
+            assert c.position == x
 
 
 def test_amplitude_jump_only_at_reflection_front():
@@ -193,6 +209,13 @@ def test_spatial_profile_grid_and_regions():
         profile.region_index[inside], np.floor((xs[inside] + t) / params.tau).astype(int)
     )
     assert np.all(profile.region_index[xs + t < 0] == -1)
+    # right-movers count round trips back from the front at x = c t; points
+    # left of the emitter or beyond the front lie outside the light cone
+    params = params_for(1.0, math.pi, -0.5)
+    xs = np.array([-0.5, 0.0, 0.5, 1.2, 2.0, 2.5, 3.0])
+    profile = spatial_profile(params, 2.0, xs, Direction.RIGHT)
+    assert profile.region_index.tolist() == [-1, 2, 1, 0, 0, -1, -1]
+    assert np.array_equal(profile.density == 0.0, profile.region_index == -1)
 
 
 # ---------------------------------------------------------------------------
