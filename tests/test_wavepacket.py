@@ -147,6 +147,26 @@ def test_density_no_left_movers_behind_mirror():
     assert photon_density(params, 0.7, Direction.LEFT, 3.0) == 0.0
 
 
+def test_field_components_interfere_left_of_emitter():
+    params = params_for(1.0, math.pi, -1)
+    t, x = 4.0, -2.5
+    comps = field_components(params, x, Direction.LEFT, t)
+    assert len(comps) == 2  # direct and reflected overlap here
+    total = sum(c.amplitude for c in comps)
+    assert total == pytest.approx(left_amplitude(params, x, t), abs=1e-12)
+    for c in comps:
+        assert c.direction is Direction.LEFT
+        assert c.position == x
+
+
+def test_field_components_single_between_emitter_and_mirror():
+    params = params_for(1.0, math.pi, -1)
+    comps = field_components(params, 0.3, Direction.LEFT, 4.0)
+    assert len(comps) == 1  # reflected only
+    comps_r = field_components(params, 0.3, Direction.RIGHT, 4.0)
+    assert len(comps_r) == 1
+
+
 def documented_component_count(params, x, direction, t):
     """Components at (x, direction, t) under the convention Theta(0) = 1.
 
