@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -88,8 +89,8 @@ def _params_meta(params: SystemParams) -> dict:
 
 
 def _time_grid(args) -> np.ndarray:
-    if not args.tmax > 0:
-        raise ConfigError(f"--tmax must be positive, got {args.tmax}")
+    if not 0 < args.tmax < math.inf:
+        raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2 points, got {args.grid}")
     return np.linspace(0.0, args.tmax, args.grid)
@@ -191,8 +192,8 @@ def run_wavepacket(args) -> int:
         snapshot_times = sorted(float(v) for v in args.times.split(","))
     except ValueError:
         raise ConfigError(f"--times must be a comma list of floats, got {args.times!r}") from None
-    if not snapshot_times or not all(v > 0 for v in snapshot_times):
-        raise ConfigError("snapshot times must be positive")
+    if not snapshot_times or not all(0 < v < math.inf for v in snapshot_times):
+        raise ConfigError("snapshot times must be positive and finite")
     if args.xpoints < 2:
         raise ConfigError(f"--xpoints must be at least 2, got {args.xpoints}")
     xmin = args.xmin if args.xmin is not None else -(snapshot_times[-1] + 1.0)

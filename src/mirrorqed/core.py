@@ -50,8 +50,8 @@ class SystemParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.tau >= 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if not self.omega_e >= 0:
-            raise ValueError(f"omega_e must be non-negative, got {self.omega_e}")
+        if not 0 <= self.omega_e < math.inf:
+            raise ValueError(f"omega_e must be finite and non-negative, got {self.omega_e}")
         if not abs(self.r_m) <= 1 + UNITARITY_TOL:
             raise ValueError(f"|r_m| must not exceed 1, got {abs(self.r_m)}")
         if self.t_m is None:

@@ -10,19 +10,19 @@ state vector has 2N+2 amplitudes ordered as
     [vacuum, excited, right boxes 0..N-1, left boxes N-1..0],
 
 and each time step applies: (1) record P_e, (2) coherent evolution under the
-emitter + local-coupling Hamiltonian, (3) simulated photon-number measurement
-on the output boxes (right box N-1 behind the mirror, left box 0 past the
-emitter), (4) box shift with mirror transmission/reflection, (5)
-renormalization.  Amplitudes shifted past the output boxes leave the
-simulated region, which maps them onto the vacuum basis state.
+emitter + local-coupling Hamiltonian, (3) no-jump projection: the weight p in
+the output boxes (right box N-1 behind the mirror, left box 0 past the
+emitter) is the step's detection probability, and the projection drops it,
+(4) box shift with mirror transmission/reflection, (5) renormalize.
 
 With a single excitation a detection leaves the vacuum for good, so all
 trajectories share one deterministic no-jump evolution until their first
-detection.  The ensemble is that evolution, run once, plus one waiting time
-per trajectory: the waiting-time form of quantum jumps (Dalibard, Castin &
-Molmer, PRL 68, 580 (1992)).  Averaging the trajectories reproduces the
-open-system dynamics and serves as an independent check of the exact
-analytic solution.
+detection, and nothing changes after it.  The no-jump evolution is the only
+state ever evolved (its vacuum amplitude stays zero); a trajectory is that
+run cut at its first detection, one waiting time drawn per trajectory: the
+waiting-time form of quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580
+(1992)).  Averaging the trajectories reproduces the open-system dynamics and
+serves as an independent check of the exact analytic solution.
 """
 
 from __future__ import annotations
@@ -79,18 +79,18 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if self.boxes < 2:
             raise ValueError(f"boxes must be >= 2, got {self.boxes}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.v_right >= 0 and self.v_left >= 0):
             raise ValueError("coupling rates v_right/v_left must be non-negative")
         if not -1.0 <= self.r_m <= 1.0:
             raise ValueError(f"r_m must be real in [-1, 1], got {self.r_m}")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if math.isnan(self.omega_e):
-            raise ValueError("omega_e must not be nan")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not math.isfinite(self.omega_e):
+            raise ValueError(f"omega_e must be finite, got {self.omega_e}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.t_m is None:
             object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - self.r_m**2)))
         elif not abs(self.t_m**2 + self.r_m**2 - 1.0) <= 1e-9:
@@ -218,9 +218,9 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     The stream is the Philox generator keyed by (master_seed, trajectory
     index), so any trajectory can be reproduced in isolation and ensembles
     are independent of execution order.  Each step consumes exactly two
-    uniforms (the second is drawn even when no detection occurs).
-    `ensemble_average` builds one such generator and re-keys it to the start
-    of every index in turn, which yields the same numbers.
+    uniforms (the second is drawn even when no detection occurs).  The
+    first-detection search builds one such generator and re-keys it to the
+    start of every index in turn, which yields the same numbers.
     """
     generator = np.random.Generator(np.random.Philox(key=0))
     generator.bit_generator.state = _stream_start(master_seed, trajectory_index)
@@ -228,35 +228,20 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
 
 
 def _initial_state(config: TrajectoryConfig) -> np.ndarray:
-    """One-row batch holding |e, 0>: emitter excited, field vacuum."""
-    amps = np.zeros((1, config.state_size), dtype=complex)
-    amps[0, 1] = 1.0
+    """|e, 0>: emitter excited, field vacuum."""
+    amps = np.zeros(config.state_size, dtype=complex)
+    amps[1] = 1.0
     return amps
 
 
-def _detection_draws(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
-    """Detection thresholds eps1[k] in (0, 1] of one trajectory, one per step.
-
-    The trajectory's stream is read as one (n_steps, 2) block.  The first
-    uniform u of each step gives eps1 = 1 - u, so a zero-probability event
-    can never fire.  The second would pick the detection channel, which does
-    not alter the post-step state; it is drawn only to keep the layout fixed.
-    """
-    draws = trajectory_rng(config.master_seed, trajectory_index).random((config.n_steps, 2))
-    return 1.0 - draws[:, 0]
-
-
 def _advance(
-    amps: np.ndarray,
-    config: TrajectoryConfig,
-    propagator: Propagator,
-    eps1: np.ndarray | float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply algorithm steps (2)-(5) to a batch of states, shape (..., 2N+2).
+    amps: np.ndarray, config: TrajectoryConfig, propagator: Propagator
+) -> tuple[np.ndarray | None, float]:
+    """Apply algorithm steps (2)-(5) to one no-jump state, shape (2N+2,).
 
-    A row is detected iff eps1 <= p, its probability of a photon detection in
-    this step, and a detected row becomes the vacuum state.  Returns the
-    advanced batch and p; `amps` itself is left unchanged.
+    Returns the advanced state and p, its probability of a photon detection
+    in this step; `amps` itself is left unchanged.  The state is None when
+    its norm after the projection falls below the floor.
     """
     n = config.boxes
     i_l0 = 2 * n + 1  # left box 0: at the emitter, also the left output
@@ -265,126 +250,91 @@ def _advance(
 
     # (2) coherent evolution on the active triple
     u = propagator.matrix
-    e, r0, l0 = amps[..., 1].copy(), amps[..., 2].copy(), amps[..., i_l0].copy()
-    amps[..., 1] = u[0, 0] * e + u[0, 1] * r0 + u[0, 2] * l0
-    amps[..., 2] = u[1, 0] * e + u[1, 1] * r0 + u[1, 2] * l0
-    amps[..., i_l0] = u[2, 0] * e + u[2, 1] * r0 + u[2, 2] * l0
+    active = [1, 2, i_l0]  # excited, right box 0, left box 0
+    e, r0, l0 = amps[active]
+    amps[active] = u[:, 0] * e + u[:, 1] * r0 + u[:, 2] * l0
 
-    # (3) photon-number measurement on the output boxes
-    p_right = np.abs(amps[..., i_rout]) ** 2
-    p_left = np.abs(amps[..., i_l0]) ** 2
-    p_total = p_right + p_left
-    detected = eps1 <= p_total
-    # no-detection projection: remove the output amplitudes (detected rows
-    # are overwritten below, so zeroing unconditionally is safe)
-    amps[..., i_rout] = 0.0
-    amps[..., i_l0] = 0.0
+    # (3) no-jump projection: the output boxes hold the detection
+    # probability, and the shift below drops them
+    p_right, p_left = np.abs(amps[[i_rout, i_l0]]) ** 2
 
     # (4) shift boxes by one, scattering right box N-2 at the mirror
     out = np.zeros_like(amps)
-    out[..., 0] = amps[..., 0]
-    out[..., 1] = amps[..., 1]
+    out[1] = amps[1]
     # right-movers migrate toward the mirror; fresh vacuum enters at box 0
-    out[..., 3 : n + 1] = amps[..., 2:n]
-    out[..., i_rout] = config.t_m * amps[..., n]  # transmitted behind the mirror
+    out[3 : n + 1] = amps[2:n]
+    out[i_rout] = config.t_m * amps[n]  # transmitted behind the mirror
     # left input box N-1 (index n+2) stays empty; reflection feeds box N-2
-    out[..., n + 3] = config.r_m * amps[..., n]
+    out[n + 3] = config.r_m * amps[n]
     # left-movers migrate toward the emitter
-    out[..., n + 4 :] = amps[..., n + 3 : 2 * n + 1]
+    out[n + 4 :] = amps[n + 3 : i_l0]
 
-    # (5) renormalize; a detected photon leaves the region -> vacuum state
-    norm_sq = np.sum(np.abs(out) ** 2, axis=-1)
-    out[detected, :] = 0.0
-    out[detected, 0] = 1.0
-    norm = np.sqrt(np.where(detected, 1.0, norm_sq))
-    if np.any(norm < _NORM_FLOOR):
-        raise NormUnderflow(f"state norm fell below {_NORM_FLOOR}")
-    out /= norm[..., np.newaxis]
-    return out, p_total
+    # (5) renormalize
+    norm = np.sqrt(np.sum(np.abs(out) ** 2))
+    if norm < _NORM_FLOOR:
+        return None, p_right + p_left
+    out /= norm
+    return out, p_right + p_left
 
 
-def _evolve(
-    config: TrajectoryConfig, eps1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run `_advance` from |e, 0> on a one-row batch with thresholds eps1[k].
+def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The no-jump run from |e, 0>: P_e at every step start, p of every step.
 
-    Returns P_e at every step start (n_steps + 1 values, zero once the row is
-    in the vacuum), the detection probability p[k] of every step, and the
-    number of steps completed: n_steps, or the step k at which the
-    undetected norm underflowed (p[k] is still recorded).  P_e is read with
-    the same array expression as p; a complex-scalar abs can differ from the
-    array ufunc in the last bit.
+    The run stops after the first step k at which p[k] >= 1, where every
+    threshold eps1 in (0, 1] fires, or the norm underflows; P_e after that
+    step and p beyond it stay zero.  Returns P_e (n_steps + 1 values), p
+    (n_steps values) and the number of steps completed: that k, or n_steps.
+    P_e is read from the recorded amplitudes with the array ufunc, like p;
+    a complex-scalar abs can differ from it in the last bit.
     """
     propagator = build_propagator(config)
     amps = _initial_state(config)
-    excited = np.zeros(config.n_steps + 1)
+    amplitude = np.zeros(config.n_steps + 1, dtype=complex)
+    amplitude[0] = amps[1]
     p = np.zeros(config.n_steps)
     for k in range(config.n_steps):
-        excited[k : k + 1] = np.abs(amps[:, 1]) ** 2
-        try:
-            amps, p[k : k + 1] = _advance(amps, config, propagator, eps1[k])
-        except NormUnderflow:
-            # a forced detection (eps1 = 0) skips the norm check but yields p
-            p[k : k + 1] = _advance(amps, config, propagator, 0.0)[1]
-            return excited, p, k
-    excited[-1:] = np.abs(amps[:, 1]) ** 2
-    return excited, p, config.n_steps
+        amps, p[k] = _advance(amps, config, propagator)
+        if amps is None or p[k] >= 1.0:
+            return np.abs(amplitude) ** 2, p, k
+        amplitude[k + 1] = amps[1]
+    return np.abs(amplitude) ** 2, p, config.n_steps
 
 
-def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
-    """P_e time series of a single trajectory, sampled at every step start.
+def _first_detections(
+    config: TrajectoryConfig, p: np.ndarray, completed: int, indices: range
+) -> np.ndarray:
+    """First detection step of each trajectory in `indices` (n_steps if none).
 
-    The first sample is exactly 1 (initial state |e, 0>); the series has
-    n_steps + 1 entries covering t = 0 .. t_max.  The trajectory is stepped
-    directly, detections and all, from its own (master_seed, index) stream.
-    """
-    excited, _, completed = _evolve(config, _detection_draws(config, trajectory_index))
-    if completed < config.n_steps:
-        raise NormUnderflow(f"state norm fell below {_NORM_FLOOR} at step {completed}")
-    return excited
-
-
-def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
-    """Mean P_e over the ensemble with per-time-point standard error.
-
-    With a single excitation, a detection puts the system in the vacuum,
-    which no later step leaves, so every trajectory not yet detected holds
-    the same state.  The ensemble is therefore one no-jump evolution plus a waiting
-    time per trajectory (the waiting-time form of quantum jumps: Dalibard,
-    Castin & Molmer, PRL 68, 580 (1992)).  The no-jump run records P_e[k]
-    and the detection probability p[k]; trajectory i draws its thresholds
-    eps1 from its own (master_seed, i) stream and is first detected at the
-    first step k with eps1[k] <= p[k].  Its row is P_e[:k+1] followed by
-    zeros, bit-identical to run_trajectory(config, i), and the rows are
-    reduced in index order.  The thresholds are drawn a block of
+    Trajectory i reads its (master_seed, i) stream as one (n_steps, 2) block.
+    The first uniform u of each step gives the threshold eps1 = 1 - u in
+    (0, 1], so a zero-probability step never fires; the second would pick
+    the detection channel, which does not alter the outcome, and is drawn
+    only to keep the layout fixed.  Trajectory i is first detected at the
+    first step k with eps1[k] <= p[k].  The streams are drawn a block of
     trajectories at a time from one Philox generator, re-keyed to the start
     of stream (master_seed, i) before trajectory i: the same numbers as
     trajectory_rng(master_seed, i), without building a generator per
     trajectory.
 
-    The no-jump run uses the largest threshold a trajectory can draw,
-    eps1 = 1, so it reaches the vacuum only where every trajectory is
-    detected.  NormUnderflow is raised when the no-jump norm underflows at a
-    step that some trajectory passes undetected.
+    Raises NormUnderflow if a trajectory passes step `completed` undetected:
+    the no-jump run ended there because its norm underflowed.
     """
     n_steps = config.n_steps
-    n_traj = config.n_trajectories
-    excited, p, completed = _evolve(config, np.ones(n_steps))
-    # one generator, re-keyed to the start of each trajectory's stream
-    generator = trajectory_rng(config.master_seed, 0)
+    count = len(indices)
+    generator = trajectory_rng(config.master_seed, indices[0])
     bit_generator = generator.bit_generator
     # each row holds two float64 uniforms per step
-    block_rows = min(n_traj, max(1, _DRAW_BLOCK_BYTES // (16 * max(n_steps, 1))))
+    block_rows = min(count, max(1, _DRAW_BLOCK_BYTES // (16 * max(n_steps, 1))))
     block = np.empty((block_rows, n_steps, 2))
     # column n_steps stays True, so argmax is the first detection or n_steps
     hits = np.ones((block_rows, n_steps + 1), dtype=bool)
-    first = np.empty(n_traj, dtype=np.int64)
-    for start in range(0, n_traj, block_rows):
-        rows = block[: n_traj - start]
-        for i, row in enumerate(rows, start):
+    first = np.empty(count, dtype=np.int64)
+    for start in range(0, count, block_rows):
+        rows = block[: count - start]
+        for i, row in zip(indices[start:], rows):
             bit_generator.state = _stream_start(config.master_seed, i)
             generator.random(out=row)
-        eps1 = np.subtract(1.0, rows[..., 0], out=rows[..., 0])  # as in _detection_draws
+        eps1 = np.subtract(1.0, rows[..., 0], out=rows[..., 0])
         np.less_equal(eps1, p, out=hits[: len(rows), :n_steps])
         first[start : start + len(rows)] = hits[: len(rows)].argmax(axis=1)
     survivors = np.count_nonzero(first > completed)
@@ -393,6 +343,44 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
             f"state norm fell below {_NORM_FLOOR} at step {completed} "
             f"with {survivors} trajectories undetected"
         )
+    return first
+
+
+def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
+    """P_e time series of a single trajectory, sampled at every step start.
+
+    The first sample is exactly 1 (initial state |e, 0>); the series has
+    n_steps + 1 entries covering t = 0 .. t_max.  It is the no-jump P_e up
+    to the trajectory's first detection, drawn from its own
+    (master_seed, index) stream, and zero after it: the row that
+    `ensemble_average` reduces for this index.
+    """
+    excited, p, completed = _evolve(config)
+    first = _first_detections(
+        config, p, completed, range(trajectory_index, trajectory_index + 1)
+    )
+    return np.where(np.arange(config.n_steps + 1) <= first, excited, 0.0)
+
+
+def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
+    """Mean P_e over the ensemble with per-time-point standard error.
+
+    With a single excitation, a detection puts the system in the vacuum,
+    which no later step leaves, so every trajectory not yet detected holds
+    the same state.  The ensemble is therefore one no-jump evolution plus a
+    waiting time per trajectory (the waiting-time form of quantum jumps:
+    Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The no-jump run records
+    P_e[k] and the detection probability p[k]; trajectory i is first
+    detected at step k, found from its own (master_seed, i) stream.  Its row
+    is P_e[:k+1] followed by zeros, the same as run_trajectory(config, i),
+    and the rows are reduced in index order.  NormUnderflow is raised when
+    the no-jump norm underflows at a step that some trajectory passes
+    undetected.
+    """
+    n_steps = config.n_steps
+    n_traj = config.n_trajectories
+    excited, p, completed = _evolve(config)
+    first = _first_detections(config, p, completed, range(n_traj))
     samples = np.where(np.arange(n_steps + 1) <= first[:, np.newaxis], excited, 0.0)
     mean = samples.mean(axis=0)
     if n_traj > 1:

@@ -80,8 +80,8 @@ def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: fl
     position x = d/2 belongs to the transmitted region for right-movers and
     to the reflected region for left-movers (no double counting).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
     if direction is Direction.LEFT:
         s = x + t
@@ -140,8 +140,8 @@ def left_amplitude(params: SystemParams, x: float, t: float) -> complex:
     Raises:
         OutOfDomain: If x >= 0 or x < -c t.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if x >= 0:
         raise OutOfDomain(f"left amplitude is defined for x < 0, got x = {x}")
     if x < -t:
@@ -216,8 +216,8 @@ def spectrum(
     """
     if sample_count < 2 or sample_count & (sample_count - 1):
         raise ValueError(f"sample_count must be a power of two, got {sample_count}")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     residual = excitation_probability_exact(params, t_final)
     if residual > _DECAYED_THRESHOLD and not allow_undecayed:
         raise EmitterNotDecayed(

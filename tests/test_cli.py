@@ -215,6 +215,30 @@ def test_nan_input_is_config_error(argv, tmp_path, capsys):
     assert not (tmp_path / "nan.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "inf"],
+        ["compare", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "inf"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "inf"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2,inf"],
+        ["excitation", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "inf"],
+        ["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "0", "--t-final", "inf"],
+        ["trajectory", "--tau", "inf", "--phase", "1", "--rm", "-1"],
+        ["excitation", "--tau", "1", "--omega-e", "inf", "--rm", "-1"],
+        ["excitation", "--tau", "1", "--phase", "inf", "--rm", "-1"],
+        ["trajectory", "--tau", "1", "--omega-e", "inf", "--rm", "-1", "--tmax", "0.1"],
+    ],
+)
+def test_infinite_input_is_config_error(argv, tmp_path, capsys):
+    # these used to die with a traceback or write NaN, zero or Infinity
+    # tables with exit code 0
+    code = run([*argv, "--out", str(tmp_path / "inf.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "inf.csv").exists()
+
+
 def test_missing_required_flag_is_config_error(capsys):
     code = run(["excitation", "--tau", "1.0", "--rm", "0"])
     assert code == 1

@@ -104,6 +104,14 @@ def test_params_reject_nan(field, overrides):
         SystemParams(**kwargs)
 
 
+def test_params_reject_infinite_frequency():
+    # cos(k * phase) of an infinite phase used to fail deep in the series
+    with pytest.raises(ValueError, match="omega_e must be finite"):
+        SystemParams(omega_e=math.inf, tau=1.0, r_m=-0.5)
+    with pytest.raises(ValueError, match="omega_e must be finite"):
+        SystemParams.from_round_trip_phase(tau=1.0, phase=math.inf, r_m=-0.5)
+
+
 def test_params_accept_infinite_delay():
     # infinities keep their meaning: a mirror infinitely far away never acts
     params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0)

@@ -1,5 +1,6 @@
 """Tests for the discrete-space quantum-trajectory Monte Carlo solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from mirrorqed import (
     trajectory,
     trajectory_rng,
 )
-from mirrorqed.trajectory import NormUnderflow, _advance, _detection_draws, _initial_state
+from mirrorqed.trajectory import NormUnderflow, _advance, _evolve, _initial_state
 
 
 def config_for(tau=1.0, phase=math.pi, r_m=-1.0, boxes=9, n_traj=10, t_max=2.0, seed=7):
@@ -29,7 +30,9 @@ def dense_no_jump_oracle(config, n_steps):
     """Deterministic no-detection evolution, built independently.
 
     Uses the full (2N+2)-dimensional Hamiltonian exponentiated with
-    scipy.linalg.expm and an index-by-index box shift.
+    scipy.linalg.expm and an index-by-index box shift.  Returns P_e at every
+    step start and the detection probability of every step: the weight in
+    the two output boxes after the coherent part of the step.
     """
     n = config.boxes
     dim = 2 * n + 2
@@ -48,8 +51,10 @@ def dense_no_jump_oracle(config, n_steps):
     state = np.zeros(dim, dtype=complex)
     state[1] = 1.0
     series = [1.0]
+    detection = []
     for _ in range(n_steps):
         state = unitary @ state
+        detection.append(abs(state[right_index(n - 1)]) ** 2 + abs(state[left_index(0)]) ** 2)
         state[right_index(n - 1)] = 0.0  # no detection observed
         state[left_index(0)] = 0.0
         shifted = np.zeros_like(state)
@@ -63,7 +68,7 @@ def dense_no_jump_oracle(config, n_steps):
             shifted[left_index(box)] = state[left_index(box + 1)]
         state = shifted / np.linalg.norm(shifted)
         series.append(abs(state[1]) ** 2)
-    return np.array(series)
+    return np.array(series), np.array(detection)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,29 @@ def test_config_rejects_nan(field, overrides):
         TrajectoryConfig(**{**kwargs, **overrides})
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("dt", {"dt": math.inf}),
+        ("t_max", {"t_max": math.inf}),
+        ("omega_e", {"omega_e": math.inf}),
+        ("omega_e", {"omega_e": -math.inf}),
+    ],
+)
+def test_config_rejects_infinity(field, overrides):
+    # an infinite time step or end time leaves no step grid, and an infinite
+    # frequency turns every amplitude into NaN after the first step
+    kwargs = dict(
+        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
+        n_trajectories=1, t_max=1.0, master_seed=0,
+    )
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TrajectoryConfig(**{**kwargs, **overrides})
+    # an infinite delay gives an infinite time step
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TrajectoryConfig.from_params(SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0))
+
+
 def test_config_from_params_geometry():
     config = config_for(tau=1.0, boxes=25)
     assert config.dt == pytest.approx(1.0 / 48.0, rel=1e-15)
@@ -138,11 +166,11 @@ def test_config_grid():
 def test_initial_state():
     config = config_for()
     amps = _initial_state(config)
-    assert amps.shape == (1, config.state_size)
-    assert amps[0, 1] == 1.0
-    assert np.linalg.norm(amps[0]) == 1.0
-    assert np.abs(amps[0, 1]) ** 2 == 1.0
-    assert amps[0, 0] == 0.0  # vacuum empty until a detection
+    assert amps.shape == (config.state_size,)
+    assert amps[1] == 1.0
+    assert np.linalg.norm(amps) == 1.0
+    assert np.abs(amps[1]) ** 2 == 1.0
+    assert amps[0] == 0.0  # the no-jump state never holds the vacuum
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +220,22 @@ def test_propagator_identity_off_active_subspace():
     config = config_for(boxes=8, r_m=-0.3)
     rng = np.random.default_rng(8)
     # photon amplitude spread over interior boxes only: the coherent part of a
-    # step must not touch it (detection cannot fire: outputs are empty)
+    # step must not touch it (the outputs are empty, so p = 0)
     amps = np.zeros(config.state_size, dtype=complex)
     interior = [4, 5, 6, 12, 13]  # right boxes 2..4 and left boxes 5..4 for N = 8
     amps[interior] = rng.normal(size=len(interior)) + 1j * rng.normal(size=len(interior))
     amps /= np.linalg.norm(amps)
     before = amps.copy()
-    batch = amps[np.newaxis, :].copy()
-    advanced, p = _advance(batch, config, build_propagator(config), np.array([0.5]))
-    assert p[0] == 0.0
-    assert np.array_equal(batch[0], before)  # the kernel leaves its input alone
+    advanced, p = _advance(amps, config, build_propagator(config))
+    assert p == 0.0
+    assert np.array_equal(amps, before)  # the kernel leaves its input alone
     # contents moved by exactly one box, no amplitude created or changed
     n = config.boxes
     for idx in interior:
         if 2 <= idx <= n:  # right-movers shift up in index
-            assert advanced[0][idx + 1] == pytest.approx(before[idx], abs=1e-14)
+            assert advanced[idx + 1] == pytest.approx(before[idx], abs=1e-14)
         elif n + 3 <= idx <= 2 * n:  # left-movers shift up in index too
-            assert advanced[0][idx + 1] == pytest.approx(before[idx], abs=1e-14)
+            assert advanced[idx + 1] == pytest.approx(before[idx], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +246,17 @@ def test_propagator_identity_off_active_subspace():
 def test_step_noop_without_couplings_or_photon():
     config = TrajectoryConfig(
         boxes=6, dt=0.05, v_right=0.0, v_left=0.0, r_m=-1.0, omega_e=0.0,
-        n_trajectories=1, t_max=1.0, master_seed=1,
+        n_trajectories=200, t_max=1.0, master_seed=1,
     )
     amps = _initial_state(config)
-    # even the smallest positive threshold cannot detect a photon that is not there
-    advanced, p = _advance(amps, config, build_propagator(config), np.nextafter(0.0, 1.0))
-    assert p[0] == 0.0
+    advanced, p = _advance(amps, config, build_propagator(config))
+    assert p == 0.0
     assert np.array_equal(advanced, amps)
+    # a threshold eps1 = 1 - u lies in (0, 1], so a zero-probability step
+    # never fires: every trajectory stays excited
+    result = ensemble_average(config)
+    assert np.all(result.mean == 1.0)
+    assert np.all(result.stderr == 0.0)
 
 
 def test_step_mirror_reflection_rule():
@@ -236,14 +267,13 @@ def test_step_mirror_reflection_rule():
         n_trajectories=1, t_max=1.0, master_seed=1,
     )
     n = config.boxes
-    amps = np.zeros((1, config.state_size), dtype=complex)
-    amps[0, 2 + (n - 2)] = 1.0  # right box N-2
-    eps1 = _detection_draws(config, 0)
-    advanced, p = _advance(amps, config, build_propagator(config), eps1[0])
-    assert p[0] == 0.0
-    assert advanced[0, n + 3] == pytest.approx(-1.0)  # left box N-2
-    assert advanced[0, n + 1] == 0.0  # right box N-1 (transmission zero)
-    assert advanced[0, n + 2] == 0.0  # left input box stays empty
+    amps = np.zeros(config.state_size, dtype=complex)
+    amps[2 + (n - 2)] = 1.0  # right box N-2
+    advanced, p = _advance(amps, config, build_propagator(config))
+    assert p == 0.0
+    assert advanced[n + 3] == pytest.approx(-1.0)  # left box N-2
+    assert advanced[n + 1] == 0.0  # right box N-1 (transmission zero)
+    assert advanced[n + 2] == 0.0  # left input box stays empty
 
 
 def test_step_transparent_mirror_then_certain_detection():
@@ -253,36 +283,54 @@ def test_step_transparent_mirror_then_certain_detection():
     )
     n = config.boxes
     propagator = build_propagator(config)
-    amps = np.zeros((1, config.state_size), dtype=complex)
-    amps[0, 2 + (n - 2)] = 1.0
-    amps, p = _advance(amps, config, propagator, 1.0)
-    assert p[0] == 0.0
-    assert amps[0, n + 1] == pytest.approx(1.0)  # right box N-1, t_m = 1
-    # the output box now holds the whole excitation: detection is certain,
-    # even for the largest threshold a trajectory can draw
-    amps, p = _advance(amps, config, propagator, 1.0)
-    assert p[0] == 1.0
-    assert amps[0, 0] == 1.0  # photon left the region: vacuum
-    assert np.abs(amps[0, 1]) ** 2 == 0.0
+    amps = np.zeros(config.state_size, dtype=complex)
+    amps[2 + (n - 2)] = 1.0
+    amps, p = _advance(amps, config, propagator)
+    assert p == 0.0
+    assert amps[n + 1] == pytest.approx(1.0)  # right box N-1, t_m = 1
+    # the output box now holds the whole excitation: detection is certain
+    # and no no-jump state is left
+    amps, p = _advance(amps, config, propagator)
+    assert p == 1.0
+    assert amps is None
+    # the same from the emitter: a pi/2 rotation per step moves the excitation
+    # into right box 0, and it reaches the output at step N-1 = 5 with p = 1
+    # exactly; every trajectory ends there and none raises NormUnderflow
+    dt = 0.05
+    config = TrajectoryConfig(
+        boxes=6, dt=dt, v_right=(math.pi / 2) ** 2 / dt, v_left=0.0, r_m=0.0,
+        omega_e=0.0, n_trajectories=50, t_max=1.0, master_seed=1,
+    )
+    _, p, completed = _evolve(config)
+    assert p[5] == 1.0
+    assert completed == 5
+    result = ensemble_average(config)
+    assert np.all(result.mean[6:] == 0.0)
+    assert np.all(result.stderr[6:] == 0.0)
+    for index in range(config.n_trajectories):
+        row = run_trajectory(config, index)
+        assert np.all(row[6:] == 0.0)
 
 
 def test_step_norm_and_empty_input_box_every_step():
     config = config_for(tau=1.0, phase=math.pi, r_m=-0.5, boxes=9, t_max=3.0, seed=3)
     propagator = build_propagator(config)
     amps = _initial_state(config)
-    for eps1 in _detection_draws(config, 0):
-        amps, _ = _advance(amps, config, propagator, eps1)
-        assert abs(np.linalg.norm(amps[0]) - 1.0) < 1e-12
-        assert amps[0, config.boxes + 2] == 0.0  # left input box N-1
+    for _ in range(config.n_steps):
+        amps, _ = _advance(amps, config, propagator)
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+        assert amps[config.boxes + 2] == 0.0  # left input box N-1
 
 
 def test_advance_norm_underflow_guard():
     config = config_for(boxes=5)
-    amps = np.zeros((1, config.state_size), dtype=complex)
-    amps[0, config.boxes + 1] = 1.0  # everything in an output box
-    # artificial draw eps1 > 1 forces the no-detection branch, emptying the state
-    with pytest.raises(NormUnderflow):
-        _advance(amps, config, build_propagator(config), np.array([2.0]))
+    amps = np.zeros(config.state_size, dtype=complex)
+    amps[config.boxes + 1] = 1.0  # everything in an output box
+    # the no-jump branch is empty: the kernel returns no state rather than
+    # dividing by a vanishing norm
+    advanced, p = _advance(amps, config, build_propagator(config))
+    assert advanced is None
+    assert p == 1.0
 
 
 def test_norm_underflow_fires_only_for_undetected_trajectories(monkeypatch):
@@ -351,7 +399,7 @@ def test_rekeyed_generator_matches_freshly_keyed_streams():
 
 def test_trajectory_follows_no_jump_oracle_until_detection():
     config = config_for(tau=1.0, phase=math.pi, r_m=0.0, boxes=9, t_max=4.0, seed=21)
-    oracle = dense_no_jump_oracle(config, config.n_steps)
+    oracle, _ = dense_no_jump_oracle(config, config.n_steps)
     for index in range(6):
         series = run_trajectory(config, index)
         zero_steps = np.nonzero(series == 0.0)[0]
@@ -362,6 +410,28 @@ def test_trajectory_follows_no_jump_oracle_until_detection():
         assert np.all(np.diff(series[pre]) <= 1e-12)
         # once the photon is detected the emitter cannot re-excite
         assert np.all(series[first_zero:] == 0.0)
+
+
+def test_detection_falls_where_the_oracle_probability_says():
+    # trajectory i is first detected at the first step k with
+    # 1 - u[k, 0] <= p[k], with u its own stream and p the independent oracle's
+    base = config_for(tau=1.0, phase=math.pi, r_m=-0.5, boxes=9, t_max=4.0)
+    _, p_oracle = dense_no_jump_oracle(base, base.n_steps)
+    firsts = []
+    for seed in (0, 3, 2**63 + 5, 2**64 - 1):
+        config = dataclasses.replace(base, master_seed=seed)
+        for index in (0, 1, 6, 2**32 + 3):
+            u = trajectory_rng(seed, index).random((config.n_steps, 2))
+            eps1 = 1.0 - u[:, 0]
+            if np.any(np.abs(eps1 - p_oracle) < 1e-9):
+                continue  # too close to call against an independent p
+            hits = np.nonzero(eps1 <= p_oracle)[0]
+            first = hits[0] if len(hits) else config.n_steps
+            row = run_trajectory(config, index)
+            assert row[first] > 0.0
+            assert np.all(row[first + 1 :] == 0.0)
+            firsts.append(first)
+    assert len(set(firsts)) > 5  # detections spread over many steps
 
 
 # ---------------------------------------------------------------------------

@@ -352,3 +352,17 @@ def test_spectrum_validates_sample_count():
     params = SystemParams(omega_e=5.0, tau=1.0, r_m=0)
     with pytest.raises(ValueError):
         spectrum(params, sample_count=1000)
+
+
+def test_infinite_times_are_rejected():
+    # an infinite time used to overflow a term count or give a table of zeros
+    params = SystemParams(omega_e=5.0, tau=1.0, r_m=-0.5)
+    with pytest.raises(ValueError, match="t_final must be positive and finite"):
+        spectrum(params, t_final=math.inf)
+    for direction in Direction:
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            field_amplitude(params, -0.5, direction, math.inf)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            field_components(params, -0.5, direction, math.inf)
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        left_amplitude(params, -0.5, math.inf)
