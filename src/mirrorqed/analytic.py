@@ -12,6 +12,26 @@ finite and the decay is piecewise polynomial times an exponential.  For
 t >> tau the same series (with the round-trip truncation lifted) collapses
 to xi0 * exp(xi t) where xi solves xi exp(xi tau) = a; neglecting the delay
 altogether gives the Markovian exponential with a dressed decay rate.
+
+Evaluating f.  The Laplace transform of f is F(s) = 1 / (s - a exp(-s tau)),
+whose poles s_j = W_j(a tau) / tau sit on the branches of the Lambert W
+function, so for t > 0
+
+    f(t) = sum_j exp(s_j t) / (1 + W_j(a tau))
+
+(Corless et al., Adv. Comput. Math. 5, 329 (1996)).  The causal sum is exact
+with few terms but its terms grow like exp(|a| t) and cancel; the residue
+sum has no cancellation but needs many branches at small t / tau.  Each
+point therefore takes the causal sum while it has fewer lattice terms than
+a switch of 16 (lowered, down to 8, where the estimated cancellation
+sum |term| / |f| ~ exp((W_0(|a| tau) - Re W_0(a tau)) t / tau) would pass
+1e4), and the residue sum beyond.  The residue sum keeps the branches
+|j| <= J with J set by |W_0| and the switch, each only where it exceeds
+1e-17 of the W_0 term.  The envelope exp(-i Omega t) enters every exponent,
+so terms that grow while the amplitude stays bounded never overflow.  Near
+the branch point a tau = -1/e, W_0 and the branch it merges with approach
+-1 together and both residues diverge; there the pair is summed in a
+closed form that is analytic in q = 2 (1 + e a tau) and finite at q = 0.
 """
 
 from __future__ import annotations
@@ -57,80 +77,247 @@ class Xi0Diverges(Exception):
         self.xi = xi
 
 
-def _compensated_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    """One Neumaier compensated-summation step, in place, per component."""
-    for part_total, part_comp, part_term in (
-        (total.real, comp.real, term.real),
-        (total.imag, comp.imag, term.imag),
-    ):
-        new = part_total + part_term
-        lost = np.where(
-            np.abs(part_total) >= np.abs(part_term),
-            (part_total - new) + part_term,
-            (part_term - new) + part_total,
-        )
-        part_comp += lost
-        part_total[...] = new
-
-
-def _feedback_logpolar(params: SystemParams) -> tuple[float, float]:
-    """log-magnitude and phase of the feedback constant a, overflow-free.
+def _feedback_log(params: SystemParams) -> complex:
+    """log a = log |a| + i arg a of the feedback constant, overflow-free.
 
     |a| = (Gamma/2) |r_m| exp(Gamma tau / 2) can exceed the double range for
     large Gamma tau even though it never enters the dynamics before the first
-    round trip; keeping it in log-polar form defers any overflow to the terms
-    that actually need it.
+    round trip; keeping its logarithm defers any overflow to the terms that
+    actually need it.  Without a mirror the real part is -inf.
     """
     magnitude = abs(params.r_m)
     if magnitude == 0:
-        return -math.inf, 0.0
+        return complex(-math.inf, 0.0)
     log_mag = math.log(params.gamma / 2.0 * magnitude) + params.gamma * params.tau / 2.0
-    phase = cmath.phase(-params.r_m) + params.omega_e * params.tau
-    return log_mag, phase
+    return complex(log_mag, cmath.phase(-params.r_m) + params.omega_e * params.tau)
 
 
-def _delay_series_core(u, log_mag_a: float, phase_a: float, tau: float):
-    """Causal sum with the feedback constant given as (log |a|, arg a)."""
+# Taylor coefficients mu_k of W(z) = sum_k mu_k p^k about the branch point
+# z = -1/e, p = sqrt(2 (1 + e z)): the recurrence of Corless et al., Adv.
+# Comput. Math. 5, 329 (1996), eqs. (4.23)-(4.24).  +p gives W_0, -p the
+# branch W_0 merges with.  Forty terms reach double precision for |p| <= 1/2.
+def _branch_point_coefficients(count: int) -> np.ndarray:
+    mu, alpha = [-1.0, 1.0], [2.0, -1.0]
+    for k in range(2, count):
+        alpha.append(sum(mu[j] * mu[k + 1 - j] for j in range(2, k)))
+        mu.append((k - 1) / (k + 1) * (mu[k - 2] / 2 + alpha[k - 2] / 4)
+                  - alpha[k] / 2 - mu[k - 1] / (k + 1))
+    return np.array(mu)
+
+
+_MU = _branch_point_coefficients(40)
+_PAIR_Q = 0.25  # |q| = |p|^2 below which the merging pair comes from the series
+_HALLEY_ITERATIONS = 40
+
+
+def _merging_branch(z: np.ndarray) -> np.ndarray:
+    """The branch W_0 merges with at z = -1/e: W_{-1} from Im z >= 0, W_1 below."""
+    return np.where(z.imag >= 0, -1, 1)
+
+
+def _pair_parts(q):
+    """(c1, h1) with W = -1 + q c1 +- sqrt(q) h1 on the two merging branches."""
+    c1 = h1 = 0.0
+    for mu in _MU[2::2][::-1]:  # Horner, from the highest power of q down
+        c1 = c1 * q + mu
+    for mu in _MU[1::2][::-1]:
+        h1 = h1 * q + mu
+    return c1, h1
+
+
+def _lambert_w(z, k) -> np.ndarray:
+    """Branch k of the Lambert W function, w exp(w) = z, elementwise.
+
+    Branch cuts follow Corless et al. (and scipy.special.lambertw).  Close to
+    the branch point the two merging branches come straight from the series
+    in p; every other value is polished by Halley's iteration from a
+    branch-point-series, Pade or asymptotic first guess.
+    """
+    z, k = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(k, dtype=int))
+    z, k = z.ravel(), k.ravel()
+    q = 2.0 * (1.0 + math.e * z)
+    sign = np.where(k == 0, 1.0, np.where(k == _merging_branch(z), -1.0, 0.0))
+    w = np.empty(z.shape, dtype=complex)
+    near = (sign != 0) & (np.abs(z + 1.0 / math.e) < 0.3)
+    if near.any():
+        c1, h1 = _pair_parts(q[near])
+        w[near] = -1.0 + q[near] * c1 + sign[near] * np.sqrt(q[near]) * h1
+    # the (3, 2) Pade approximant of W_0 about 0, inside the pole-free region
+    # scipy.special.lambertw uses for the same purpose
+    small = ~near & (k == 0) & (np.abs(z.imag) < 1.0) & (z.real < 1.5)
+    small &= z.real > np.maximum(-1.0, -2.5 * np.abs(z.imag) - 0.2)
+    zs = z[small]
+    w[small] = zs * (60.0 + zs * (114.0 + 17.0 * zs)) / (60.0 + zs * (174.0 + 101.0 * zs))
+    far = ~near & ~small
+    log_z = np.log(z[far]) + 2j * math.pi * k[far]
+    log_log = np.log(log_z)
+    w[far] = log_z - log_log + log_log / log_z
+    # the series is exact to double precision for |q| < _PAIR_Q; polish the rest
+    todo = np.flatnonzero(~near | (np.abs(q) >= _PAIR_Q))
+    for _ in range(_HALLEY_ITERATIONS):
+        if not todo.size:
+            return w
+        wt, zt = w[todo], z[todo]
+        # Scale the residual by exp(-w) where Re w >= 0 so nothing overflows.
+        right = wt.real >= 0
+        ew = np.exp(np.where(right, -wt, wt))
+        f = np.where(right, wt - zt * ew, wt * ew - zt)
+        df = np.where(right, wt + 1.0, ew * (wt + 1.0))
+        step = f / (df - (wt + 2.0) * f / (2.0 * wt + 2.0))
+        w[todo] = wt - step
+        # Halley converges cubically, so after a step below 1e-8 |w| the
+        # error is at rounding level; a NaN step never counts as converged
+        todo = todo[~(np.abs(step) <= 1e-8 * np.abs(w[todo]))]
+    raise FloatingPointError(f"Halley iteration for W did not converge at z = {z[todo[0]]}")
+
+
+# The causal sum serves points with fewer than `switch` lattice terms and the
+# residue sum the rest.  The switch sits at _SWITCH_MAX unless the causal
+# terms would cancel by more than _CANCELLATION_MAX before it; it never drops
+# below _SWITCH_MIN, which bounds the number of branches the residue sum needs.
+_SWITCH_MIN = 8
+_SWITCH_MAX = 16
+_CANCELLATION_MAX = 1e4
+
+
+@dataclass(frozen=True)
+class _Residues:
+    """Poles s_j = W_j(a tau) / tau of the Laplace transform 1 / (s - a exp(-s tau)).
+
+    `branches` holds the W_j summed one by one, from the smallest real part
+    up; beyond x = u / tau = `reach` a branch stays below 1e-17 of the W_0
+    term.  `pair` is q = 2 (1 + e a tau) when W_0 and its merging branch
+    are summed together in closed form, else None.
+    """
+
+    switch: int
+    branches: np.ndarray
+    reach: np.ndarray
+    pair: complex | None
+
+
+def _residues(log_a: complex, tau: float) -> _Residues | None:
+    """Residue plan for a = exp(log_a), or None when a tau exceeds the double range."""
+    log_z = log_a + math.log(tau)
+    if log_z.real > 700.0:
+        return None
+    z = cmath.exp(log_z)
+    w0, w_abs = _lambert_w([z, abs(z)], 0)
+    # sum |causal terms| is the series at |a|, ~ exp(W_0(|a| tau) x), while
+    # the sum itself is ~ exp(W_0(a tau) x)
+    gap = w_abs.real - w0.real
+    switch = _SWITCH_MAX
+    if gap * _SWITCH_MAX > math.log(_CANCELLATION_MAX):
+        switch = max(_SWITCH_MIN, int(math.log(_CANCELLATION_MAX) / gap))
+    # |exp(W_j x)| = (|z| / |W_j|)^x with |W_j| ~ 2 pi |j|, so past `count`
+    # branches every term is below 1e-17 of the W_0 term at all x >= switch
+    count = math.ceil(abs(w0) * 10.0 ** (17.0 / switch) / (2.0 * math.pi)) + 1
+    j = np.arange(-count, count + 1)
+    q = 2.0 * (1.0 + math.e * z)
+    pair = q if abs(q) < _PAIR_Q else None
+    skip = (j == 0) | ((j == _merging_branch(np.array(z))) & (pair is not None))
+    w = _lambert_w(z, j[~skip])
+    drop = w0.real - w.real
+    reach = np.full(w.shape, math.inf)
+    below = drop > 0
+    reach[below] = (
+        17.0 * math.log(10.0) + np.log(max(1.0, abs(1.0 + w0)) / np.abs(1.0 + w[below]))
+    ) / drop[below]
+    keep = reach > switch
+    w, reach = w[keep], reach[keep]
+    if pair is None:
+        w, reach = np.append(w, w0), np.append(reach, math.inf)
+    order = np.argsort(w.real)
+    return _Residues(switch, w[order], reach[order], pair)
+
+
+def _residue_sum(u: np.ndarray, tau: float, envelope: complex, res: _Residues) -> np.ndarray:
+    """sum_j exp((s_j + envelope) u) / (1 + W_j), smallest terms first.
+
+    Points are visited in increasing u, so each branch only touches the
+    prefix of points before its reach.
+    """
+    order = np.argsort(u)
+    us = u[order]
+    total = np.zeros(us.shape, dtype=complex)
+    for w, end in zip(res.branches, np.searchsorted(us / tau, res.reach)):
+        total[:end] += np.exp((w / tau + envelope) * us[:end]) / (1.0 + w)
+    if res.pair is not None:
+        total += _pair_sum(us, tau, envelope, res.pair)
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _pair_sum(u: np.ndarray, tau: float, envelope: complex, q: complex) -> np.ndarray:
+    """The two residues whose poles merge at a tau = -1/e, without cancellation.
+
+    With W = -1 + c +- h, c = q c1 and h = sqrt(q) h1, the pair
+    exp(W_+ x)/(1 + W_+) + exp(W_- x)/(1 + W_-) at x = u / tau equals
+
+        2 exp(x (c - 1)) [x h1^2 sinh(y)/y - c1 cosh(y)] / (h1^2 - q c1^2),
+
+    y = x h, an even function of h and so analytic in q; it stays finite
+    at q = 0, where the two poles coincide.  sinh and cosh carry exp(-y)
+    (Re y >= 0) into the exponent so neither overflows.
+    """
+    c1, h1 = _pair_parts(q)
+    h = cmath.sqrt(q) * h1
+    h = h if h.real >= 0 else -h
+    x = u / tau
+    y = x * h
+    em1 = np.expm1(-2.0 * y)
+    sinhc = np.where(y == 0, 1.0, -em1 / (2.0 * np.where(y == 0, 1.0, y)))  # exp(-y) sinh(y)/y
+    cosh = 1.0 + em1 / 2.0  # exp(-y) cosh(y)
+    scale = 2.0 / (h1 * h1 - q * c1 * c1)
+    return scale * np.exp(x * (q * c1 - 1.0) + envelope * u + y) * (
+        x * h1 * h1 * sinhc - c1 * cosh
+    )
+
+
+def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) -> np.ndarray:
+    """sum_{k <= u/tau} a^k (u - k tau)^k / k! * exp(envelope u), term by term in log space."""
+    total = np.exp(envelope.real * u).astype(complex)
+    if log_a.real > -math.inf and u.size:
+        for k in range(1, int(u.max() // tau) + 1):
+            live = u > k * tau
+            ul = u[live]
+            log_mag = k * log_a.real + k * np.log(ul - k * tau) - math.lgamma(k + 1)
+            total[live] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
+    if envelope.imag:
+        total *= np.exp(1j * envelope.imag * u)
+    return total
+
+
+def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
+    """f(u) exp(envelope u) with f the causal round-trip sum; 0 where u < 0.
+
+    The feedback constant enters as log a.  Points with fewer lattice terms
+    than the switch take the causal sum, the rest the residue sum.
+    """
     u_in = np.asarray(u, dtype=float)
-    u_flat = np.atleast_1d(u_in).ravel()
-    total = np.where(u_flat >= 0, 1.0, 0.0).astype(complex)  # k = 0 term
-    u_max = float(u_flat.max()) if u_flat.size else -1.0
-    if log_mag_a > -math.inf and u_max >= tau:
-        comp = np.zeros_like(total)
-        k_max = int(math.floor(u_max / tau))
-        # beyond k ~ |a| u the term magnitudes only decay
-        k_peak = math.exp(min(log_mag_a, 700.0)) * u_max
-        for k in range(1, k_max + 1):
-            arg = u_flat - k * tau
-            live = arg > 0
-            if not live.any():
-                break
-            log_mag = np.full(u_flat.shape, -np.inf)
-            log_mag[live] = (
-                k * log_mag_a + k * np.log(arg[live]) - math.lgamma(k + 1)
-            )
-            peak = log_mag.max()
-            if peak < _LOG_TINY:
-                if k > k_peak:
-                    break
-                continue
-            term = np.zeros_like(total)
-            term[live] = np.exp(log_mag[live]) * complex(
-                math.cos(k * phase_a), math.sin(k * phase_a)
-            )
-            _compensated_add(total, comp, term)
-        total += comp
-    total = total.reshape(u_in.shape) if u_in.ndim else total[0]
-    return complex(total) if u_in.ndim == 0 else total
+    flat = np.atleast_1d(u_in).ravel()
+    total = np.zeros(flat.shape, dtype=complex)
+    live = np.flatnonzero(flat >= 0)
+    ul = flat[live]
+    terms = np.floor(ul / tau)
+    res = None
+    if log_a.real > -math.inf and terms.size and terms.max() >= _SWITCH_MIN:
+        res = _residues(log_a, tau)
+    late = terms >= (res.switch if res is not None else math.inf)
+    total[live[~late]] = _causal_sum(ul[~late], log_a, tau, envelope)
+    if late.any():
+        total[live[late]] = _residue_sum(ul[late], tau, envelope, res)
+    return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
 def delay_series(u, a: complex, tau: float):
     """Causal round-trip sum f(u) = sum_{k <= u/tau} a^k/k! (u - k tau)^k.
 
-    Terms are evaluated in log space (no overflow for large k) and summed
-    with Neumaier compensation.  Points with u < 0 return 0; the k-th term
-    switches on at u = k tau where it vanishes like (u - k tau)^k, so f is
-    continuous.
+    Points with u < 0 return 0; the k-th term switches on at u = k tau where
+    it vanishes like (u - k tau)^k, so f is continuous.  Early points sum
+    the terms in log space; later ones use the Lambert-W residue form (see
+    the module docstring).
 
     Args:
         u: Scalar or array of evaluation points.
@@ -142,9 +329,8 @@ def delay_series(u, a: complex, tau: float):
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if a == 0:
-        return _delay_series_core(u, -math.inf, 0.0, tau)
-    return _delay_series_core(u, math.log(abs(a)), cmath.phase(a), tau)
+    log_a = complex(-math.inf, 0.0) if a == 0 else cmath.log(a)
+    return _round_trip_sum(u, log_a, tau)
 
 
 def round_trip_series(params: SystemParams, u):
@@ -157,8 +343,7 @@ def round_trip_series(params: SystemParams, u):
         a = derived_constants(params).a
         out = np.where(u_arr >= 0, np.exp(a * u_arr), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
-    log_mag, phase = _feedback_logpolar(params)
-    return _delay_series_core(u_arr, log_mag, phase, params.tau)
+    return _round_trip_sum(u_arr, _feedback_log(params), params.tau)
 
 
 def delay_series_full(
@@ -319,9 +504,12 @@ def excitation_amplitude_exact(params: SystemParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be non-negative")
-    omega_complex = derived_constants(params).omega_complex
-    result = np.exp(-1j * omega_complex * t_arr) * round_trip_series(params, t_arr)
-    return complex(result[()]) if t_arr.ndim == 0 else result
+    envelope = -1j * derived_constants(params).omega_complex
+    if params.tau == 0:
+        result = np.exp(envelope * t_arr) * round_trip_series(params, t_arr)
+        return complex(result[()]) if t_arr.ndim == 0 else result
+    # the envelope joins each term's exponent, so growing terms never overflow
+    return _round_trip_sum(t_arr, _feedback_log(params), params.tau, envelope)
 
 
 def excitation_probability_exact(params: SystemParams, t):
@@ -444,15 +632,28 @@ def excitation_probability_longtime(
 # ---------------------------------------------------------------------------
 
 
+def _mirror_phase_factor(params: SystemParams) -> complex:
+    """r_m exp(i omega_e tau), the mirror as the emitter sees it in the Markovian limit."""
+    if math.isinf(params.tau):
+        raise ValueError(
+            "the Markovian limit needs a finite tau: the round-trip phase "
+            "omega_e tau is undefined for tau = inf"
+        )
+    return params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+
+
 def excitation_probability_markovian(params: SystemParams, t):
     """Markovian P_e(t) = exp(-Gamma t [1 + Re(r_m e^{i omega_e tau})]).
 
     The round-trip propagation time is neglected but the round-trip phase is
     kept.  For real r_m this is exp(-Gamma t [1 + r_m cos(omega_e tau)]); a
     complex r_m only shifts the phase.
+
+    Raises:
+        ValueError: If tau is infinite, where omega_e tau has no value.
     """
     t_arr = np.asarray(t, dtype=float)
-    rho = params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+    rho = _mirror_phase_factor(params)
     result = np.exp(-params.gamma * t_arr * (1.0 + rho.real))
     return float(result[()]) if t_arr.ndim == 0 else result
 
@@ -464,8 +665,11 @@ def dressed_params(params: SystemParams) -> DressedParams:
     Gamma_eff = Gamma [1 + Re(r_m e^{i omega_e tau})]; for real r_m these are
     the familiar (Gamma/2) r_m sin(omega_e tau) and
     Gamma [1 + r_m cos(omega_e tau)].
+
+    Raises:
+        ValueError: If tau is infinite (see excitation_probability_markovian).
     """
-    rho = params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+    rho = _mirror_phase_factor(params)
     return DressedParams(
         delta_eff=params.gamma / 2.0 * rho.imag,
         gamma_eff=params.gamma * (1.0 + rho.real),

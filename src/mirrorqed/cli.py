@@ -120,8 +120,11 @@ def run_excitation(args) -> int:
         }
     except (NoLongtimeSolution, Xi0Diverges) as err:
         meta["longtime"] = {"unavailable": f"{type(err).__name__}: {err}"}
-    header.append("P_markovian")
-    columns.append(excitation_probability_markovian(params, times))
+    try:
+        columns.append(excitation_probability_markovian(params, times))
+        header.append("P_markovian")
+    except ValueError as err:
+        meta["markovian"] = {"unavailable": f"{type(err).__name__}: {err}"}
     _write_table(args.out, meta, header, columns)
     return 0
 
@@ -130,7 +133,10 @@ def run_markovian(args) -> int:
     """Markovian excitation curve with the dressed parameters in the metadata."""
     params = _params_from_args(args)
     times = _time_grid(args)
-    dressed = dressed_params(params)
+    try:
+        dressed = dressed_params(params)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     meta = {
         "scenario": "markovian",
         "version": __version__,

@@ -81,8 +81,8 @@ class TrajectoryConfig:
             raise ValueError(f"boxes must be >= 2, got {self.boxes}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.v_right >= 0 and self.v_left >= 0):
-            raise ValueError("coupling rates v_right/v_left must be non-negative")
+        if not (0 <= self.v_right < math.inf and 0 <= self.v_left < math.inf):
+            raise ValueError("coupling rates v_right/v_left must be non-negative and finite")
         if not -1.0 <= self.r_m <= 1.0:
             raise ValueError(f"r_m must be real in [-1, 1], got {self.r_m}")
         if self.n_trajectories < 1:

@@ -84,6 +84,31 @@ def test_markovian_metadata_carries_dressed_params(tmp_path):
     assert np.max(np.abs(data[:, 1] - np.exp(-2 * data[:, 0]))) < 1e-12
 
 
+def test_markovian_infinite_delay_is_config_error(tmp_path, capsys):
+    # omega_e tau has no value at tau = inf; this used to write NaN rows
+    out = tmp_path / "markov.csv"
+    code = run([
+        "markovian", "--tau", "inf", "--omega-e", "1", "--rm", "-1",
+        "--tmax", "2", "--grid", "3", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+def test_excitation_infinite_delay_omits_markovian_column(tmp_path):
+    out = tmp_path / "exc.csv"
+    code = run([
+        "excitation", "--tau", "inf", "--omega-e", "1", "--rm", "-1",
+        "--tmax", "2", "--grid", "3", "--out", str(out),
+    ])
+    assert code == 0
+    meta, header, data = read_table(out)
+    assert header == ["t", "P_exact"]
+    assert "finite tau" in meta["markovian"]["unavailable"]
+    assert np.allclose(data[:, 1], np.exp(-data[:, 0]), rtol=1e-14, atol=0)
+
+
 def test_dressed_sweep(tmp_path):
     out = tmp_path / "dressed.csv"
     code = run(["dressed", "--rm", "-1", "--phase-points", "201", "--out", str(out)])

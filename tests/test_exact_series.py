@@ -1,0 +1,244 @@
+"""The exact round-trip series against high-precision references.
+
+The package evaluates f(u) = sum_{k <= u/tau} a^k (u - k tau)^k / k! by the
+causal sum at early times and by the Lambert-W residue sum later.  Every
+reference here is the causal sum itself, summed in mpmath at a working
+precision well past the digits its cancellation eats.
+"""
+
+import cmath
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+import pytest
+from scipy.special import lambertw
+
+from mirrorqed import (
+    SystemParams,
+    delay_series,
+    derived_constants,
+    dressed_params,
+    excitation_probability_exact,
+    excitation_probability_markovian,
+    solve_xi,
+    spectrum,
+)
+from mirrorqed.analytic import _lambert_w
+
+# tau at which a tau = -1/e for phase pi and r_m = -1: tau/2 exp(tau/2) = 1/e
+CRITICAL_TAU = 2 * float(mp.lambertw(1 / mp.e))
+
+
+def causal_reference(a, tau, u, digits=25):
+    """f(u) in mpmath for double inputs tau, u and a = a() at the working
+    precision, raised until `digits` survive the cancellation.  Terms past
+    the point where the rest cannot reach the last digit are left out."""
+    dps = digits + 15
+    while True:
+        with mp.workdps(dps):
+            x, tau_m, a_m = mp.mpf(u), mp.mpf(tau), a()
+            total, biggest, factorial, k = mp.mpc(1), mp.mpf(1), mp.mpf(1), 1
+            tail = mp.mpf(10) ** -(digits + 5)
+            while x - k * tau_m > 0:
+                factorial *= k
+                term = (a_m * (x - k * tau_m)) ** k / factorial
+                total += term
+                biggest = max(biggest, abs(term))
+                # past k = e |a| u the terms shrink faster than by 1/e each
+                if k > mp.e * abs(a_m) * x and abs(term) < tail * abs(total):
+                    break
+                k += 1
+            lost = math.ceil(float(mp.log10(biggest / abs(total))))
+            if lost + digits <= dps:
+                return +total
+        dps = lost + digits + 10
+
+
+def probability_reference(tau, phase, r_m, t):
+    """Exact P_e(t) = exp(-t) |f(t)|^2 with a = -r_m exp(i phase) exp(tau/2) / 2."""
+    def feedback():
+        return -mp.mpf(r_m) * mp.expj(mp.mpf(phase)) * mp.exp(mp.mpf(tau) / 2) / 2
+
+    f = causal_reference(feedback, tau, t)
+    with mp.workdps(30):
+        return float(mp.exp(-mp.mpf(t)) * abs(f) ** 2)
+
+
+# (tau, phase, r_m, t)
+REGRESSION_CASES = {
+    # each term ~1e21, the sum ~1e-22
+    "cancellation": (0.01, math.pi, -1.0, 100.0),
+    # exp(s_0 t) alone overflows; the trapped plateau is 4/9
+    "overflow": (1.0, 2 * math.pi, -1.0, 1500.0),
+    # a tau = -1/e, where W_0 and W_{-1} merge and 1 + W_0 = 0
+    "branch-point-t20": (CRITICAL_TAU, math.pi, -1.0, 20.0),
+    "branch-point-t50": (CRITICAL_TAU, math.pi, -1.0, 50.0),
+    "branch-point-above": (CRITICAL_TAU * (1 + 1e-6), math.pi, -1.0, 50.0),
+    "branch-point-below": (CRITICAL_TAU * (1 - 1e-6), math.pi, -1.0, 50.0),
+    "branch-point-above-t20": (CRITICAL_TAU * (1 + 1e-6), math.pi, -1.0, 20.0),
+    "branch-point-below-t20": (CRITICAL_TAU * (1 - 1e-6), math.pi, -1.0, 20.0),
+    "late-phase-3.4": (1.0, 3.4, -1.0, 39.65574070683025),
+}
+
+
+@pytest.mark.parametrize("case", REGRESSION_CASES)
+def test_probability_matches_high_precision_causal_sum(case):
+    tau, phase, r_m, t = REGRESSION_CASES[case]
+    params = SystemParams.from_round_trip_phase(tau, phase, r_m)
+    got = excitation_probability_exact(params, t)
+    expected = probability_reference(tau, phase, r_m, t)
+    assert got == pytest.approx(expected, rel=1e-8, abs=0)
+
+
+def test_known_values_of_the_regression_cases():
+    cancellation = SystemParams.from_round_trip_phase(0.01, math.pi, -1.0)
+    assert excitation_probability_exact(cancellation, 100.0) == pytest.approx(
+        5.0911e-88, rel=1e-4, abs=0
+    )
+    trapped = SystemParams.from_round_trip_phase(1.0, 2 * math.pi, -1.0)
+    assert excitation_probability_exact(trapped, 1500.0) == pytest.approx(4 / 9, rel=1e-12)
+    critical = SystemParams.from_round_trip_phase(CRITICAL_TAU, math.pi, -1.0)
+    assert excitation_probability_exact(critical, 50.0) == pytest.approx(6.5567e-96, rel=1e-4, abs=0)
+
+
+def test_infinite_delay_is_free_decay():
+    params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0)
+    t = np.array([0.0, 0.5, 3.0, 40.0, 700.0])
+    assert np.allclose(excitation_probability_exact(params, t), np.exp(-t), rtol=1e-14, atol=0)
+
+
+def random_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tau = 10 ** rng.uniform(-1.5, 0.7)
+        phase = rng.uniform(0, 2 * math.pi)
+        r_m = -(rng.uniform(0, 1) ** 0.2)
+        u = tau * 10 ** rng.uniform(0.3, 1.8)  # 2 to 60 round trips
+        yield tau, phase, r_m, u
+
+
+@pytest.mark.parametrize("tau, phase, r_m, u", random_cases(30, seed=3))
+def test_series_matches_high_precision_on_both_sides_of_the_switch(tau, phase, r_m, u):
+    params = SystemParams.from_round_trip_phase(tau, phase, r_m)
+    a = derived_constants(params).a
+    expected = causal_reference(lambda: mp.mpc(a), tau, u)
+    got = delay_series(u, a, tau)
+    assert abs(got - complex(expected)) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("distance", [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.03, 0.05, 0.2])
+@pytest.mark.parametrize("angle", [0.0, 0.5, math.pi, -2.0])
+def test_series_near_the_branch_point(distance, angle):
+    # a tau = -1/e + distance e^{i angle}: the closed-form pair near the
+    # branch point and the separate branches further out (|q| = 2 e distance)
+    # must both agree with the causal sum
+    tau = 1.0
+    z = -1 / math.e + distance * cmath.exp(1j * angle)
+    for u in (9.0, 30.0, 60.0):
+        expected = causal_reference(lambda: mp.mpc(z), tau, u)
+        got = delay_series(u, z, tau)
+        assert abs(got - complex(expected)) <= 1e-9 * abs(expected), u
+
+
+def test_series_continuous_where_the_sums_switch():
+    a, tau = -0.45 + 0.2j, 1.0
+    for u in np.arange(7.0, 17.0):
+        below, above = delay_series(np.array([u - 1e-9, u + 1e-9]), a, tau)
+        assert abs(above - below) <= 1e-7 * abs(below)
+
+
+# ---------------------------------------------------------------------------
+# Lambert W
+# ---------------------------------------------------------------------------
+
+
+def lambert_grid():
+    magnitude = np.logspace(-8, 6, 57)
+    angle = np.linspace(-math.pi, math.pi, 41)
+    z = (magnitude[:, None] * np.exp(1j * angle[None, :])).ravel()
+    return z[np.abs(z + 1 / math.e) > 1e-3]
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_lambert_w_matches_scipy(k):
+    z = lambert_grid()
+    got = _lambert_w(z, k)
+    expected = lambertw(z, k)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_lambert_w_near_the_branch_point(k):
+    # W is ill-conditioned at -1/e (dW/dz ~ 1/(1 + W)), so allow the error
+    # one rounding of z brings about
+    for distance in (1e-14, 1e-10, 1e-6, 1e-3, 0.05):
+        for angle in (0.0, 1.0, math.pi, -1.0):
+            z = -1 / math.e + distance * cmath.exp(1j * angle)
+            expected = complex(mp.lambertw(mp.mpc(z), k))
+            got = complex(_lambert_w(z, k)[0])
+            assert abs(got - expected) <= 1e-15 * (1 + 1 / abs(1 + expected)), (z, k)
+
+
+def test_principal_branch_equals_solve_xi():
+    # the random grid of test_solve_xi_matches_lambertw_branch
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        tau = rng.uniform(0.05, 2.0)
+        phase = rng.uniform(0.0, 2 * math.pi)
+        r_m = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        params = SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
+        a = derived_constants(params).a
+        if abs(a * tau) > 0.3:
+            continue
+        xi = solve_xi(params)
+        w0 = complex(_lambert_w(a * tau, 0)[0])
+        assert abs(w0 / tau - xi) <= 1e-9 * max(1.0, abs(xi))
+
+
+# ---------------------------------------------------------------------------
+# Spectrum, Markovian limit, runtime dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_spectrum_matches_laplace_closed_form_with_mirror():
+    # |1 + r_m e^{i omega tau}|^2 / |s - a e^{-s tau}|^2, s = -i (omega - Omega)
+    # (Tufarelli, Ciccarello & Kim, PRA 87, 013820 (2013))
+    params = SystemParams(omega_e=2.0, tau=1.0, r_m=-0.5)
+    spec = spectrum(params, sample_count=2**14)
+    consts = derived_constants(params)
+    omega = spec.frequencies
+    s = -1j * (omega - consts.omega_complex)
+    laplace = np.abs(1 + params.r_m * np.exp(1j * omega * params.tau)) ** 2 / np.abs(
+        s - consts.a * np.exp(-s * params.tau)
+    ) ** 2
+    laplace /= laplace.max()
+    assert np.max(np.abs(spec.spectral_density - laplace)) <= 1.5e-3
+
+
+def test_markovian_limit_rejects_infinite_delay():
+    params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0)
+    with pytest.raises(ValueError, match="finite tau"):
+        excitation_probability_markovian(params, 1.0)
+    with pytest.raises(ValueError, match="finite tau"):
+        dressed_params(params)
+
+
+def test_runtime_imports_only_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, mirrorqed\n"
+        "p = mirrorqed.SystemParams.from_round_trip_phase(0.01, 3.0, -1.0)\n"
+        "mirrorqed.excitation_probability_exact(p, 100.0)  # 10^4 round trips: residue sum\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

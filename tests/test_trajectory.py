@@ -146,6 +146,17 @@ def test_config_rejects_infinity(field, overrides):
         TrajectoryConfig.from_params(SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0))
 
 
+@pytest.mark.parametrize("coupling", ["v_right", "v_left"])
+def test_config_rejects_infinite_couplings(coupling):
+    # an infinite rate used to give a NaN mean and a RuntimeWarning
+    kwargs = dict(
+        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
+        n_trajectories=1, t_max=1.0, master_seed=0,
+    )
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        TrajectoryConfig(**{**kwargs, coupling: math.inf})
+
+
 def test_config_from_params_geometry():
     config = config_for(tau=1.0, boxes=25)
     assert config.dt == pytest.approx(1.0 / 48.0, rel=1e-15)
