@@ -1,10 +1,10 @@
 """Command-line scenario runner emitting machine-readable CSV tables.
 
-Every subcommand writes one table per file: a JSON metadata block in `#`
-comment lines (the full resolved configuration, so any table is reproducible
-from its own header) followed by a CSV header and rows formatted with 17
-significant digits.  Exit codes: 0 success, 1 configuration error, 2
-validation FAIL in `compare`.
+Every subcommand writes one table per file: a strict-JSON metadata line after
+`# ` (the full resolved configuration, so any table is reproducible from its
+own header; non-finite values are the strings "inf", "-inf" and "nan")
+followed by a CSV header and rows formatted with 17 significant digits.
+Exit codes: 0 success, 1 configuration error, 2 validation FAIL in `compare`.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _json_safe(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "inf", "-inf" or "nan": strict JSON has no such numbers
+    if isinstance(obj, complex):
+        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
     if isinstance(obj, np.ndarray):
         return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -61,11 +59,12 @@ def _json_safe(obj):
 
 
 def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = ["# " + json.dumps(_json_safe(metadata), sort_keys=True)]
+    lines = ["# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False)]
     lines.append(",".join(header))
-    rows = np.broadcast_arrays(*columns)
-    for i in range(len(rows[0])):
-        lines.append(",".join(_fmt(col[i]) for col in rows))
+    # '%.17g' % v and format(v, ".17g") run the same double-to-string routine
+    columns = [np.asarray(col, dtype=float).tolist() for col in np.broadcast_arrays(*columns)]
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines.extend(row_format % row for row in zip(*columns))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -86,6 +85,13 @@ def _params_from_args(args) -> SystemParams:
 
 def _params_meta(params: SystemParams) -> dict:
     return {**asdict(params), "round_trip_phase": params.round_trip_phase}
+
+
+def _check_bounds(lo: float, hi: float, flags: str) -> None:
+    # np.linspace over an infinite bound or span writes inf and nan with warnings;
+    # hi - lo is finite only when both bounds and their span are
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{flags} must be finite with a finite span, got [{lo}, {hi}]")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -157,6 +163,7 @@ def run_dressed(args) -> int:
     """Dressed frequency shift and decay rate swept over the round-trip phase."""
     if args.phase_points < 2:
         raise ConfigError(f"--phase-points must be at least 2, got {args.phase_points}")
+    _check_bounds(args.phase_min, args.phase_max, "--phase-min/--phase-max")
     if args.phase_min < 0:
         raise ConfigError(f"--phase-min must be non-negative, got {args.phase_min}")
     phases = np.linspace(args.phase_min, args.phase_max, args.phase_points)
@@ -203,6 +210,7 @@ def run_wavepacket(args) -> int:
     if args.xpoints < 2:
         raise ConfigError(f"--xpoints must be at least 2, got {args.xpoints}")
     xmin = args.xmin if args.xmin is not None else -(snapshot_times[-1] + 1.0)
+    _check_bounds(xmin, args.xmax, "--xmin/--xmax")
     if not xmin < args.xmax:
         raise ConfigError(f"--xmin must be below --xmax, got [{xmin}, {args.xmax}]")
     positions = np.linspace(xmin, args.xmax, args.xpoints)

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import mirrorqed
 from mirrorqed import SystemParams, excitation_probability_exact
-from mirrorqed.cli import run
+from mirrorqed.cli import _json_safe, _write_table, run
 
 
 def read_table(path):
@@ -308,3 +309,150 @@ def test_module_entry_point():
     )
     assert no_boxes.returncode == 1
     assert no_boxes.stderr == "configuration error: boxes must be >= 2, got 1\n"
+
+
+# --- the CSV writer -------------------------------------------------------
+
+
+def per_value_rows(columns):
+    """Rows as the writer once formatted them: one format() call per value."""
+    cols = np.broadcast_arrays(*columns)
+    return [",".join(format(float(c[i]), ".17g") for c in cols) for i in range(len(cols[0]))]
+
+
+def written_rows(columns, capsys):
+    _write_table(None, {}, ["a"] * len(columns), columns)
+    return capsys.readouterr().out.splitlines()[2:]
+
+
+SPECIAL_VALUES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, sys.float_info.max,
+    -sys.float_info.max, float(2**53 + 1), 0.1, 1 / 3, 1e16, 1e17, 1.5e300,
+    123456789012345678.0, -2.5,
+]
+
+
+def test_write_table_special_values_match_per_value_format(capsys):
+    values = np.array(SPECIAL_VALUES)
+    ints = np.array([0, -1, 2**53 + 1, 2**63 - 1, -(2**63), *range(len(values) - 5)])
+    columns = [values, ints, np.float64(0.5), 3]  # the last two are broadcast
+    assert written_rows(columns, capsys) == per_value_rows(columns)
+
+
+def test_write_table_random_bit_patterns_match_per_value_format(capsys):
+    rng = np.random.default_rng(20261018)
+    values = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64).reshape(2, -1)
+    columns = [values[0], values[1]]
+    assert written_rows(columns, capsys) == per_value_rows(columns)
+
+
+def test_write_table_stdout_and_file_bytes_agree(tmp_path, capsys):
+    columns = [np.linspace(0, 1, 7), np.array(SPECIAL_VALUES[:7])]
+    meta = {"z": complex(1, -0.5), "a": [np.float64(2), np.int64(3)]}
+    _write_table(None, meta, ["x", "y"], columns)
+    out = tmp_path / "t.csv"
+    _write_table(str(out), meta, ["x", "y"], columns)
+    assert out.read_bytes() == capsys.readouterr().out.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    ("argv", "rows"),
+    [
+        (["excitation", "--tau", "1", "--phase", "3.1", "--rm", "-1", "--tmax", "4",
+          "--grid", "21"], 21),
+        (["markovian", "--tau", "0.5", "--phase", "1", "--rm", "-0.5", "--tmax", "4",
+          "--grid", "21"], 21),
+        (["dressed", "--rm", "-1", "--phase-points", "17"], 17),
+        (["wavepacket", "--tau", "1", "--phase", "6.2", "--rm", "-1", "--times", "2,3",
+          "--xpoints", "33"], 33),
+        (["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "-0.5", "--samples", "256",
+          "--allow-undecayed"], 256),
+        (["trajectory", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
+          "--boxes", "5", "--trajectories", "20"], 17),
+        (["compare", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
+          "--boxes", "5", "--trajectories", "20", "--tolerance", "1"], 17),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_every_field_is_canonical_and_rows_match_grid(argv, rows, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# {")
+    table = lines[2:]
+    assert len(table) == rows
+    ncols = len(lines[1].split(","))
+    for line in table:
+        fields = line.split(",")
+        assert len(fields) == ncols
+        assert all(format(float(s), ".17g") == s for s in fields), line
+
+
+# --- strict-JSON headers and finite grid bounds ------------------------------
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    ("argv", "tau", "phase"),
+    [
+        (["excitation", "--tau", "inf", "--omega-e", "1", "--rm", "-1", "--tmax", "2",
+          "--grid", "3"], "inf", "inf"),
+        (["excitation", "--tau", "inf", "--omega-e", "0", "--rm", "-1", "--tmax", "2",
+          "--grid", "3"], "inf", "nan"),
+        (["spectrum", "--tau", "inf", "--omega-e", "5", "--rm", "-1", "--samples", "8"],
+         "inf", "inf"),
+        (["wavepacket", "--tau", "inf", "--omega-e", "0", "--rm", "-1", "--times", "2",
+          "--xpoints", "3"], "inf", "nan"),
+    ],
+)
+def test_nonfinite_metadata_header_is_strict_json(argv, tau, phase, tmp_path):
+    # the header used to carry the bare tokens Infinity and NaN
+    out = tmp_path / "t.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    meta = strict_json(out.read_text().splitlines()[0][2:])
+    assert meta["params"]["tau"] == tau
+    assert meta["params"]["round_trip_phase"] == phase
+
+
+def test_json_safe_spells_nonfinite_values_as_strings():
+    meta = {"z": complex(math.inf, math.nan), "v": np.array([1.0, -math.inf]),
+            "s": np.float64(math.nan), "ok": [0.5, 2, True, None]}
+    assert _json_safe(meta) == {"z": {"re": "inf", "im": "nan"}, "v": [1.0, "-inf"],
+                                "s": "nan", "ok": [0.5, 2, True, None]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2",
+         "--xmax", "inf", "--xpoints", "3"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2",
+         "--xmin=-inf", "--xpoints", "3"],
+        ["wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2",
+         "--xmin=-1.5e308", "--xmax", "1.5e308", "--xpoints", "3"],
+        ["dressed", "--rm", "-1", "--phase-max", "inf"],
+        ["dressed", "--rm", "-1", "--phase-min", "inf"],
+        ["dressed", "--rm", "-1", "--phase-max", "nan"],
+        ["dressed", "--rm", "-1", "--phase-min", "1.5e308", "--phase-max=-1.5e308"],
+    ],
+)
+def test_nonfinite_grid_bounds_are_config_errors(argv, tmp_path, capsys):
+    # an infinite --xmax used to write a table of nan and inf positions with
+    # exit code 0; an infinite --phase-max printed numpy warnings before failing
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "finite" in err
+    assert not out.exists()
