@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -37,7 +38,16 @@ class ConfigError(ValueError):
     """Invalid command-line configuration; maps to exit code 1."""
 
 
+# argparse reads an argument as a negative number, not a flag, only in the
+# forms -12 and -1.5; this also takes -1e-3, -inf and -nan
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse defaults to exit code 2
         raise ConfigError(message)
 
@@ -313,6 +323,10 @@ def run_compare(args) -> int:
         "trajectory": asdict(config),
         "summary": {
             "max_abs_deviation": deviation,
+            # the box model's own error against the exact curve, and the
+            # Monte Carlo error against the box model's infinite ensemble
+            "discretization_error": float(np.max(np.abs(result.limit - exact))),
+            "sampling_error": float(np.max(np.abs(result.mean - result.limit))),
             "tolerance": args.tolerance,
             "result": "PASS" if passed else "FAIL",
         },

@@ -4,25 +4,31 @@ The waveguide around the emitter is discretized into N right-moving and N
 left-moving boxes of temporal width dt, as in the time-delay box model of
 Pichler & Zoller, PRL 116, 093601 (2016).  The emitter couples to box 0 of
 each direction; the mirror sits between right boxes N-2 and N-1, so dt (N-1)
-is the emitter-mirror distance and one round trip takes 2 (N-1) steps.  The
-state vector has 2N+2 amplitudes ordered as
+is the emitter-mirror distance and one round trip takes 2 (N-1) steps.  Each
+time step applies: (1) record P_e, (2) coherent evolution of the excited
+amplitude e, right box 0 and left box 0 under the emitter + local-coupling
+Hamiltonian, (3) no-jump projection: the weight in the output boxes (right
+box N-1 behind the mirror, left box 0 past the emitter) is the step's
+detection probability p, and the projection drops it, (4) box shift with
+mirror transmission/reflection.
 
-    [vacuum, excited, right boxes 0..N-1, left boxes N-1..0],
+Right box 0 is empty at every coherent step, and the boxes only carry each
+emission to the mirror and back, so the unnormalized no-jump state is e plus
+the last M = 2 (N-1) - 1 emissions.  With u the 3x3 step unitary on (e,
+right box 0, left box 0), a step is the scalar delay recurrence
 
-and each time step applies: (1) record P_e, (2) coherent evolution under the
-emitter + local-coupling Hamiltonian, (3) no-jump projection: the weight p in
-the output boxes (right box N-1 behind the mirror, left box 0 past the
-emitter) is the step's detection probability, and the projection drops it,
-(4) box shift with mirror transmission/reflection, (5) renormalize.
+    e' = u00 e + u02 l0,  emission = u10 e + u12 l0,  left out = u20 e + u22 l0,
+
+with l0 = r_m times the emission M steps earlier; the right output is t_m
+times the emission N-1 steps earlier.
 
 With a single excitation a detection leaves the vacuum for good, so all
-trajectories share one deterministic no-jump evolution until their first
-detection, and nothing changes after it.  The no-jump evolution is the only
-state ever evolved (its vacuum amplitude stays zero); a trajectory is that
-run cut at its first detection, one waiting time drawn per trajectory: the
-waiting-time form of quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580
-(1992)).  Averaging the trajectories reproduces the open-system dynamics and
-serves as an independent check of the exact analytic solution.
+trajectories share this one no-jump run until their first detection, and
+nothing changes after it.  A trajectory is that run cut at its first
+detection, one waiting time drawn per trajectory: the waiting-time form of
+quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  Averaging
+the trajectories reproduces the open-system dynamics and serves as an
+independent check of the exact analytic solution.
 """
 
 from __future__ import annotations
@@ -36,12 +42,12 @@ from .core import SystemParams
 
 _NORM_FLOOR = 1e-300
 # Bytes of uniforms ensemble_average draws per block of trajectories: enough
-# rows to amortize the per-block array calls, small next to the samples matrix.
+# rows to amortize the per-block array calls, few enough to stay in cache.
 _DRAW_BLOCK_BYTES = 256 * 1024
 
 
 class NormUnderflow(ArithmeticError):
-    """State norm collapsed below 1e-300 before renormalization."""
+    """The no-jump norm fell below 1e-300 of its value before the step."""
 
 
 @dataclass(frozen=True)
@@ -169,12 +175,17 @@ class Propagator:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Ensemble-averaged excitation probability with its standard error."""
+    """Ensemble-averaged excitation probability with its standard error.
+
+    `limit` is the infinite-ensemble mean P_e S: the excitation probability of
+    the unnormalized no-jump state, which `mean` estimates without bias.
+    """
 
     times: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     n_trajectories: int
+    limit: np.ndarray
 
 
 def build_propagator(config: TrajectoryConfig) -> Propagator:
@@ -227,77 +238,65 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     return generator
 
 
-def _initial_state(config: TrajectoryConfig) -> np.ndarray:
-    """|e, 0>: emitter excited, field vacuum."""
-    amps = np.zeros(config.state_size, dtype=complex)
-    amps[1] = 1.0
-    return amps
+def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The no-jump run from |e, 0>: P_e and survival at every step start, p of every step.
 
+    Steps the recurrence of the module docstring.  The squared norm S of the
+    unnormalized state is summed over e and every box in flight, the
+    transmitted box included; one minus the weight dropped so far would lose
+    digits (8e-7 relative at phase pi, r_m -1, N 25, t 10).  P_e = |e|^2 / S
+    and p = (|left out|^2 + |right out|^2) / S with S before the step.  S is
+    rescaled by a power of two below 2**-128; the survival is the unscaled S.
 
-def _advance(
-    amps: np.ndarray, config: TrajectoryConfig, propagator: Propagator
-) -> tuple[np.ndarray | None, float]:
-    """Apply algorithm steps (2)-(5) to one no-jump state, shape (2N+2,).
-
-    Returns the advanced state and p, its probability of a photon detection
-    in this step; `amps` itself is left unchanged.  The state is None when
-    its norm after the projection falls below the floor.
+    The run stops after the first step k with p[k] >= 1, where every eps1 in
+    (0, 1] fires, or with the norm below the floor times its value before the
+    step; later values stay zero.  Returns P_e and the survival (n_steps + 1
+    values each), p (n_steps values) and the steps completed: k or n_steps.
     """
-    n = config.boxes
-    i_l0 = 2 * n + 1  # left box 0: at the emitter, also the left output
-    i_rout = n + 1  # right box N-1: behind the mirror, the right output
-    amps = amps.copy()
-
-    # (2) coherent evolution on the active triple
-    u = propagator.matrix
-    active = [1, 2, i_l0]  # excited, right box 0, left box 0
-    e, r0, l0 = amps[active]
-    amps[active] = u[:, 0] * e + u[:, 1] * r0 + u[:, 2] * l0
-
-    # (3) no-jump projection: the output boxes hold the detection
-    # probability, and the shift below drops them
-    p_right, p_left = np.abs(amps[[i_rout, i_l0]]) ** 2
-
-    # (4) shift boxes by one, scattering right box N-2 at the mirror
-    out = np.zeros_like(amps)
-    out[1] = amps[1]
-    # right-movers migrate toward the mirror; fresh vacuum enters at box 0
-    out[3 : n + 1] = amps[2:n]
-    out[i_rout] = config.t_m * amps[n]  # transmitted behind the mirror
-    # left input box N-1 (index n+2) stays empty; reflection feeds box N-2
-    out[n + 3] = config.r_m * amps[n]
-    # left-movers migrate toward the emitter
-    out[n + 4 :] = amps[n + 3 : i_l0]
-
-    # (5) renormalize
-    norm = np.sqrt(np.sum(np.abs(out) ** 2))
-    if norm < _NORM_FLOOR:
-        return None, p_right + p_left
-    out /= norm
-    return out, p_right + p_left
-
-
-def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """The no-jump run from |e, 0>: P_e at every step start, p of every step.
-
-    The run stops after the first step k at which p[k] >= 1, where every
-    threshold eps1 in (0, 1] fires, or the norm underflows; P_e after that
-    step and p beyond it stay zero.  Returns P_e (n_steps + 1 values), p
-    (n_steps values) and the number of steps completed: that k, or n_steps.
-    P_e is read from the recorded amplitudes with the array ufunc, like p;
-    a complex-scalar abs can differ from it in the last bit.
-    """
-    propagator = build_propagator(config)
-    amps = _initial_state(config)
-    amplitude = np.zeros(config.n_steps + 1, dtype=complex)
-    amplitude[0] = amps[1]
-    p = np.zeros(config.n_steps)
-    for k in range(config.n_steps):
-        amps, p[k] = _advance(amps, config, propagator)
-        if amps is None or p[k] >= 1.0:
-            return np.abs(amplitude) ** 2, p, k
-        amplitude[k + 1] = amps[1]
-    return np.abs(amplitude) ** 2, p, config.n_steps
+    (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).matrix.tolist()
+    n_steps = config.n_steps
+    r_m, t_m = config.r_m, config.t_m
+    reflected, transmitted = r_m * r_m, t_m * t_m
+    delay = 2 * config.boxes - 3  # M: steps from an emission to its return at left box 0
+    lag = config.boxes - 1  # steps from an emission to the right output
+    # emissions and their |.|^2, oldest first, behind the empty boxes of t = 0
+    emitted = [0j] * delay
+    weight = [0.0] * delay
+    e = 1 + 0j
+    norm = 1.0  # S before the step
+    scale = 0  # the amplitudes are 2**scale times the unnormalized state
+    excited, survival, p = [1.0], [1.0], []
+    for k in range(n_steps):
+        l0 = r_m * emitted[-delay]
+        right = t_m * emitted[-lag]
+        e, emission, left = u00 * e + u02 * l0, u10 * e + u12 * l0, u20 * e + u22 * l0
+        p.append(((left * left.conjugate()).real + (right * right.conjugate()).real) / norm)
+        emitted.append(emission)
+        weight.append((emission * emission.conjugate()).real)
+        # right boxes 1..N-2 hold the N-2 newest emissions, the next one is
+        # split into the transmitted box and left box N-2, older ones move left
+        e2 = (e * e.conjugate()).real
+        end = len(weight)
+        new_norm = e2 + sum(weight[end - lag + 1 :]) + transmitted * weight[end - lag]
+        new_norm += reflected * sum(weight[end - delay : end - lag + 1])
+        if p[k] >= 1.0 or math.sqrt(new_norm / norm) < _NORM_FLOOR:
+            break
+        if new_norm < 2.0**-128:
+            shift = -(math.frexp(new_norm)[1] // 2)
+            factor = math.ldexp(1.0, shift)
+            e *= factor
+            emitted[-delay:] = [z * factor for z in emitted[-delay:]]
+            weight[-delay:] = [math.ldexp(w, 2 * shift) for w in weight[-delay:]]
+            e2, new_norm = math.ldexp(e2, 2 * shift), math.ldexp(new_norm, 2 * shift)
+            scale += shift
+        norm = new_norm
+        excited.append(e2 / norm)
+        survival.append(math.ldexp(norm, -2 * scale))
+    else:
+        k = n_steps
+    for values, size in ((excited, n_steps + 1), (survival, n_steps + 1), (p, n_steps)):
+        values += [0.0] * (size - len(values))  # zeros after a stop
+    return np.array(excited), np.array(p), np.array(survival), k
 
 
 def _first_detections(
@@ -311,10 +310,9 @@ def _first_detections(
     the detection channel, which does not alter the outcome, and is drawn
     only to keep the layout fixed.  Trajectory i is first detected at the
     first step k with eps1[k] <= p[k].  The streams are drawn a block of
-    trajectories at a time from one Philox generator, re-keyed to the start
-    of stream (master_seed, i) before trajectory i: the same numbers as
-    trajectory_rng(master_seed, i), without building a generator per
-    trajectory.
+    trajectories at a time from one Philox generator, re-keyed before
+    trajectory i by writing (master_seed, i) into one reused start state:
+    the same numbers as trajectory_rng(master_seed, i).
 
     Raises NormUnderflow if a trajectory passes step `completed` undetected:
     the no-jump run ended there because its norm underflowed.
@@ -323,6 +321,8 @@ def _first_detections(
     count = len(indices)
     generator = trajectory_rng(config.master_seed, indices[0])
     bit_generator = generator.bit_generator
+    start_state = _stream_start(config.master_seed, indices[0])
+    seed_key = start_state["state"]["key"][0]
     # each row holds two float64 uniforms per step
     block_rows = min(count, max(1, _DRAW_BLOCK_BYTES // (16 * max(n_steps, 1))))
     block = np.empty((block_rows, n_steps, 2))
@@ -332,7 +332,8 @@ def _first_detections(
     for start in range(0, count, block_rows):
         rows = block[: count - start]
         for i, row in zip(indices[start:], rows):
-            bit_generator.state = _stream_start(config.master_seed, i)
+            start_state["state"]["key"] = (seed_key, i & 0xFFFFFFFFFFFFFFFF)
+            bit_generator.state = start_state
             generator.random(out=row)
         eps1 = np.subtract(1.0, rows[..., 0], out=rows[..., 0])
         np.less_equal(eps1, p, out=hits[: len(rows), :n_steps])
@@ -352,10 +353,9 @@ def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarra
     The first sample is exactly 1 (initial state |e, 0>); the series has
     n_steps + 1 entries covering t = 0 .. t_max.  It is the no-jump P_e up
     to the trajectory's first detection, drawn from its own
-    (master_seed, index) stream, and zero after it: the row that
-    `ensemble_average` reduces for this index.
+    (master_seed, index) stream, and zero after it.
     """
-    excited, p, completed = _evolve(config)
+    excited, p, _, completed = _evolve(config)
     first = _first_detections(
         config, p, completed, range(trajectory_index, trajectory_index + 1)
     )
@@ -365,28 +365,26 @@ def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarra
 def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     """Mean P_e over the ensemble with per-time-point standard error.
 
-    With a single excitation, a detection puts the system in the vacuum,
-    which no later step leaves, so every trajectory not yet detected holds
-    the same state.  The ensemble is therefore one no-jump evolution plus a
-    waiting time per trajectory (the waiting-time form of quantum jumps:
-    Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The no-jump run records
-    P_e[k] and the detection probability p[k]; trajectory i is first
-    detected at step k, found from its own (master_seed, i) stream.  Its row
-    is P_e[:k+1] followed by zeros, the same as run_trajectory(config, i),
-    and the rows are reduced in index order.  NormUnderflow is raised when
+    Trajectory i is the no-jump run cut at its first detection, found from
+    its own (master_seed, i) stream, so at step k its P_e is P_e[k] or 0: the
+    ensemble reduces to the count c[k] = #{first >= k} of trajectories not
+    yet detected.  The mean is P_e (c / n) and the standard error
+    P_e sqrt(c (n - c) / (n - 1)) / n, the sample formulas over the rows
+    that run_trajectory returns, without building them; where no trajectory
+    is detected they give P_e and 0 exactly.  NormUnderflow is raised when
     the no-jump norm underflows at a step that some trajectory passes
     undetected.
     """
-    n_steps = config.n_steps
     n_traj = config.n_trajectories
-    excited, p, completed = _evolve(config)
+    excited, p, survival, completed = _evolve(config)
     first = _first_detections(config, p, completed, range(n_traj))
-    samples = np.where(np.arange(n_steps + 1) <= first[:, np.newaxis], excited, 0.0)
-    mean = samples.mean(axis=0)
+    undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
+    mean = excited * (undetected / n_traj)
     if n_traj > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        stderr = excited * np.sqrt(undetected * (n_traj - undetected) / (n_traj - 1)) / n_traj
     else:
-        stderr = np.zeros(n_steps + 1)
+        stderr = np.zeros(config.n_steps + 1)
     return EnsembleResult(
-        times=config.times, mean=mean, stderr=stderr, n_trajectories=n_traj
+        times=config.times, mean=mean, stderr=stderr, n_trajectories=n_traj,
+        limit=excited * survival,
     )

@@ -201,6 +201,23 @@ def test_compare_pass_and_reproducible_bytes(tmp_path, capsys):
     assert meta["summary"]["result"] == "PASS"
 
 
+def test_compare_splits_discretization_and_sampling_error(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run([
+        "compare", "--tau", "1.0", "--phase", str(math.pi), "--rm", "-1", "--tmax", "10",
+        "--boxes", "25", "--trajectories", "200", "--seed", "3", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    summary = read_table(out)[0]["summary"]
+    # the box model alone is 0.0135 off the exact curve at N = 25
+    assert summary["discretization_error"] == pytest.approx(0.0135, abs=1e-4)
+    assert 0 < summary["sampling_error"] < 0.1
+    # |mean - exact| <= |mean - limit| + |limit - exact| at every point
+    assert summary["max_abs_deviation"] <= (
+        summary["discretization_error"] + summary["sampling_error"]
+    )
+
+
 def test_compare_fail_exits_two(tmp_path, capsys):
     code = run([
         "compare", "--tau", "1.0", "--phase", str(math.pi), "--rm", "-0.5",
@@ -263,6 +280,32 @@ def test_infinite_input_is_config_error(argv, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "inf.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-2.5e-1", "-.5e+0"])
+def test_negative_value_in_exponent_form_is_a_value(value, tmp_path, capsys):
+    # these used to be read as unknown flags: "argument --rm: expected one argument"
+    out = tmp_path / "x.csv"
+    code = run([
+        "excitation", "--tau", "1", "--phase", "1", "--rm", value, "--tmax", "1",
+        "--grid", "3", "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert read_table(out)[0]["params"]["r_m"]["re"] == float(value)
+
+
+@pytest.mark.parametrize("xmin", ["-inf", "-Infinity", "-1.5e308", "-nan"])
+def test_negative_nonfinite_bound_reaches_the_bound_check(xmin, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run([
+        "wavepacket", "--tau", "1", "--phase", "1", "--rm", "-1", "--times", "2",
+        "--xmin", xmin, "--xmax", "1.5e308", "--xpoints", "3", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: --xmin/--xmax must be finite with a finite span"
+    )
+    assert not out.exists()
 
 
 def test_missing_required_flag_is_config_error(capsys):

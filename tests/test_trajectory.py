@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from mirrorqed import (
     TrajectoryConfig,
     build_propagator,
     ensemble_average,
+    excitation_probability_exact,
     run_trajectory,
     trajectory,
     trajectory_rng,
 )
-from mirrorqed.trajectory import NormUnderflow, _advance, _evolve, _initial_state
+from mirrorqed.trajectory import NormUnderflow, _evolve
 
 
 def config_for(tau=1.0, phase=math.pi, r_m=-1.0, boxes=9, n_traj=10, t_max=2.0, seed=7):
@@ -69,6 +71,63 @@ def dense_no_jump_oracle(config, n_steps):
         state = shifted / np.linalg.norm(shifted)
         series.append(abs(state[1]) ** 2)
     return np.array(series), np.array(detection)
+
+
+def initial_state(config):
+    """|e, 0> as a dense state vector, ordered as in `dense_no_jump_oracle`:
+    [vacuum, excited, right boxes 0..N-1, left boxes N-1..0]."""
+    amps = np.zeros(config.state_size, dtype=complex)
+    amps[1] = 1.0
+    return amps
+
+
+def advance(amps, config, propagator):
+    """One no-jump step of the dense state vector, shape (2N+2,).
+
+    Coherent evolution of the active triple (excited, right box 0, left box
+    0), the detection probability p in the two output boxes, the box shift
+    with mirror transmission/reflection, and renormalization.  Returns the
+    advanced state (None when its norm falls below the floor) and p; `amps`
+    itself is left unchanged.  A second dense reference for the scalar
+    recurrence of `_evolve`.
+    """
+    n = config.boxes
+    i_l0 = 2 * n + 1  # left box 0: at the emitter, also the left output
+    i_rout = n + 1  # right box N-1: behind the mirror, the right output
+    amps = amps.copy()
+    u = propagator.matrix
+    active = [1, 2, i_l0]
+    e, r0, l0 = amps[active]
+    amps[active] = u[:, 0] * e + u[:, 1] * r0 + u[:, 2] * l0
+    p_right, p_left = np.abs(amps[[i_rout, i_l0]]) ** 2
+    out = np.zeros_like(amps)
+    out[1] = amps[1]
+    out[3 : n + 1] = amps[2:n]  # right-movers migrate; vacuum enters box 0
+    out[i_rout] = config.t_m * amps[n]  # transmitted behind the mirror
+    out[n + 3] = config.r_m * amps[n]  # reflected into left box N-2
+    out[n + 4 :] = amps[n + 3 : i_l0]  # left-movers migrate toward the emitter
+    norm = np.sqrt(np.sum(np.abs(out) ** 2))
+    if norm < trajectory._NORM_FLOOR:
+        return None, p_right + p_left
+    return out / norm, p_right + p_left
+
+
+def dense_evolve(config):
+    """P_e at every step start and p of every step, stepping `advance`."""
+    propagator = build_propagator(config)
+    amps = initial_state(config)
+    excited, detection = [1.0], []
+    for _ in range(config.n_steps):
+        amps, p = advance(amps, config, propagator)
+        detection.append(p)
+        excited.append(abs(amps[1]) ** 2)
+    return np.array(excited), np.array(detection)
+
+
+def ulp_gap(a, b):
+    """Largest distance between a and b in units in the last place."""
+    spacing = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return np.max(np.where(a == b, 0.0, np.abs(a - b) / spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +235,7 @@ def test_config_grid():
 
 def test_initial_state():
     config = config_for()
-    amps = _initial_state(config)
+    amps = initial_state(config)
     assert amps.shape == (config.state_size,)
     assert amps[1] == 1.0
     assert np.linalg.norm(amps) == 1.0
@@ -237,7 +296,7 @@ def test_propagator_identity_off_active_subspace():
     amps[interior] = rng.normal(size=len(interior)) + 1j * rng.normal(size=len(interior))
     amps /= np.linalg.norm(amps)
     before = amps.copy()
-    advanced, p = _advance(amps, config, build_propagator(config))
+    advanced, p = advance(amps, config, build_propagator(config))
     assert p == 0.0
     assert np.array_equal(amps, before)  # the kernel leaves its input alone
     # contents moved by exactly one box, no amplitude created or changed
@@ -259,8 +318,8 @@ def test_step_noop_without_couplings_or_photon():
         boxes=6, dt=0.05, v_right=0.0, v_left=0.0, r_m=-1.0, omega_e=0.0,
         n_trajectories=200, t_max=1.0, master_seed=1,
     )
-    amps = _initial_state(config)
-    advanced, p = _advance(amps, config, build_propagator(config))
+    amps = initial_state(config)
+    advanced, p = advance(amps, config, build_propagator(config))
     assert p == 0.0
     assert np.array_equal(advanced, amps)
     # a threshold eps1 = 1 - u lies in (0, 1], so a zero-probability step
@@ -280,7 +339,7 @@ def test_step_mirror_reflection_rule():
     n = config.boxes
     amps = np.zeros(config.state_size, dtype=complex)
     amps[2 + (n - 2)] = 1.0  # right box N-2
-    advanced, p = _advance(amps, config, build_propagator(config))
+    advanced, p = advance(amps, config, build_propagator(config))
     assert p == 0.0
     assert advanced[n + 3] == pytest.approx(-1.0)  # left box N-2
     assert advanced[n + 1] == 0.0  # right box N-1 (transmission zero)
@@ -296,12 +355,12 @@ def test_step_transparent_mirror_then_certain_detection():
     propagator = build_propagator(config)
     amps = np.zeros(config.state_size, dtype=complex)
     amps[2 + (n - 2)] = 1.0
-    amps, p = _advance(amps, config, propagator)
+    amps, p = advance(amps, config, propagator)
     assert p == 0.0
     assert amps[n + 1] == pytest.approx(1.0)  # right box N-1, t_m = 1
     # the output box now holds the whole excitation: detection is certain
     # and no no-jump state is left
-    amps, p = _advance(amps, config, propagator)
+    amps, p = advance(amps, config, propagator)
     assert p == 1.0
     assert amps is None
     # the same from the emitter: a pi/2 rotation per step moves the excitation
@@ -312,7 +371,7 @@ def test_step_transparent_mirror_then_certain_detection():
         boxes=6, dt=dt, v_right=(math.pi / 2) ** 2 / dt, v_left=0.0, r_m=0.0,
         omega_e=0.0, n_trajectories=50, t_max=1.0, master_seed=1,
     )
-    _, p, completed = _evolve(config)
+    _, p, _, completed = _evolve(config)
     assert p[5] == 1.0
     assert completed == 5
     result = ensemble_average(config)
@@ -326,9 +385,9 @@ def test_step_transparent_mirror_then_certain_detection():
 def test_step_norm_and_empty_input_box_every_step():
     config = config_for(tau=1.0, phase=math.pi, r_m=-0.5, boxes=9, t_max=3.0, seed=3)
     propagator = build_propagator(config)
-    amps = _initial_state(config)
+    amps = initial_state(config)
     for _ in range(config.n_steps):
-        amps, _ = _advance(amps, config, propagator)
+        amps, _ = advance(amps, config, propagator)
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
         assert amps[config.boxes + 2] == 0.0  # left input box N-1
 
@@ -339,9 +398,56 @@ def test_advance_norm_underflow_guard():
     amps[config.boxes + 1] = 1.0  # everything in an output box
     # the no-jump branch is empty: the kernel returns no state rather than
     # dividing by a vanishing norm
-    advanced, p = _advance(amps, config, build_propagator(config))
+    advanced, p = advance(amps, config, build_propagator(config))
     assert advanced is None
     assert p == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The no-jump run as a scalar delay recurrence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("boxes", [2, 3, 9, 25])
+@pytest.mark.parametrize(
+    "phase, r_m", [(math.pi, -1.0), (2 * math.pi, -0.5), (1.0, 0.0), (0.3, 0.7)]
+)
+def test_recurrence_matches_dense_kernel(boxes, phase, r_m):
+    config = config_for(phase=phase, r_m=r_m, boxes=boxes, t_max=4.0)
+    excited, p, _, completed = _evolve(config)
+    dense_excited, dense_p = dense_evolve(config)
+    assert completed == config.n_steps
+    np.testing.assert_allclose(excited, dense_excited, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p, dense_p, rtol=1e-12, atol=0)
+
+
+def test_recurrence_matches_oracle_to_1e12_relative():
+    # S is summed over e and every box in flight; taking it as one minus the
+    # weight dropped so far puts P_e and p off by up to ~1e-6 relative here
+    config = config_for(phase=math.pi, r_m=-1.0, boxes=25, t_max=10.0)
+    excited, p, survival, completed = _evolve(config)
+    oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
+    assert completed == config.n_steps == 480
+    np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p, oracle_p, rtol=1e-12, atol=0)
+    # S at each step start is the chance that no detection came before it
+    np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - oracle_p), rtol=1e-12, atol=0)
+
+
+def test_long_free_space_run_rescales_instead_of_underflowing():
+    # |e|^2 ~ exp(-t) falls below the smallest double near t = 745; the
+    # power-of-two rescaling keeps P_e = |e|^2 / S on the per-step
+    # renormalized oracle to the end
+    config = config_for(phase=math.pi, r_m=0.0, boxes=5, t_max=2000.0)
+    excited, p, survival, completed = _evolve(config)
+    assert completed == config.n_steps == 16000
+    assert math.exp(-config.t_max) == 0.0
+    oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
+    np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p, oracle_p, rtol=1e-12, atol=0)
+    assert excited[-1] > 0.5
+    # the survival itself is an unscaled probability and underflows to zero
+    assert survival[-1] == 0.0 < survival[len(survival) // 4]
 
 
 def test_norm_underflow_fires_only_for_undetected_trajectories(monkeypatch):
@@ -460,19 +566,85 @@ def test_ensemble_single_trajectory_matches_run_trajectory():
 def test_ensemble_rows_match_individual_trajectories(monkeypatch):
     def check(config):
         result = ensemble_average(config)
-        stacked = np.stack([run_trajectory(config, i) for i in range(config.n_trajectories)])
-        assert np.array_equal(result.mean, stacked.mean(axis=0))
-        assert np.array_equal(result.stderr, stacked.std(axis=0, ddof=1) / math.sqrt(len(stacked)))
+        n = config.n_trajectories
+        stacked = np.stack([run_trajectory(config, i) for i in range(n)])
+        # column k holds P_e[k] in every row not yet detected and 0 elsewhere
+        excited = stacked.max(axis=0)
+        assert np.all((stacked == 0.0) | (stacked == excited))
+        undetected = np.count_nonzero(stacked, axis=0)
+        assert np.array_equal(result.mean, excited * (undetected / n))
+        assert np.array_equal(
+            result.stderr, excited * np.sqrt(undetected * (n - undetected) / (n - 1)) / n
+        )
+        # the sample mean and deviation of the rows carry their own rounding:
+        # up to 10 ulp on these runs, and a standard error ~1e-16 where every
+        # row is the same and the count formula gives exactly 0
+        assert ulp_gap(result.mean, stacked.mean(axis=0)) <= 32
+        std = stacked.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(std[undetected == n] < 1e-15)
+        np.testing.assert_allclose(
+            result.stderr[undetected < n], std[undetected < n], rtol=1e-13, atol=0
+        )
 
     check(config_for(boxes=7, n_traj=5, t_max=2.0, seed=31))
-    # here a complex-scalar abs and the array ufunc differ in the last bit
-    # (steps 123 and 153): P_e read either way must agree across paths
     check(config_for(phase=2 * math.pi, boxes=25, n_traj=40, t_max=10.0, seed=2**63 + 5))
     # 33 steps drawn eight trajectories at a time: blocks of 8, 8 and 5 rows
     monkeypatch.setattr(trajectory, "_DRAW_BLOCK_BYTES", 16 * 33 * 8)
     config = config_for(r_m=-0.5, boxes=9, n_traj=21, t_max=33 / 16, seed=2**63 + 5)
     assert config.n_steps == 33
     check(config)
+
+
+def test_ensemble_is_exact_where_no_trajectory_is_detected():
+    # the mean of n equal rows is P_e itself and their spread exactly zero;
+    # averaging the rows gave a standard error of 2.9e-16 here
+    config = config_for(phase=math.pi, r_m=-0.5, boxes=100, n_traj=300, t_max=1.25, seed=1)
+    result = ensemble_average(config)
+    excited, p, _, completed = _evolve(config)
+    first = trajectory._first_detections(config, p, completed, range(config.n_trajectories))
+    none_yet = np.arange(config.n_steps + 1) <= first.min()
+    assert np.count_nonzero(none_yet) > 1
+    assert np.array_equal(result.mean[none_yet], excited[none_yet])
+    assert np.all(result.stderr[none_yet] == 0.0)
+    assert np.all(result.stderr[~none_yet] > 0.0)
+
+
+def test_ensemble_memory_does_not_scale_with_trajectories_times_steps():
+    # a (5000, 961) samples matrix alone takes 38 MB; reducing it peaked at 78 MB
+    config = config_for(phase=2 * math.pi, r_m=-1.0, boxes=25, n_traj=5000, t_max=20.0, seed=1)
+    assert config.n_steps == 960
+    tracemalloc.start()
+    try:
+        ensemble_average(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_limit_is_the_infinite_ensemble_mean():
+    config = config_for(phase=math.pi, r_m=-0.5, boxes=9, n_traj=4000, t_max=4.0, seed=5)
+    result = ensemble_average(config)
+    excited, p, survival, _ = _evolve(config)
+    assert np.array_equal(result.limit, excited * survival)
+    # the mean counts the undetected trajectories, a binomial draw of mean
+    # n S; five of its standard deviations bound the gap at every step
+    band = 5.0 * excited * np.sqrt(survival * (1.0 - survival) / config.n_trajectories)
+    assert np.all(np.abs(result.mean - result.limit) <= band + 1e-15)
+
+
+def test_discretization_error_is_first_order_in_dt():
+    # the box model's own error, free of sampling noise, halves with dt
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-1.0)
+    errors = []
+    for boxes in (25, 49, 97):
+        config = TrajectoryConfig.from_params(params, boxes=boxes, n_trajectories=1, t_max=10.0)
+        result = ensemble_average(config)
+        exact = excitation_probability_exact(params, result.times)
+        errors.append(np.max(np.abs(result.limit - exact)))
+    assert errors == pytest.approx([0.0135, 0.0069, 0.0035], abs=2e-4)
+    assert 1.9 < errors[0] / errors[1] < 2.1
+    assert 1.9 < errors[1] / errors[2] < 2.1
 
 
 def test_ensemble_without_steps_is_the_initial_state():
