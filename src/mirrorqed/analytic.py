@@ -9,9 +9,12 @@ partially transparent mirror is
 with Omega = omega_e - i Gamma/2 and a = -r_m exp(i Omega tau) Gamma/2.  Each
 term counts the photon round trips completed up to time t, so the sum is
 finite and the decay is piecewise polynomial times an exponential.  For
-t >> tau the same series (with the round-trip truncation lifted) collapses
-to xi0 * exp(xi t) where xi solves xi exp(xi tau) = a; neglecting the delay
-altogether gives the Markovian exponential with a dressed decay rate.
+t >> tau it approaches xi0 * exp(xi t), from the pole of the Laplace
+transform below with the largest real part: xi = W_0(a tau) / tau and
+xi0 = 1 / (1 + W_0(a tau)).  With the round-trip truncation lifted the
+series converges exactly when e |a| tau < 1, and then sums to that single
+term.  Neglecting the delay altogether gives the Markovian exponential with
+a dressed decay rate.
 
 Evaluating f.  The Laplace transform of f is F(s) = 1 / (s - a exp(-s tau)),
 whose poles s_j = W_j(a tau) / tau sit on the branches of the Lambert W
@@ -54,22 +57,26 @@ from .core import (
     pp_snap,
 )
 
-_LOG_TINY = -745.0  # below this exp() underflows to zero
-
 
 class NoLongtimeSolution(Exception):
-    """The damped Newton iteration for xi exp(xi tau) = a did not converge.
+    """No single pole of 1 / (s - a exp(-s tau)) dominates the long-time decay.
 
-    This happens when no exponential long-time regime exists, e.g. for a
-    real feedback constant a < -1/(e tau).
+    Raised when a tau is real and at or below -1/e: there W_0(a tau) and a
+    second branch share the largest real part (and at -1/e merge into a
+    double pole), so the decay oscillates or carries a factor t instead of
+    being one exponential.  "Real" allows |Im(a tau)| <= 16 eps |a tau|
+    (eps = 2.2e-16), which covers the rounding of a round-trip phase of pi.
+    Also raised when a tau is not finite.
     """
 
 
 class Xi0Diverges(Exception):
-    """The prefactor series sum_k (-k)^k (a tau)^k / k! does not converge.
+    """The prefactor series sum_k (-k)^k (a tau)^k / k! diverges.
 
-    Carries the decay constant xi (when it was found) so callers can still
-    report the long-time rate of a trapped or slowly decaying emitter.
+    Raised exactly when e |a| tau >= 1, the series' radius of convergence,
+    or a is not finite.  Carries the decay constant xi (when it was found)
+    so callers can still report the long-time rate of a trapped or slowly
+    decaying emitter.
     """
 
     def __init__(self, message: str, xi: complex | None = None):
@@ -346,26 +353,53 @@ def round_trip_series(params: SystemParams, u):
     return _round_trip_sum(u_arr, _feedback_log(params), params.tau)
 
 
-def delay_series_full(
-    u: float,
-    a: complex,
-    tau: float,
-    tol: float = 1e-14,
-    growth_limit: int = 8,
-    max_terms: int = 100_000,
-) -> complex:
-    """All-orders sum f(u) = sum_{k>=0} a^k/k! (u - k tau)^k, no truncation.
+# |Im(a tau)| / |a tau| up to which a tau counts as real.  A round-trip phase
+# of pi, 3 pi or 5 pi passed through omega_e = phase / tau lands up to ~11 ulp
+# off the real axis; a phase pi +- 1e-9 lands 1e-9 off it.
+_REAL_AXIS = 16.0 * np.finfo(float).eps
 
-    This is the analytic continuation used by the long-time solution: at
-    u = 0 it is the prefactor xi0, and wherever it converges it satisfies
-    the delay relation f'(u) = a f(u - tau).  Convergence requires
-    e |a| tau < 1; divergence is flagged when `growth_limit` consecutive
-    terms grow while setting a new magnitude record (transient humps from
-    the sign change of u - k tau are tolerated), or when `max_terms` is
-    reached without the terms dropping below `tol`.
+
+def _principal_w(a: complex, tau: float) -> complex:
+    """W_0(a tau) = xi tau, where xi is the pole of 1 / (s - a exp(-s tau))
+    with the largest real part.
 
     Raises:
-        Xi0Diverges: If the series fails to converge.
+        NoLongtimeSolution: If a tau is not finite, or if it is real (to
+            _REAL_AXIS) and at or below -1/e, where W_0 and a second branch
+            share the largest real part.
+    """
+    z = a * tau
+    if not cmath.isfinite(z):
+        raise NoLongtimeSolution("a tau exceeds the double range")
+    if math.e * z.real <= -1.0 and abs(z.imag) <= _REAL_AXIS * abs(z):
+        raise NoLongtimeSolution(
+            f"a tau = {z.real:.6g} is real and at or below -1/e: two poles share "
+            "the slowest decay, so no single exponential dominates"
+        )
+    return complex(_lambert_w(z, 0)[0])
+
+
+def _check_series_radius(a: complex, tau: float, xi: complex | None = None) -> None:
+    """Raise Xi0Diverges unless e |a| tau < 1, the radius of the all-orders series."""
+    ratio = math.e * abs(a) * tau
+    if not ratio < 1.0:
+        raise Xi0Diverges(
+            f"e |a| tau = {ratio:.6g} >= 1: the prefactor series "
+            "sum_k (-k)^k (a tau)^k / k! diverges",
+            xi=xi,
+        )
+
+
+def delay_series_full(u: float, a: complex, tau: float) -> complex:
+    """All-orders sum f(u) = sum_{k>=0} a^k/k! (u - k tau)^k, no truncation.
+
+    This is the analytic continuation used by the long-time solution.  It
+    converges exactly when e |a| tau < 1, and then sums to the single residue
+    exp(W_0 u / tau) / (1 + W_0), W_0 = W_0(a tau): at u = 0 the prefactor
+    xi0, and for every u a solution of the delay relation f'(u) = a f(u - tau).
+
+    Raises:
+        Xi0Diverges: If e |a| tau >= 1 or a is not finite.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
@@ -373,51 +407,9 @@ def delay_series_full(
         return cmath.exp(a * u)
     if a == 0:
         return 1.0 + 0j
-    if not cmath.isfinite(a):
-        raise Xi0Diverges("feedback constant exceeds the double range")
-    log_a = math.log(abs(a))
-    theta = cmath.phase(a)
-    total = 1.0 + 0j
-    comp = 0.0 + 0j
-    prev_mag = 1.0
-    largest = 1.0
-    rises = 0
-    below = 0
-    for k in range(1, max_terms + 1):
-        base = u - k * tau
-        if base == 0.0:
-            prev_mag = 0.0
-            continue
-        log_mag = k * log_a + k * math.log(abs(base)) - math.lgamma(k + 1)
-        mag = math.exp(log_mag) if log_mag > _LOG_TINY else 0.0
-        phase = k * theta + (math.pi * k if base < 0 else 0.0)
-        term = mag * complex(math.cos(phase), math.sin(phase))
-        # Neumaier step on the scalar accumulator
-        new = total + term
-        if abs(total) >= abs(term):
-            comp += (total - new) + term
-        else:
-            comp += (term - new) + total
-        total = new
-        if mag > prev_mag:
-            rises += 1
-            if mag > largest and rises >= growth_limit:
-                raise Xi0Diverges(
-                    f"series terms grew {rises} times in a row past their previous "
-                    f"maximum (|a| tau = {abs(a) * tau:.4g}, e |a| tau = "
-                    f"{math.e * abs(a) * tau:.4g})"
-                )
-        else:
-            rises = 0
-        largest = max(largest, mag)
-        prev_mag = mag
-        if mag < tol:
-            below += 1
-            if below >= 3 and k * tau > u:
-                return total + comp
-        else:
-            below = 0
-    raise Xi0Diverges(f"series did not converge within {max_terms} terms")
+    _check_series_radius(a, tau)
+    w0 = _principal_w(a, tau)
+    return cmath.exp(w0 * u / tau) / (1.0 + w0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,83 +525,39 @@ def excitation_curve(params: SystemParams, times) -> ExcitationCurve:
 # ---------------------------------------------------------------------------
 
 
-def solve_xi(
-    params: SystemParams, tol: float = 1e-12, max_iter: int = 200
-) -> complex:
-    """Solve xi exp(xi tau) = a by damped complex Newton iteration.
+def solve_xi(params: SystemParams) -> complex:
+    """Long-time decay constant xi = W_0(a tau) / tau, the root of
+    xi exp(xi tau) = a with the largest real part.
 
-    The iteration starts at xi = a (the exact root for tau -> 0) and halves
-    the step whenever the residual would grow, which keeps it on the root
-    branch continuously connected to a.  A solution only exists for real a
-    when a >= -1/(e tau); otherwise the damping stalls and
-    NoLongtimeSolution is raised.
+    Raises:
+        NoLongtimeSolution: If a tau is not finite, or real and at or below
+            -1/e (see NoLongtimeSolution).
     """
-    consts = derived_constants(params)
-    a, tau = consts.a, params.tau
-    if tau == 0:
+    a, tau = derived_constants(params).a, params.tau
+    if tau == 0 or a == 0:
         return a
-    if not cmath.isfinite(a):
-        raise NoLongtimeSolution("feedback constant exceeds the double range")
-
-    def residual_at(candidate: complex) -> complex:
-        z = candidate * tau
-        if z.real > 700.0:  # exp would overflow; certainly not a root
-            return complex(math.inf, 0.0)
-        return candidate * cmath.exp(z) - a
-
-    scale = max(1.0, abs(a))
-    xi = a
-    residual = residual_at(xi)
-    shrink = 0
-    while residual.real == math.inf and shrink < 2000:
-        xi *= 0.5  # walk back toward the origin until exp(xi tau) is representable
-        residual = residual_at(xi)
-        shrink += 1
-    for _ in range(max_iter):
-        if abs(residual) <= tol * scale:
-            return xi
-        slope = cmath.exp(xi * tau) * (1.0 + xi * tau)
-        if slope == 0:
-            raise NoLongtimeSolution("Newton derivative vanished at a double root")
-        step = -residual / slope
-        factor = 1.0
-        while factor >= 2.0**-40:
-            candidate = xi + factor * step
-            cand_res = residual_at(candidate)
-            if abs(cand_res) < abs(residual):
-                break
-            factor *= 0.5
-        else:
-            raise NoLongtimeSolution(
-                f"damped Newton stalled at residual {abs(residual):.3g} "
-                f"(a tau = {a * tau:.6g}; no root reachable from xi = a)"
-            )
-        xi, residual = candidate, cand_res
-    if abs(residual) <= tol * scale:
-        return xi
-    raise NoLongtimeSolution(
-        f"no convergence within {max_iter} iterations (residual {abs(residual):.3g})"
-    )
+    return _principal_w(a, tau) / tau
 
 
 def solve_longtime(params: SystemParams) -> DerivedConstants:
     """Populate xi and xi0 of the long-time solution xi0 exp(-i Omega t + xi t).
 
+    xi = W_0(a tau) / tau and xi0 = 1 / (1 + W_0(a tau)), the pole of the
+    Laplace transform 1 / (s - a exp(-s tau)) with the largest real part and
+    its residue.
+
     Raises:
-        NoLongtimeSolution: If the root equation for xi has no reachable solution.
-        Xi0Diverges: If the prefactor series diverges; the exception carries
-            the already computed xi.
+        NoLongtimeSolution: If no single pole dominates (see NoLongtimeSolution).
+        Xi0Diverges: If e |a| tau >= 1, outside the radius of the prefactor
+            series; the exception carries xi.
     """
     consts = derived_constants(params)
-    if params.tau == 0:
-        return replace(consts, xi=consts.a, xi0=1.0 + 0j)
-    xi = solve_xi(params)
-    try:
-        xi0 = delay_series_full(0.0, consts.a, params.tau)
-    except Xi0Diverges as err:
-        raise Xi0Diverges(str(err), xi=xi) from None
-    return replace(consts, xi=xi, xi0=xi0)
-
+    a, tau = consts.a, params.tau
+    if tau == 0 or a == 0:
+        return replace(consts, xi=a, xi0=1.0 + 0j)
+    w0 = _principal_w(a, tau)
+    _check_series_radius(a, tau, xi=w0 / tau)
+    return replace(consts, xi=w0 / tau, xi0=1.0 / (1.0 + w0))
 
 def excitation_probability_longtime(
     params: SystemParams, t, constants: DerivedConstants | None = None

@@ -95,9 +95,10 @@ class DerivedConstants:
         a: Feedback strength of one emitter-mirror round trip,
             a = -r_m exp(i Omega tau) Gamma / 2.
         omega_complex: Complex transition frequency Omega = omega_e - i Gamma / 2.
-        xi: Long-time decay constant solving xi exp(xi tau) = a (None until solved).
-        xi0: Long-time amplitude prefactor sum_k (-k)^k (a tau)^k / k!
-            (None until solved).
+        xi: Long-time decay constant W_0(a tau) / tau, the root of
+            xi exp(xi tau) = a with the largest real part (None until solved).
+        xi0: Long-time amplitude prefactor 1 / (1 + W_0(a tau)), the sum of
+            sum_k (-k)^k (a tau)^k / k! for e |a| tau < 1 (None until solved).
     """
 
     a: complex

@@ -109,9 +109,10 @@ def test_criterion_03_markovian_doubling_and_suppression():
 def test_criterion_04_longtime_constants_small_delay():
     """Small-delay long-time constants at the stated 1e-3 tolerance.
 
-    The damped-Newton root of xi exp(xi tau) = a and the prefactor series are
-    correct to 1e-12 (verified against Lambert-W and the resolvent identity
-    elsewhere); their distance to the nominal values -0.5 and 1 is, however,
+    The principal-branch constants xi = W_0(a tau) / tau and
+    xi0 = 1 / (1 + W_0(a tau)) are correct to 1e-12 (verified against scipy
+    and mpmath Lambert-W elsewhere); their distance to the nominal values
+    -0.5 and 1 is, however,
     5.1e-3, an order of magnitude above the tolerance demanded here.
     """
     constants = solve_longtime(params_for(0.01, math.pi, -1.0))

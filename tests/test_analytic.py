@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -93,6 +94,18 @@ def test_series_full_matches_truncated_before_first_round_trip():
 def test_series_full_divergence_detected():
     with pytest.raises(Xi0Diverges):
         delay_series_full(0.0, 0.5 * math.exp(0.5), 1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_full_at_the_convergence_boundary(sign):
+    # e |a| tau = 0.9999 converges (the sum is 1 / (1 + W_0)), 1.0001 does not
+    a = sign * 0.9999 / math.e
+    expected = complex(1 / (1 + mp.lambertw(mp.mpf(a))))
+    # near a tau = -1/e, 1 + W_0 ~ sqrt(2 (1 + e a)) amplifies the rounding of
+    # 1 + e a about 1e4 times
+    assert abs(delay_series_full(0.0, a, 1.0) - expected) <= 1e-12 * abs(expected)
+    with pytest.raises(Xi0Diverges):
+        delay_series_full(0.0, sign * 1.0001 / math.e, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +292,8 @@ def test_monotone_probability_envelope():
 
 
 def test_solve_xi_matches_lambertw_branch():
-    # xi tau = W_0(a tau) on the branch continuously connected to xi = a
+    # xi tau = W_0(a tau), the pole with the largest real part, over the whole
+    # sampled range; Xi0Diverges exactly outside the series radius e |a| tau < 1
     rng = np.random.default_rng(5)
     for _ in range(50):
         tau = rng.uniform(0.05, 2.0)
@@ -287,11 +301,42 @@ def test_solve_xi_matches_lambertw_branch():
         r_m = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         params = SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
         a = derived_constants(params).a
-        if abs(a * tau) > 0.3:
-            continue
+        z = a * tau
+        if math.e * z.real <= -1 and abs(z.imag) <= 16 * np.finfo(float).eps * abs(z):
+            continue  # real axis at or below -1/e: no single pole dominates
         xi = solve_xi(params)
-        expected = complex(lambertw(a * tau, 0)) / tau
-        assert abs(xi - expected) <= 1e-9 * max(1.0, abs(expected))
+        expected = complex(lambertw(z, 0)) / tau
+        assert abs(xi - expected) <= 1e-12 * max(1.0, abs(expected))
+        for k in (1, -1, 2, -2):
+            assert xi.real >= complex(lambertw(z, k)).real / tau
+        if math.e * abs(z) < 1:
+            assert solve_longtime(params).xi == xi
+        else:
+            with pytest.raises(Xi0Diverges) as excinfo:
+                solve_longtime(params)
+            assert excinfo.value.xi == xi
+
+
+@pytest.mark.parametrize(
+    "tau, phase, r_m, expected",
+    [
+        # Newton started at xi = a converges to the subdominant pole -0.575+4.25j
+        (2.0, 0.785, 1.0, 0.325 - 0.631j),
+        # Newton started at xi = a stalls
+        (2.0, 1.309, -1.0, 0.446 + 0.334j),
+    ],
+)
+def test_solve_xi_takes_the_dominant_pole_past_the_series_radius(tau, phase, r_m, expected):
+    params = params_for(tau, phase, r_m)
+    a = derived_constants(params).a
+    assert math.e * abs(a) * tau >= 1
+    w0 = complex(lambertw(a * tau, 0))
+    xi = solve_xi(params)
+    assert abs(xi - w0 / tau) <= 1e-12 * abs(xi)
+    assert abs(xi - expected) < 1e-3
+    with pytest.raises(Xi0Diverges) as excinfo:
+        solve_longtime(params)
+    assert abs(excinfo.value.xi - w0 / tau) <= 1e-12 * abs(xi)
 
 
 def test_solve_xi_residual():
@@ -302,10 +347,41 @@ def test_solve_xi_residual():
 
 
 def test_solve_xi_no_solution_past_branch_point():
-    # real a < -1/(e tau) has no real root: the damped Newton iteration stalls
+    # real a < -1/(e tau): W_0 and W_{-1} are complex conjugates, so two poles
+    # share the slowest decay and no single exponential dominates
     params = params_for(4.0, math.pi, -1)  # a = -e^2/2 = -3.69, -1/(e tau) = -0.092
     with pytest.raises(NoLongtimeSolution):
         solve_xi(params)
+    with pytest.raises(NoLongtimeSolution):
+        solve_longtime(params)
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9])
+def test_solve_xi_just_off_the_real_axis(offset):
+    # 1e-9 off the axis one pole dominates, by a real-part gap of order 1e-9
+    params = params_for(4.0, math.pi + offset, -1)
+    a = derived_constants(params).a
+    xi = solve_xi(params)
+    assert abs(xi - complex(lambertw(a * 4.0, 0)) / 4.0) <= 1e-12 * abs(xi)
+    assert math.copysign(1.0, xi.imag) == math.copysign(1.0, -offset)
+    with pytest.raises(Xi0Diverges) as excinfo:
+        solve_longtime(params)
+    assert excinfo.value.xi == xi
+
+
+@pytest.mark.parametrize("tau", [1416.0, math.inf])
+def test_longtime_beyond_the_double_range(tau):
+    # a tau overflows: a itself is finite at tau 1416 (Gamma tau / 2 = 708)
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-1)
+    with pytest.raises(NoLongtimeSolution):
+        solve_longtime(params)
+    with pytest.raises(Xi0Diverges):
+        delay_series_full(0.0, derived_constants(params).a, tau)
+
+
+def test_longtime_without_feedback_at_infinite_delay():
+    consts = solve_longtime(SystemParams(omega_e=1.0, tau=math.inf, r_m=0))
+    assert consts.xi == 0 and consts.xi0 == 1
 
 
 def test_solve_longtime_small_delay():

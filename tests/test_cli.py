@@ -9,9 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 import mirrorqed
-from mirrorqed import SystemParams, excitation_probability_exact
+from mirrorqed import SystemParams, derived_constants, excitation_probability_exact
 from mirrorqed.cli import _json_safe, _write_table, run
 
 
@@ -58,6 +59,27 @@ def test_excitation_records_longtime_failure(tmp_path):
     meta, header, data = read_table(out)
     assert header == ["t", "P_exact", "P_markovian"]  # no long-time column
     assert "Xi0Diverges" in meta["longtime"]["unavailable"]
+
+
+def test_excitation_writes_longtime_just_inside_the_series_radius(tmp_path):
+    # e |a| tau = 0.9999 at phase pi puts a tau just right of -1/e: the
+    # prefactor series converges there, and xi0 = 1 / (1 + W_0(a tau))
+    r_m = -2 * 0.9999 / math.exp(1.5)  # |a| tau = |r_m| e^{1/2} / 2 at tau 1
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=r_m)
+    a = derived_constants(params).a
+    assert math.e * abs(a) == pytest.approx(0.9999, rel=1e-12)
+    out = tmp_path / "edge.csv"
+    code = run([
+        "excitation", "--tau", "1", "--phase", "3.141592653589793", f"--rm={r_m!r}",
+        "--tmax", "4", "--grid", "41", "--out", str(out),
+    ])
+    assert code == 0
+    meta, header, data = read_table(out)
+    assert header == ["t", "P_exact", "P_longtime", "P_markovian"]
+    assert np.all(np.isfinite(data[:, 2]))
+    xi0 = complex(meta["longtime"]["xi0"]["re"], meta["longtime"]["xi0"]["im"])
+    expected = 1 / (1 + complex(lambertw(a, 0)))
+    assert abs(xi0 - expected) <= 1e-9 * abs(expected)
 
 
 def test_excitation_roundtrip_precision(tmp_path):

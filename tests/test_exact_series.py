@@ -25,6 +25,7 @@ from mirrorqed import (
     dressed_params,
     excitation_probability_exact,
     excitation_probability_markovian,
+    solve_longtime,
     solve_xi,
     spectrum,
 )
@@ -198,6 +199,30 @@ def test_principal_branch_equals_solve_xi():
         xi = solve_xi(params)
         w0 = complex(_lambert_w(a * tau, 0)[0])
         assert abs(w0 / tau - xi) <= 1e-9 * max(1.0, abs(xi))
+
+
+def test_longtime_constants_match_mpmath_inside_the_series_radius():
+    # xi = W_0(a tau) / tau and xi0 = 1 / (1 + W_0) at the delays of the bench
+    # `longtime` workload and on random sets with e |a| tau <= 0.99
+    cases = [(tau, 2 * math.pi + d, -1.0)
+             for tau in (0.01, 0.02, 0.05, 0.1) for d in (-0.3, 0, 0.3)]
+    cases += [(0.01, 1.0, -0.5), (0.05, math.pi - 0.5, -1.0), (0.05, math.pi + 0.5, -1.0)]
+    rng = np.random.default_rng(11)
+    while len(cases) < 200:
+        tau = 10 ** rng.uniform(-2.5, 0.7)
+        r_m = rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        case = (tau, rng.uniform(0, 2 * math.pi), r_m)
+        a = derived_constants(SystemParams.from_round_trip_phase(*case)).a
+        if math.e * abs(a) * tau <= 0.99:
+            cases.append(case)
+    for case in cases:
+        params = SystemParams.from_round_trip_phase(*case)
+        consts = solve_longtime(params)
+        with mp.workdps(30):
+            w0 = mp.lambertw(mp.mpc(consts.a) * params.tau)
+            xi, xi0 = complex(w0 / params.tau), complex(1 / (1 + w0))
+        assert abs(consts.xi - xi) <= 1e-13 * abs(xi), case
+        assert abs(consts.xi0 - xi0) <= 1e-13 * abs(xi0), case
 
 
 # ---------------------------------------------------------------------------
