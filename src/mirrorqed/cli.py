@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 configuration error, 2 validation FAIL in `compare`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -420,10 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run parses with one parser per process: building the tree takes ~2 ms
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

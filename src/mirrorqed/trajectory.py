@@ -26,9 +26,11 @@ With a single excitation a detection leaves the vacuum for good, so all
 trajectories share this one no-jump run until their first detection, and
 nothing changes after it.  A trajectory is that run cut at its first
 detection, one waiting time drawn per trajectory: the waiting-time form of
-quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  Averaging
-the trajectories reproduces the open-system dynamics and serves as an
-independent check of the exact analytic solution.
+quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The squared
+norm S[k] of the unnormalized no-jump state is the chance that no detection
+came before step k, so one uniform per trajectory fixes its first detection.
+Averaging the trajectories reproduces the open-system dynamics and serves as
+an independent check of the exact analytic solution.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ import numpy as np
 from .core import SystemParams
 
 _NORM_FLOOR = 1e-300
-# Bytes of uniforms ensemble_average draws per block of trajectories: enough
-# rows to amortize the per-block array calls, few enough to stay in cache.
-_DRAW_BLOCK_BYTES = 256 * 1024
 
 
 class NormUnderflow(ArithmeticError):
@@ -67,8 +66,8 @@ class TrajectoryConfig:
             on the excited amplitude).
         n_trajectories: Ensemble size.
         t_max: End time of each trajectory.
-        master_seed: 64-bit seed; trajectory i uses the Philox stream keyed
-            by (master_seed, i).
+        master_seed: 64-bit seed; trajectory i reads uniform i of the Philox
+            stream keyed by master_seed.
     """
 
     boxes: int
@@ -204,54 +203,40 @@ def build_propagator(config: TrajectoryConfig) -> Propagator:
     return Propagator(matrix=matrix, boxes=config.boxes)
 
 
-def _stream_start(master_seed: int, trajectory_index: int) -> dict:
-    """`np.random.Philox` state at the start of stream (master_seed, index).
-
-    The key is the pair (master_seed, trajectory_index), each taken mod
-    2**64; the counter is 0 and the buffer empty, as in a freshly keyed
-    Philox.  Assigning it to a generator's `bit_generator.state` re-keys that
-    generator, so one generator can read any number of streams.
-    """
-    key = (master_seed & 0xFFFFFFFFFFFFFFFF, trajectory_index & 0xFFFFFFFFFFFFFFFF)
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Counter-based RNG stream for one trajectory.
+    """Counter-based RNG stream positioned at trajectory `trajectory_index`'s draw.
 
-    The stream is the Philox generator keyed by (master_seed, trajectory
-    index), so any trajectory can be reproduced in isolation and ensembles
-    are independent of execution order.  Each step consumes exactly two
-    uniforms (the second is drawn even when no detection occurs).  The
-    first-detection search builds one such generator and re-keys it to the
-    start of every index in turn, which yields the same numbers.
+    All trajectories read one Philox stream keyed by master_seed mod 2**64:
+    trajectory i takes its uniform i, so any trajectory can be reproduced in
+    isolation and ensembles are independent of execution order.  Philox
+    yields four 64-bit words per counter step and a float64 uniform reads
+    one word, so the stream is advanced i // 4 counter steps and i % 4
+    uniforms are discarded; the next uniform is the one that
+    `trajectory_rng(master_seed, 0).random(n)[i]` returns.
     """
-    generator = np.random.Generator(np.random.Philox(key=0))
-    generator.bit_generator.state = _stream_start(master_seed, trajectory_index)
+    bit_generator = np.random.Philox(key=master_seed & 0xFFFFFFFFFFFFFFFF)
+    bit_generator.advance(trajectory_index // 4)
+    generator = np.random.Generator(bit_generator)
+    generator.random(trajectory_index % 4)
     return generator
 
 
-def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The no-jump run from |e, 0>: P_e and survival at every step start, p of every step.
+def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The no-jump run from |e, 0>: P_e and survival S at every step start.
 
     Steps the recurrence of the module docstring.  The squared norm S of the
     unnormalized state is summed over e and every box in flight, the
     transmitted box included; one minus the weight dropped so far would lose
-    digits (8e-7 relative at phase pi, r_m -1, N 25, t 10).  P_e = |e|^2 / S
-    and p = (|left out|^2 + |right out|^2) / S with S before the step.  S is
-    rescaled by a power of two below 2**-128; the survival is the unscaled S.
+    digits (8e-7 relative at phase pi, r_m -1, N 25, t 10).  P_e = |e|^2 / S.
+    S is rescaled by a power of two below 2**-128; the survival is the
+    unscaled S.
 
-    The run stops after the first step k with p[k] >= 1, where every eps1 in
-    (0, 1] fires, or with the norm below the floor times its value before the
+    The run stops after the first step k whose detection probability
+    (|left out|^2 + |right out|^2) / S is at least 1, where no no-jump state
+    is left, or with the norm below the floor times its value before the
     step; later values stay zero.  Returns P_e and the survival (n_steps + 1
-    values each), p (n_steps values) and the steps completed: k or n_steps.
+    values each), the steps completed (k or n_steps) and the unscaled S
+    after step k: 0 when the run did not stop or was certain to detect.
     """
     (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).matrix.tolist()
     n_steps = config.n_steps
@@ -265,12 +250,12 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     e = 1 + 0j
     norm = 1.0  # S before the step
     scale = 0  # the amplitudes are 2**scale times the unnormalized state
-    excited, survival, p = [1.0], [1.0], []
-    for k in range(n_steps):
+    excited, survival = [1.0], [1.0]
+    completed, tail = n_steps, 0.0
+    for step in range(n_steps):
         l0 = r_m * emitted[-delay]
         right = t_m * emitted[-lag]
         e, emission, left = u00 * e + u02 * l0, u10 * e + u12 * l0, u20 * e + u22 * l0
-        p.append(((left * left.conjugate()).real + (right * right.conjugate()).real) / norm)
         emitted.append(emission)
         weight.append((emission * emission.conjugate()).real)
         # right boxes 1..N-2 hold the N-2 newest emissions, the next one is
@@ -279,7 +264,12 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
         end = len(weight)
         new_norm = e2 + sum(weight[end - lag + 1 :]) + transmitted * weight[end - lag]
         new_norm += reflected * sum(weight[end - delay : end - lag + 1])
-        if p[k] >= 1.0 or math.sqrt(new_norm / norm) < _NORM_FLOOR:
+        dropped = (left * left.conjugate()).real + (right * right.conjugate()).real
+        if dropped / norm >= 1.0:
+            completed = step
+            break
+        if math.sqrt(new_norm / norm) < _NORM_FLOOR:
+            completed, tail = step, math.ldexp(new_norm, -2 * scale)
             break
         if new_norm < 2.0**-128:
             shift = -(math.frexp(new_norm)[1] // 2)
@@ -292,59 +282,35 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
         norm = new_norm
         excited.append(e2 / norm)
         survival.append(math.ldexp(norm, -2 * scale))
-    else:
-        k = n_steps
-    for values, size in ((excited, n_steps + 1), (survival, n_steps + 1), (p, n_steps)):
-        values += [0.0] * (size - len(values))  # zeros after a stop
-    return np.array(excited), np.array(p), np.array(survival), k
+    for values in (excited, survival):
+        values += [0.0] * (n_steps + 1 - len(values))  # zeros after a stop
+    return np.array(excited), np.array(survival), completed, tail
 
 
 def _first_detections(
-    config: TrajectoryConfig, p: np.ndarray, completed: int, indices: range
+    survival: np.ndarray, completed: int, tail: float, u: np.ndarray
 ) -> np.ndarray:
-    """First detection step of each trajectory in `indices` (n_steps if none).
+    """First detection step of the trajectories drawing uniforms `u` (n_steps if none).
 
-    Trajectory i reads its (master_seed, i) stream as one (n_steps, 2) block.
-    The first uniform u of each step gives the threshold eps1 = 1 - u in
-    (0, 1], so a zero-probability step never fires; the second would pick
-    the detection channel, which does not alter the outcome, and is drawn
-    only to keep the layout fixed.  Trajectory i is first detected at the
-    first step k with eps1[k] <= p[k].  The streams are drawn a block of
-    trajectories at a time from one Philox generator, re-keyed before
-    trajectory i by writing (master_seed, i) into one reused start state:
-    the same numbers as trajectory_rng(master_seed, i).
+    The threshold v = 1 - u lies in (0, 1].  S[k] is the chance that a
+    trajectory is still undetected at step k, so the trajectory is first
+    detected at the k with S[k+1] < v <= S[k], and not at all when
+    v <= S[n_steps]; its first detection is the number of steps k >= 1 with
+    S[k] >= v.  The running minimum keeps that count a binary search where
+    rounding lifts S by an ulp.
 
-    Raises NormUnderflow if a trajectory passes step `completed` undetected:
-    the no-jump run ended there because its norm underflowed.
+    Raises NormUnderflow if some v <= `tail`, the survival after step
+    `completed`: that trajectory passes the step undetected, but the no-jump
+    run ended there because its norm underflowed.
     """
-    n_steps = config.n_steps
-    count = len(indices)
-    generator = trajectory_rng(config.master_seed, indices[0])
-    bit_generator = generator.bit_generator
-    start_state = _stream_start(config.master_seed, indices[0])
-    seed_key = start_state["state"]["key"][0]
-    # each row holds two float64 uniforms per step
-    block_rows = min(count, max(1, _DRAW_BLOCK_BYTES // (16 * max(n_steps, 1))))
-    block = np.empty((block_rows, n_steps, 2))
-    # column n_steps stays True, so argmax is the first detection or n_steps
-    hits = np.ones((block_rows, n_steps + 1), dtype=bool)
-    first = np.empty(count, dtype=np.int64)
-    for start in range(0, count, block_rows):
-        rows = block[: count - start]
-        for i, row in zip(indices[start:], rows):
-            start_state["state"]["key"] = (seed_key, i & 0xFFFFFFFFFFFFFFFF)
-            bit_generator.state = start_state
-            generator.random(out=row)
-        eps1 = np.subtract(1.0, rows[..., 0], out=rows[..., 0])
-        np.less_equal(eps1, p, out=hits[: len(rows), :n_steps])
-        first[start : start + len(rows)] = hits[: len(rows)].argmax(axis=1)
-    survivors = np.count_nonzero(first > completed)
+    v = 1.0 - u
+    survivors = np.count_nonzero(v <= tail)
     if survivors:
         raise NormUnderflow(
             f"state norm fell below {_NORM_FLOOR} at step {completed} "
             f"with {survivors} trajectories undetected"
         )
-    return first
+    return np.searchsorted(-np.minimum.accumulate(survival[1:]), -v, side="right")
 
 
 def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
@@ -352,23 +318,22 @@ def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarra
 
     The first sample is exactly 1 (initial state |e, 0>); the series has
     n_steps + 1 entries covering t = 0 .. t_max.  It is the no-jump P_e up
-    to the trajectory's first detection, drawn from its own
-    (master_seed, index) stream, and zero after it.
+    to the trajectory's first detection, fixed by its own uniform, and zero
+    after it.
     """
-    excited, p, _, completed = _evolve(config)
-    first = _first_detections(
-        config, p, completed, range(trajectory_index, trajectory_index + 1)
-    )
+    excited, survival, completed, tail = _evolve(config)
+    u = trajectory_rng(config.master_seed, trajectory_index).random(1)
+    first = _first_detections(survival, completed, tail, u)
     return np.where(np.arange(config.n_steps + 1) <= first, excited, 0.0)
 
 
 def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     """Mean P_e over the ensemble with per-time-point standard error.
 
-    Trajectory i is the no-jump run cut at its first detection, found from
-    its own (master_seed, i) stream, so at step k its P_e is P_e[k] or 0: the
-    ensemble reduces to the count c[k] = #{first >= k} of trajectories not
-    yet detected.  The mean is P_e (c / n) and the standard error
+    Trajectory i is the no-jump run cut at its first detection, fixed by
+    uniform i of the master_seed stream, so at step k its P_e is P_e[k] or 0:
+    the ensemble reduces to the count c[k] = #{first >= k} of trajectories
+    not yet detected.  The mean is P_e (c / n) and the standard error
     P_e sqrt(c (n - c) / (n - 1)) / n, the sample formulas over the rows
     that run_trajectory returns, without building them; where no trajectory
     is detected they give P_e and 0 exactly.  NormUnderflow is raised when
@@ -376,8 +341,9 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     undetected.
     """
     n_traj = config.n_trajectories
-    excited, p, survival, completed = _evolve(config)
-    first = _first_detections(config, p, completed, range(n_traj))
+    excited, survival, completed, tail = _evolve(config)
+    u = trajectory_rng(config.master_seed, 0).random(n_traj)
+    first = _first_detections(survival, completed, tail, u)
     undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
     mean = excited * (undetected / n_traj)
     if n_traj > 1:

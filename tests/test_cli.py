@@ -330,6 +330,22 @@ def test_negative_nonfinite_bound_reaches_the_bound_check(xmin, tmp_path, capsys
     assert not out.exists()
 
 
+def test_reused_parser_keeps_no_values_between_runs(tmp_path, capsys):
+    # run parses every call with the same parser; flags given to one call
+    # must not leak into the next as defaults
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(["excitation", "--tau", "1", "--omega-e", "2", "--rm", "-0.5",
+                "--rm-phase", "0.3", "--tmax", "2", "--grid", "5", "--out", str(first)]) == 0
+    assert run(["excitation", "--tau", "1", "--phase", "1", "--rm", "-0.5",
+                "--out", str(second)]) == 0
+    meta, _, data = read_table(second)
+    assert len(data) == 2001 and data[-1, 0] == 10.0
+    assert meta["params"]["omega_e"] == 1.0
+    assert meta["params"]["r_m"] == {"re": -0.5, "im": 0.0}
+    assert run(["excitation", "--tau", "1", "--rm", "-0.5"]) == 1
+    assert "one of the arguments --omega-e --phase is required" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_config_error(capsys):
     code = run(["excitation", "--tau", "1.0", "--rm", "0"])
     assert code == 1

@@ -186,19 +186,29 @@ def test_lambert_w_near_the_branch_point(k):
 
 
 def test_principal_branch_equals_solve_xi():
-    # the random grid of test_solve_xi_matches_lambertw_branch
+    # solve_xi against mpmath's W_0 at the exact a tau: the random grid of
+    # test_solve_xi_matches_lambertw_branch with no filter on |a tau|, delays
+    # just short of the branch point a tau = -1/e, and complex a tau around it
     rng = np.random.default_rng(5)
+    cases = []
     for _ in range(50):
         tau = rng.uniform(0.05, 2.0)
         phase = rng.uniform(0.0, 2 * math.pi)
         r_m = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        params = SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
+        cases.append((tau, phase, r_m))
+    cases += [(CRITICAL_TAU * (1 - d), math.pi, -1.0) for d in (1e-3, 1e-6, 1e-9, 1e-12)]
+    cases += [(CRITICAL_TAU * (1 - d), math.pi, -cmath.exp(1e-3j)) for d in (1e-3, 0, -1e-3)]
+    for case in cases:
+        params = SystemParams.from_round_trip_phase(*case)
         a = derived_constants(params).a
-        if abs(a * tau) > 0.3:
-            continue
+        with mp.workdps(30):
+            w0 = mp.lambertw(mp.mpc(a) * params.tau)
+            expected = complex(w0 / params.tau)
+            # rounding a tau moves W_0 by up to eps |W_0| / |1 + W_0|
+            condition = 1 + float(1 / abs(1 + w0))
         xi = solve_xi(params)
-        w0 = complex(_lambert_w(a * tau, 0)[0])
-        assert abs(w0 / tau - xi) <= 1e-9 * max(1.0, abs(xi))
+        tolerance = min(1e-9 * max(1.0, abs(xi)), 1e-15 * condition * abs(expected))
+        assert abs(xi - expected) <= tolerance, case
 
 
 def test_longtime_constants_match_mpmath_inside_the_series_radius():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import chi2
 
 from mirrorqed import (
     SystemParams,
@@ -322,8 +323,8 @@ def test_step_noop_without_couplings_or_photon():
     advanced, p = advance(amps, config, build_propagator(config))
     assert p == 0.0
     assert np.array_equal(advanced, amps)
-    # a threshold eps1 = 1 - u lies in (0, 1], so a zero-probability step
-    # never fires: every trajectory stays excited
+    # the survival stays 1 and a threshold v = 1 - u lies in (0, 1], so no
+    # trajectory is ever detected: every trajectory stays excited
     result = ensemble_average(config)
     assert np.all(result.mean == 1.0)
     assert np.all(result.stderr == 0.0)
@@ -371,9 +372,12 @@ def test_step_transparent_mirror_then_certain_detection():
         boxes=6, dt=dt, v_right=(math.pi / 2) ** 2 / dt, v_left=0.0, r_m=0.0,
         omega_e=0.0, n_trajectories=50, t_max=1.0, master_seed=1,
     )
-    _, p, _, completed = _evolve(config)
-    assert p[5] == 1.0
+    _, survival, completed, tail = _evolve(config)
     assert completed == 5
+    # nothing reaches an output before step 5, and nothing is left after it
+    np.testing.assert_allclose(survival[:6], 1.0, rtol=1e-15)
+    assert np.all(survival[6:] == 0.0)
+    assert tail == 0.0
     result = ensemble_average(config)
     assert np.all(result.mean[6:] == 0.0)
     assert np.all(result.stderr[6:] == 0.0)
@@ -414,22 +418,21 @@ def test_advance_norm_underflow_guard():
 )
 def test_recurrence_matches_dense_kernel(boxes, phase, r_m):
     config = config_for(phase=phase, r_m=r_m, boxes=boxes, t_max=4.0)
-    excited, p, _, completed = _evolve(config)
+    excited, survival, completed, tail = _evolve(config)
     dense_excited, dense_p = dense_evolve(config)
-    assert completed == config.n_steps
+    assert (completed, tail) == (config.n_steps, 0.0)
     np.testing.assert_allclose(excited, dense_excited, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(p, dense_p, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - dense_p), rtol=1e-12, atol=0)
 
 
 def test_recurrence_matches_oracle_to_1e12_relative():
     # S is summed over e and every box in flight; taking it as one minus the
-    # weight dropped so far puts P_e and p off by up to ~1e-6 relative here
+    # weight dropped so far puts P_e off by up to ~1e-6 relative here
     config = config_for(phase=math.pi, r_m=-1.0, boxes=25, t_max=10.0)
-    excited, p, survival, completed = _evolve(config)
+    excited, survival, completed, _ = _evolve(config)
     oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
     assert completed == config.n_steps == 480
     np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(p, oracle_p, rtol=1e-12, atol=0)
     # S at each step start is the chance that no detection came before it
     np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - oracle_p), rtol=1e-12, atol=0)
 
@@ -439,15 +442,21 @@ def test_long_free_space_run_rescales_instead_of_underflowing():
     # power-of-two rescaling keeps P_e = |e|^2 / S on the per-step
     # renormalized oracle to the end
     config = config_for(phase=math.pi, r_m=0.0, boxes=5, t_max=2000.0)
-    excited, p, survival, completed = _evolve(config)
+    excited, survival, completed, _ = _evolve(config)
     assert completed == config.n_steps == 16000
     assert math.exp(-config.t_max) == 0.0
     oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
     np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(p, oracle_p, rtol=1e-12, atol=0)
     assert excited[-1] > 0.5
-    # the survival itself is an unscaled probability and underflows to zero
+    # the survival itself is an unscaled probability and underflows to zero;
+    # where it is a normal double each step keeps the no-detection chance
+    # 1 - p of the oracle's step
     assert survival[-1] == 0.0 < survival[len(survival) // 4]
+    normal = survival[1:] >= np.finfo(float).tiny
+    np.testing.assert_allclose(
+        survival[1:][normal] / survival[:-1][normal], 1.0 - oracle_p[normal],
+        rtol=1e-12, atol=0,
+    )
 
 
 def test_norm_underflow_fires_only_for_undetected_trajectories(monkeypatch):
@@ -488,30 +497,82 @@ def test_trajectory_deterministic_replay():
 
 
 def test_rng_block_draws_match_sequential_draws():
-    # trajectories read their stream as (n_steps, 2) blocks; a consumer drawing
-    # one pair per step must see the same numbers
+    # a stream read as one block or one pair at a time gives the same numbers
     block = trajectory_rng(99, 3).random((17, 2))
     rng = trajectory_rng(99, 3)
     sequential = np.array([rng.random(2) for _ in range(17)])
     assert np.array_equal(block, sequential)
 
 
-def test_rekeyed_generator_matches_freshly_keyed_streams():
-    # ensemble_average re-keys one generator to the start of every stream;
-    # each must equal a Philox keyed afresh with (master_seed, index) mod 2**64
-    n_steps = 61
-    block_rows = trajectory._DRAW_BLOCK_BYTES // (16 * n_steps)
+def positioned_uniform(seed, index):
+    """Uniform `index` of the Philox stream keyed by seed mod 2**64, read by
+    writing its counter block into a fresh state rather than by `advance`."""
+    bit_generator = np.random.Philox(key=seed % 2**64)
+    state = bit_generator.state
+    state["state"]["counter"] = np.array([index // 4, 0, 0, 0], dtype=np.uint64)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator).random(index % 4 + 1)[-1]
+
+
+def test_trajectory_rng_starts_at_uniform_i_of_the_seed_stream():
+    # trajectory i reads uniform i of one stream; Philox makes four per
+    # counter block, so indices 0..7 cross a block boundary
     for seed in (0, 2**63 + 5, 2**64 - 1, -1):
-        generator = trajectory_rng(seed, 0)
-        generator.random(3)  # leave a partly used buffer behind
-        for index in (0, block_rows - 1, block_rows, 2**32 + 3):
-            key = np.array([seed % 2**64, index], dtype=np.uint64)
-            fresh = np.random.Generator(np.random.Philox(key=key)).random((n_steps, 2))
-            generator.bit_generator.state = trajectory._stream_start(seed, index)
-            rekeyed = np.empty((n_steps, 2))
-            generator.random(out=rekeyed)
-            assert np.array_equal(rekeyed, fresh)
-            assert np.array_equal(trajectory_rng(seed, index).random((n_steps, 2)), fresh)
+        stream = np.random.Generator(np.random.Philox(key=seed % 2**64)).random(8)
+        for index in range(8):
+            assert trajectory_rng(seed, index).random() == stream[index]
+            assert positioned_uniform(seed, index) == stream[index]
+        index = 2**32 + 3
+        assert trajectory_rng(seed, index).random() == positioned_uniform(seed, index)
+        # reading on from trajectory i gives the draws of trajectories i + 1, ...
+        assert np.array_equal(trajectory_rng(seed, 3).random(5), stream[3:])
+
+
+def test_run_trajectory_reads_the_ensembles_draw():
+    config = config_for(r_m=-0.5, boxes=9, n_traj=8, t_max=4.0, seed=2**64 - 1)
+    excited, survival, completed, tail = _evolve(config)
+    u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
+    steps = np.arange(config.n_steps + 1)
+    firsts = trajectory._first_detections(survival, completed, tail, u)
+    for index, first in enumerate(firsts):
+        row = run_trajectory(config, index)
+        assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
+    index = 2**32 + 3
+    u = np.array([positioned_uniform(config.master_seed, index)])
+    (first,) = trajectory._first_detections(survival, completed, tail, u)
+    row = run_trajectory(config, index)
+    assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
+    assert len(set(firsts)) > 3
+
+
+def test_first_detections_at_the_survival_values():
+    # v = 1 - u is detected at the step k with S[k+1] < v <= S[k]: a v equal
+    # to S[k] survives to step k, v = 1 goes at step 0 and v <= S[n_steps]
+    # never; a survival lifted by an ulp counts as its running minimum
+    survival = np.array([1.0, 0.75, 0.5, 0.5 + 2**-53, 0.25])
+    v = np.array([1.0, 0.75, 0.5 + 2**-53, 0.5, 0.25, 2**-53])
+    first = trajectory._first_detections(survival, 4, 0.0, 1.0 - v)
+    assert first.tolist() == [0, 1, 1, 3, 4, 4]
+    with pytest.raises(NormUnderflow, match="at step 2 with 2 trajectories"):
+        trajectory._first_detections(survival, 2, 0.25, 1.0 - v)
+
+
+def test_first_detections_follow_the_survival():
+    # 200 000 waiting times against the law P(first >= k) = S[k]: a chi-square
+    # test of the counts per step and the DKW bound on their tail counts, each
+    # failing by chance with probability below 1e-9
+    config = config_for(r_m=-0.5, boxes=9, n_traj=200_000, t_max=4.0, seed=11)
+    n = config.n_trajectories
+    _, survival, completed, tail = _evolve(config)
+    u = trajectory_rng(config.master_seed, 0).random(n)
+    first = trajectory._first_detections(survival, completed, tail, u)
+    counts = np.bincount(first, minlength=config.n_steps + 1)
+    expected = n * -np.diff(survival, append=0.0)
+    assert expected.min() > 5  # every bin is inside the chi-square regime
+    statistic = np.sum((counts - expected) ** 2 / expected)
+    assert chi2.sf(statistic, df=len(counts) - 1) > 1e-9
+    undetected = np.cumsum(counts[::-1])[::-1] / n
+    assert np.max(np.abs(undetected - survival)) <= math.sqrt(math.log(2 / 1e-9) / (2 * n))
 
 
 def test_trajectory_follows_no_jump_oracle_until_detection():
@@ -530,20 +591,20 @@ def test_trajectory_follows_no_jump_oracle_until_detection():
 
 
 def test_detection_falls_where_the_oracle_probability_says():
-    # trajectory i is first detected at the first step k with
-    # 1 - u[k, 0] <= p[k], with u its own stream and p the independent oracle's
+    # trajectory i with threshold v = 1 - u, u its uniform, is first detected
+    # at the step k with S[k+1] < v <= S[k], S the survival of the
+    # independent oracle: the product of 1 - p over the steps before k
     base = config_for(tau=1.0, phase=math.pi, r_m=-0.5, boxes=9, t_max=4.0)
     _, p_oracle = dense_no_jump_oracle(base, base.n_steps)
+    survival = np.concatenate([[1.0], np.cumprod(1.0 - p_oracle)])
     firsts = []
     for seed in (0, 3, 2**63 + 5, 2**64 - 1):
         config = dataclasses.replace(base, master_seed=seed)
         for index in (0, 1, 6, 2**32 + 3):
-            u = trajectory_rng(seed, index).random((config.n_steps, 2))
-            eps1 = 1.0 - u[:, 0]
-            if np.any(np.abs(eps1 - p_oracle) < 1e-9):
-                continue  # too close to call against an independent p
-            hits = np.nonzero(eps1 <= p_oracle)[0]
-            first = hits[0] if len(hits) else config.n_steps
+            v = 1.0 - trajectory_rng(seed, index).random()
+            if np.any(np.abs(v - survival) < 1e-9):
+                continue  # too close to call against an independent S
+            first = np.count_nonzero(survival[1:] >= v)
             row = run_trajectory(config, index)
             assert row[first] > 0.0
             assert np.all(row[first + 1 :] == 0.0)
@@ -563,7 +624,7 @@ def test_ensemble_single_trajectory_matches_run_trajectory():
     assert np.all(result.stderr == 0.0)
 
 
-def test_ensemble_rows_match_individual_trajectories(monkeypatch):
+def test_ensemble_rows_match_individual_trajectories():
     def check(config):
         result = ensemble_average(config)
         n = config.n_trajectories
@@ -588,20 +649,23 @@ def test_ensemble_rows_match_individual_trajectories(monkeypatch):
 
     check(config_for(boxes=7, n_traj=5, t_max=2.0, seed=31))
     check(config_for(phase=2 * math.pi, boxes=25, n_traj=40, t_max=10.0, seed=2**63 + 5))
-    # 33 steps drawn eight trajectories at a time: blocks of 8, 8 and 5 rows
-    monkeypatch.setattr(trajectory, "_DRAW_BLOCK_BYTES", 16 * 33 * 8)
-    config = config_for(r_m=-0.5, boxes=9, n_traj=21, t_max=33 / 16, seed=2**63 + 5)
-    assert config.n_steps == 33
-    check(config)
+    check(config_for(r_m=-0.5, boxes=9, n_traj=21, t_max=33 / 16, seed=2**63 + 5))
 
 
 def test_ensemble_is_exact_where_no_trajectory_is_detected():
     # the mean of n equal rows is P_e itself and their spread exactly zero;
-    # averaging the rows gave a standard error of 2.9e-16 here
-    config = config_for(phase=math.pi, r_m=-0.5, boxes=100, n_traj=300, t_max=1.25, seed=1)
+    # averaging the rows gave standard errors of 2.9e-16 there.  With no
+    # left-moving coupling nothing reaches an output before step N - 1, so
+    # every seed leaves the first steps undetected.
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-0.5)
+    config = TrajectoryConfig.from_params(
+        params, boxes=100, n_trajectories=300, t_max=1.25, master_seed=1,
+        v_right=1.0, v_left=0.0,
+    )
     result = ensemble_average(config)
-    excited, p, _, completed = _evolve(config)
-    first = trajectory._first_detections(config, p, completed, range(config.n_trajectories))
+    excited, survival, completed, tail = _evolve(config)
+    u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
+    first = trajectory._first_detections(survival, completed, tail, u)
     none_yet = np.arange(config.n_steps + 1) <= first.min()
     assert np.count_nonzero(none_yet) > 1
     assert np.array_equal(result.mean[none_yet], excited[none_yet])
@@ -625,7 +689,7 @@ def test_ensemble_memory_does_not_scale_with_trajectories_times_steps():
 def test_limit_is_the_infinite_ensemble_mean():
     config = config_for(phase=math.pi, r_m=-0.5, boxes=9, n_traj=4000, t_max=4.0, seed=5)
     result = ensemble_average(config)
-    excited, p, survival, _ = _evolve(config)
+    excited, survival, _, _ = _evolve(config)
     assert np.array_equal(result.limit, excited * survival)
     # the mean counts the undetected trajectories, a binomial draw of mean
     # n S; five of its standard deviations bound the gap at every step
@@ -657,14 +721,21 @@ def test_ensemble_without_steps_is_the_initial_state():
 
 
 def test_ensemble_free_space_tracks_exponential():
+    # two separate bounds: the sampling error |mean - limit| is P_e times the
+    # gap between the empirical and the true survival, which the DKW
+    # inequality bounds at every step at once, failing by chance with
+    # probability below 1e-9; the box model's own bias |limit - exp(-t)| is
+    # deterministic and measured at 1.15e-3 here
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=0.0)
+    n = 200_000
     config = TrajectoryConfig.from_params(
-        params, boxes=25, n_trajectories=600, t_max=5.0, master_seed=2025
+        params, boxes=25, n_trajectories=n, t_max=5.0, master_seed=2025
     )
     result = ensemble_average(config)
-    exact = np.exp(-result.times)
-    gap = np.abs(result.mean - exact)
-    assert np.all(gap <= 3.0 * result.stderr + 1e-12)
+    excited, _, _, _ = _evolve(config)
+    dkw = math.sqrt(math.log(2 / 1e-9) / (2 * n))
+    assert np.all(np.abs(result.mean - result.limit) <= excited * dkw + 1e-15)
+    assert np.max(np.abs(result.limit - np.exp(-result.times))) <= 1.2e-3
 
 
 def test_ensemble_stderr_scale_and_seed_spread():
