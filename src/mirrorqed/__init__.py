@@ -8,7 +8,6 @@ quantum-trajectory Monte Carlo solver for cross-validation.
 """
 
 from .core import (
-    BlipComponent,
     DerivedConstants,
     Direction,
     PiecewisePolynomial,
@@ -27,7 +26,6 @@ from .analytic import (
     ExcitationCurve,
     NoLongtimeSolution,
     Xi0Diverges,
-    delay_series,
     delay_series_full,
     dressed_params,
     dyson_coefficient_closed,
@@ -43,12 +41,9 @@ from .analytic import (
 )
 from .wavepacket import (
     EmitterNotDecayed,
-    OutOfDomain,
     SpatialProfile,
     Spectrum,
     field_amplitude,
-    field_components,
-    left_amplitude,
     photon_density,
     spatial_profile,
     spectrum,
@@ -57,7 +52,6 @@ from .wavepacket import (
 from .trajectory import (
     EnsembleResult,
     NormUnderflow,
-    Propagator,
     TrajectoryConfig,
     build_propagator,
     ensemble_average,
@@ -68,7 +62,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlipComponent",
     "DerivedConstants",
     "Direction",
     "DressedParams",
@@ -77,16 +70,13 @@ __all__ = [
     "ExcitationCurve",
     "NoLongtimeSolution",
     "NormUnderflow",
-    "OutOfDomain",
     "PiecewisePolynomial",
-    "Propagator",
     "SpatialProfile",
     "Spectrum",
     "SystemParams",
     "TrajectoryConfig",
     "Xi0Diverges",
     "build_propagator",
-    "delay_series",
     "delay_series_full",
     "derived_constants",
     "dressed_params",
@@ -99,8 +89,6 @@ __all__ = [
     "excitation_probability_longtime",
     "excitation_probability_markovian",
     "field_amplitude",
-    "field_components",
-    "left_amplitude",
     "mirror_coefficients",
     "photon_density",
     "pp_add",

@@ -318,39 +318,21 @@ def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
-def delay_series(u, a: complex, tau: float):
-    """Causal round-trip sum f(u) = sum_{k <= u/tau} a^k/k! (u - k tau)^k.
+def round_trip_series(params: SystemParams, u, envelope: complex = 0j):
+    """f(u) exp(envelope u), f(u) = sum_{k <= u/tau} a^k/k! (u - k tau)^k; 0 where u < 0.
 
-    Points with u < 0 return 0; the k-th term switches on at u = k tau where
-    it vanishes like (u - k tau)^k, so f is continuous.  Early points sum
-    the terms in log space; later ones use the Lambert-W residue form (see
-    the module docstring).
-
-    Args:
-        u: Scalar or array of evaluation points.
-        a: Complex feedback constant of one round trip.
-        tau: Round-trip time, must be positive.
-
-    Returns:
-        Complex scalar or array matching the shape of u.
-    """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    log_a = complex(-math.inf, 0.0) if a == 0 else cmath.log(a)
-    return _round_trip_sum(u, log_a, tau)
-
-
-def round_trip_series(params: SystemParams, u):
-    """Causal series f(u) for the given parameters, safe against |a| overflow.
-
-    For tau = 0 the lattice collapses and f(u) = exp(a u) on u >= 0.
+    The one entry to the series for the parameters' a and tau.  The envelope
+    joins each term's exponent (see the module docstring), so neither |a|
+    nor growing terms overflow while the product stays bounded; -i Omega
+    gives the emitter amplitude.  For tau = 0 the lattice collapses and
+    f(u) = exp(a u).  Returns a complex scalar or an array shaped like u.
     """
     u_arr = np.asarray(u, dtype=float)
     if params.tau == 0:
         a = derived_constants(params).a
-        out = np.where(u_arr >= 0, np.exp(a * u_arr), 0.0)
+        out = np.where(u_arr >= 0, np.exp(envelope * u_arr) * np.exp(a * u_arr), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
-    return _round_trip_sum(u_arr, _feedback_log(params), params.tau)
+    return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
 
 
 # |Im(a tau)| / |a tau| up to which a tau counts as real.  A round-trip phase
@@ -488,20 +470,18 @@ class DressedParams:
 
 
 def excitation_amplitude_exact(params: SystemParams, t):
-    """Exact excited-state amplitude <e,0|psi(t)> at time(s) t >= 0.
+    """Exact excited-state amplitude <e,0|psi(t)> = exp(-i Omega t) f(t).
 
     For tau = 0 the round-trip lattice collapses and the amplitude reduces
     to the Markovian limit exp(-i Omega t) exp(a t).
+
+    Raises:
+        ValueError: Unless every t is finite and non-negative.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
-    envelope = -1j * derived_constants(params).omega_complex
-    if params.tau == 0:
-        result = np.exp(envelope * t_arr) * round_trip_series(params, t_arr)
-        return complex(result[()]) if t_arr.ndim == 0 else result
-    # the envelope joins each term's exponent, so growing terms never overflow
-    return _round_trip_sum(t_arr, _feedback_log(params), params.tau, envelope)
+    if not np.all((t_arr >= 0) & (t_arr < math.inf)):
+        raise ValueError("t must be non-negative and finite")
+    return round_trip_series(params, t_arr, -1j * derived_constants(params).omega_complex)
 
 
 def excitation_probability_exact(params: SystemParams, t):

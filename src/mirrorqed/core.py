@@ -107,15 +107,6 @@ class DerivedConstants:
     xi0: complex | None = None
 
 
-@dataclass(frozen=True)
-class BlipComponent:
-    """A single localized field excitation: direction, position, amplitude."""
-
-    direction: Direction
-    position: float
-    amplitude: complex
-
-
 def mirror_coefficients(j_over_c: float) -> tuple[float, complex]:
     """Transmission and reflection coefficients of a mirror with coupling rate J.
 

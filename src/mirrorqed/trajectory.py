@@ -154,23 +154,6 @@ class TrajectoryConfig:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    @property
-    def state_size(self) -> int:
-        return 2 * self.boxes + 2
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """One-step unitary exp(-i (H_S + H_I) dt), stored as its 3x3 active block.
-
-    H_S + H_I acts as the identity outside span{excited, right box 0,
-    left box 0}; on that subspace it is Hermitian with diagonal
-    (omega_e, 0, 0) and couplings sqrt(v/dt).
-    """
-
-    matrix: np.ndarray
-    boxes: int
-
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -187,8 +170,14 @@ class EnsembleResult:
     limit: np.ndarray
 
 
-def build_propagator(config: TrajectoryConfig) -> Propagator:
-    """Exponentiate the active 3x3 block of H_S + H_I via eigendecomposition."""
+def build_propagator(config: TrajectoryConfig) -> np.ndarray:
+    """One-step unitary exp(-i (H_S + H_I) dt) as its 3x3 active block.
+
+    H_S + H_I acts as the identity outside span{excited, right box 0,
+    left box 0}; on that subspace it is Hermitian with diagonal
+    (omega_e, 0, 0) and couplings sqrt(v/dt), exponentiated here via its
+    eigendecomposition.
+    """
     g_right = math.sqrt(config.v_right / config.dt)
     g_left = math.sqrt(config.v_left / config.dt)
     block = np.array(
@@ -199,8 +188,7 @@ def build_propagator(config: TrajectoryConfig) -> Propagator:
         ]
     )
     eigvals, eigvecs = np.linalg.eigh(block)
-    matrix = (eigvecs * np.exp(-1j * eigvals * config.dt)) @ eigvecs.T
-    return Propagator(matrix=matrix, boxes=config.boxes)
+    return (eigvecs * np.exp(-1j * eigvals * config.dt)) @ eigvecs.T
 
 
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -238,7 +226,7 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, floa
     values each), the steps completed (k or n_steps) and the unscaled S
     after step k: 0 when the run did not stop or was certain to detect.
     """
-    (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).matrix.tolist()
+    (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).tolist()
     n_steps = config.n_steps
     r_m, t_m = config.r_m, config.t_m
     reflected, transmitted = r_m * r_m, t_m * t_m

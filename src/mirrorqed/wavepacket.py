@@ -5,8 +5,8 @@ distributed over four kinematic components: the part emitted directly to the
 left of the emitter, the part reflected off the mirror (which interferes with
 the direct part once it passes the emitter), the right-moving part still
 between emitter and mirror, and the part transmitted through the mirror.
-All amplitudes derive from the same causal round-trip series as the emitter
-amplitude, re-parametrized from emission time to position.
+Each component is the emitter amplitude at its retarded emission time,
+weighted by 1, r_m or t_m.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BlipComponent, Direction, SystemParams, derived_constants
+from .core import Direction, SystemParams, derived_constants
 from .analytic import excitation_probability_exact, round_trip_series
 
 _DECAYED_THRESHOLD = 1e-6
-
-
-class OutOfDomain(ValueError):
-    """Requested position lies outside the support of the wave packet."""
 
 
 class EmitterNotDecayed(ValueError):
@@ -92,28 +88,13 @@ def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: fl
     else:
         s = t - x
         rows = [((x >= 0) & (s >= 0), s, np.where(x >= half_d, params.t_m, 1.0))]
-    omega = derived_constants(params).omega_complex
+    envelope = -1j * derived_constants(params).omega_complex
     pre = -1j * params.coupling
     for support, s, weight in rows:
         if support.any():
             s = s[support]
             weight = weight[support] if np.ndim(weight) else weight
-            yield support, pre * weight * np.exp(-1j * omega * s) * round_trip_series(params, s)
-
-
-def field_components(
-    params: SystemParams, x: float, direction: Direction, t: float
-) -> list[BlipComponent]:
-    """Individual field components overlapping (x, direction) at time t.
-
-    Left of the emitter the direct and reflected parts appear separately so
-    their interference can be inspected; elsewhere at most one component
-    survives.  Their amplitudes sum to `field_amplitude` at x.
-    """
-    return [
-        BlipComponent(direction, x, complex(amp[0]))
-        for _, amp in _components(params, np.array([x], dtype=float), direction, t)
-    ]
+            yield support, pre * weight * round_trip_series(params, s, envelope)
 
 
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
@@ -128,25 +109,6 @@ def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
     for support, values in _components(params, x_arr, direction, t):
         amp[support] += values
     return amp if x_in.ndim else complex(amp[0])
-
-
-def left_amplitude(params: SystemParams, x: float, t: float) -> complex:
-    """Amplitude Phi_L(x, t) of the left-moving photon at x < 0.
-
-    Equals -i (g/c) exp(-i Omega (x/c + t)) phi_L(x, t) where phi_L collects
-    the direct and reflected round-trip sums on the interval the point falls
-    into.
-
-    Raises:
-        OutOfDomain: If x >= 0 or x < -c t.
-    """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if x >= 0:
-        raise OutOfDomain(f"left amplitude is defined for x < 0, got x = {x}")
-    if x < -t:
-        raise OutOfDomain(f"x = {x} lies outside the light cone x >= -c t = {-t}")
-    return complex(field_amplitude(params, x, Direction.LEFT, t))
 
 
 def photon_density(params: SystemParams, x, direction: Direction, t: float):
@@ -312,6 +274,8 @@ def total_photon_norm(
     fixed-order Gauss-Legendre panels between the smoothness breakpoints of
     the density (round-trip lattice kinks, the fronts, and the mirror).
     """
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     total = excitation_probability_exact(params, t)
     for direction in (Direction.LEFT, Direction.RIGHT):
         total += _integrate_density(params, t, direction, order, max_len)

@@ -12,7 +12,6 @@ from mirrorqed import (
     NoLongtimeSolution,
     SystemParams,
     Xi0Diverges,
-    delay_series,
     delay_series_full,
     derived_constants,
     dressed_params,
@@ -24,13 +23,20 @@ from mirrorqed import (
     excitation_probability_longtime,
     excitation_probability_markovian,
     pp_eval,
+    round_trip_series,
     solve_longtime,
     solve_xi,
 )
+from mirrorqed.analytic import _round_trip_sum
 
 
 def params_for(tau, phase, r_m):
     return SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
+
+
+def series_at(u, a, tau):
+    """The round-trip series at a bare feedback constant a != 0 and delay tau > 0."""
+    return _round_trip_sum(u, cmath.log(a), tau)
 
 
 def brute_force_series(u, a, tau):
@@ -52,17 +58,13 @@ def brute_force_series(u, a, tau):
 
 def test_series_no_feedback_is_one():
     u = np.linspace(0.0, 10.0, 11)
-    assert np.all(delay_series(u, 0.0, 1.0) == 1.0)
+    assert np.all(round_trip_series(SystemParams(omega_e=1.0, tau=1.0, r_m=0), u) == 1.0)
 
 
 def test_series_negative_argument_is_zero():
-    assert delay_series(-0.5, 0.3 + 0.1j, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
-def test_series_rejects_nonpositive_or_nan_delay(tau):
-    with pytest.raises(ValueError, match="tau must be positive"):
-        delay_series(2.0, 0.3, tau)
+    params = params_for(1.0, 0.3, -0.5)
+    assert round_trip_series(params, -0.5) == 0.0
+    assert round_trip_series(params, -0.5, -1j * derived_constants(params).omega_complex) == 0.0
 
 
 def test_series_matches_brute_force():
@@ -71,7 +73,7 @@ def test_series_matches_brute_force():
         tau = rng.uniform(0.2, 2.0)
         a = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
         u = rng.uniform(0.0, 8.0)
-        got = delay_series(u, a, tau)
+        got = series_at(u, a, tau)
         expected = brute_force_series(u, a, tau)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -79,8 +81,8 @@ def test_series_matches_brute_force():
 def test_series_continuous_at_lattice_points():
     a, tau = -0.8 + 0.2j, 0.5
     for k in (1, 2, 5):
-        below = delay_series(k * tau - 1e-10, a, tau)
-        above = delay_series(k * tau + 1e-10, a, tau)
+        below = series_at(k * tau - 1e-10, a, tau)
+        above = series_at(k * tau + 1e-10, a, tau)
         assert abs(above - below) < 1e-8
 
 
@@ -242,6 +244,19 @@ def test_amplitude_rejects_negative_time():
     params = params_for(1.0, math.pi, -1)
     with pytest.raises(ValueError):
         excitation_amplitude_exact(params, -0.1)
+
+
+@pytest.mark.parametrize(
+    "tau, r_m, t",
+    [(1.0, -1.0, math.nan), (1.0, -1.0, math.inf), (1.0, 0.0, math.inf),
+     (1.0, -1.0, [1.0, math.nan]), (0.0, -0.5, math.inf)],
+)
+def test_amplitude_rejects_non_finite_time(tau, r_m, t):
+    # t = inf is no time: at the trapping point (phase 2 pi, r_m -1) the
+    # 4/9 plateau is the limit t -> inf, which the series cannot take
+    params = SystemParams(omega_e=2 * math.pi, tau=tau, r_m=r_m)
+    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+        excitation_probability_exact(params, t)
 
 
 def test_amplitude_collapsed_lattice_matches_markovian():

@@ -1,4 +1,5 @@
-"""Tests for parameters, mirror scattering, and piecewise-polynomial algebra."""
+"""Tests for parameters, mirror scattering, piecewise-polynomial algebra and
+the public surface."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorqed
 from mirrorqed import (
     PiecewisePolynomial,
     SystemParams,
@@ -262,3 +264,29 @@ def test_pp_shift_pointwise_property(delay, t):
     q = pp_shift(p, delay)
     expected = pp_eval(p, t - delay) if t >= delay else 0.0
     assert abs(pp_eval(q, t) - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+# ---------------------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "DerivedConstants", "Direction", "DressedParams", "EmitterNotDecayed",
+    "EnsembleResult", "ExcitationCurve", "NoLongtimeSolution", "NormUnderflow",
+    "PiecewisePolynomial", "SpatialProfile", "Spectrum", "SystemParams",
+    "TrajectoryConfig", "Xi0Diverges", "build_propagator", "delay_series_full",
+    "derived_constants", "dressed_params", "dyson_coefficient_closed",
+    "dyson_coefficient_iterative", "ensemble_average", "excitation_amplitude_exact",
+    "excitation_curve", "excitation_probability_exact", "excitation_probability_longtime",
+    "excitation_probability_markovian", "field_amplitude", "mirror_coefficients",
+    "photon_density", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",
+    "pp_snap", "round_trip_series", "run_trajectory", "solve_longtime", "solve_xi",
+    "spatial_profile", "spectrum", "total_photon_norm", "trajectory_rng",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name is an API change: update this list with it
+    assert sorted(mirrorqed.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(mirrorqed, name), name

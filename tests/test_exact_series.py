@@ -19,20 +19,27 @@ import pytest
 from scipy.special import lambertw
 
 from mirrorqed import (
+    Direction,
     SystemParams,
-    delay_series,
     derived_constants,
     dressed_params,
     excitation_probability_exact,
     excitation_probability_markovian,
+    field_amplitude,
     solve_longtime,
     solve_xi,
     spectrum,
+    total_photon_norm,
 )
-from mirrorqed.analytic import _lambert_w
+from mirrorqed.analytic import _lambert_w, _round_trip_sum
 
 # tau at which a tau = -1/e for phase pi and r_m = -1: tau/2 exp(tau/2) = 1/e
 CRITICAL_TAU = 2 * float(mp.lambertw(1 / mp.e))
+
+
+def series_at(u, a, tau):
+    """The round-trip series at a bare feedback constant a != 0 and delay tau > 0."""
+    return _round_trip_sum(u, cmath.log(a), tau)
 
 
 def causal_reference(a, tau, u, digits=25):
@@ -107,6 +114,43 @@ def test_known_values_of_the_regression_cases():
     assert excitation_probability_exact(critical, 50.0) == pytest.approx(6.5567e-96, rel=1e-4, abs=0)
 
 
+def field_reference(params, x, direction, t):
+    """The field at double x as the sum of its regions, each -i (g/c) weight
+    exp(-i Omega s) f(s) at its emission time s, summed in mpmath."""
+    def emitted(s):
+        if s < 0:
+            return 0j
+        def feedback():
+            phase = mp.mpf(params.omega_e) * mp.mpf(params.tau)
+            return -mp.mpc(params.r_m) * mp.expj(phase) * mp.exp(mp.mpf(params.tau) / 2) / 2
+        f = causal_reference(feedback, params.tau, s)
+        with mp.workdps(40):
+            envelope = mp.exp(-1j * (mp.mpf(params.omega_e) - 0.5j) * mp.mpf(s))
+            return complex(-1j * mp.sqrt(mp.mpf(params.gamma) / 2) * envelope * f)
+
+    if direction is Direction.LEFT:
+        reflected = params.r_m * emitted(x + t - params.tau) if x <= params.tau / 2 else 0
+        return (emitted(x + t) if x <= 0 else 0) + reflected
+    return (1 if x < params.tau / 2 else params.t_m) * emitted(t - x)
+
+
+def test_trapped_field_at_long_times():
+    # exp(-i Omega s) and f(s) each leave the double range by s = 1500 while
+    # their product stays bounded: the direct region (s < tau), the
+    # interfering region (a field node at phase 2 pi) and both directions
+    # between emitter and mirror.  A double s ~ t fixes the phase omega_e s
+    # only to a few eps omega_e t.
+    tau, phase, r_m, t = REGRESSION_CASES["overflow"]
+    params = SystemParams.from_round_trip_phase(tau, phase, r_m)
+    tol = 4 * np.finfo(float).eps * params.omega_e * t
+    for direction, xs in ((Direction.LEFT, (-t + 0.5, -700.25, -5.0, -1.0, 0.3)),
+                          (Direction.RIGHT, (0.3,))):
+        got = field_amplitude(params, np.array(xs), direction, t)
+        for x, value in zip(xs, got):
+            assert abs(value - field_reference(params, x, direction, t)) <= tol, (direction, x)
+    assert total_photon_norm(params, t) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_infinite_delay_is_free_decay():
     params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0)
     t = np.array([0.0, 0.5, 3.0, 40.0, 700.0])
@@ -128,7 +172,7 @@ def test_series_matches_high_precision_on_both_sides_of_the_switch(tau, phase, r
     params = SystemParams.from_round_trip_phase(tau, phase, r_m)
     a = derived_constants(params).a
     expected = causal_reference(lambda: mp.mpc(a), tau, u)
-    got = delay_series(u, a, tau)
+    got = series_at(u, a, tau)
     assert abs(got - complex(expected)) <= 1e-10 * abs(expected)
 
 
@@ -142,14 +186,14 @@ def test_series_near_the_branch_point(distance, angle):
     z = -1 / math.e + distance * cmath.exp(1j * angle)
     for u in (9.0, 30.0, 60.0):
         expected = causal_reference(lambda: mp.mpc(z), tau, u)
-        got = delay_series(u, z, tau)
+        got = series_at(u, z, tau)
         assert abs(got - complex(expected)) <= 1e-9 * abs(expected), u
 
 
 def test_series_continuous_where_the_sums_switch():
     a, tau = -0.45 + 0.2j, 1.0
     for u in np.arange(7.0, 17.0):
-        below, above = delay_series(np.array([u - 1e-9, u + 1e-9]), a, tau)
+        below, above = series_at(np.array([u - 1e-9, u + 1e-9]), a, tau)
         assert abs(above - below) <= 1e-7 * abs(below)
 
 

@@ -77,16 +77,16 @@ def dense_no_jump_oracle(config, n_steps):
 def initial_state(config):
     """|e, 0> as a dense state vector, ordered as in `dense_no_jump_oracle`:
     [vacuum, excited, right boxes 0..N-1, left boxes N-1..0]."""
-    amps = np.zeros(config.state_size, dtype=complex)
+    amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     amps[1] = 1.0
     return amps
 
 
-def advance(amps, config, propagator):
+def advance(amps, config, u):
     """One no-jump step of the dense state vector, shape (2N+2,).
 
     Coherent evolution of the active triple (excited, right box 0, left box
-    0), the detection probability p in the two output boxes, the box shift
+    0) by the 3x3 step unitary u, the detection probability p in the two output boxes, the box shift
     with mirror transmission/reflection, and renormalization.  Returns the
     advanced state (None when its norm falls below the floor) and p; `amps`
     itself is left unchanged.  A second dense reference for the scalar
@@ -96,7 +96,6 @@ def advance(amps, config, propagator):
     i_l0 = 2 * n + 1  # left box 0: at the emitter, also the left output
     i_rout = n + 1  # right box N-1: behind the mirror, the right output
     amps = amps.copy()
-    u = propagator.matrix
     active = [1, 2, i_l0]
     e, r0, l0 = amps[active]
     amps[active] = u[:, 0] * e + u[:, 1] * r0 + u[:, 2] * l0
@@ -237,7 +236,7 @@ def test_config_grid():
 def test_initial_state():
     config = config_for()
     amps = initial_state(config)
-    assert amps.shape == (config.state_size,)
+    assert amps.shape == (2 * config.boxes + 2,)
     assert amps[1] == 1.0
     assert np.linalg.norm(amps) == 1.0
     assert np.abs(amps[1]) ** 2 == 1.0
@@ -256,7 +255,7 @@ def test_propagator_unitary():
             tau=rng.uniform(0.2, 3.0), phase=rng.uniform(0, 7), r_m=rng.uniform(-1, 1)
         )
         config = TrajectoryConfig.from_params(params, boxes=int(rng.integers(2, 40)))
-        u = build_propagator(config).matrix
+        u = build_propagator(config)
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
 
 
@@ -265,12 +264,12 @@ def test_propagator_trivial_couplings():
         boxes=5, dt=0.1, v_right=0.0, v_left=0.0, r_m=0.0, omega_e=0.0,
         n_trajectories=1, t_max=1.0, master_seed=0,
     )
-    assert np.allclose(build_propagator(config).matrix, np.eye(3), atol=1e-15)
+    assert np.allclose(build_propagator(config), np.eye(3), atol=1e-15)
     config_phase = TrajectoryConfig(
         boxes=5, dt=0.1, v_right=0.0, v_left=0.0, r_m=0.0, omega_e=2.0,
         n_trajectories=1, t_max=1.0, master_seed=0,
     )
-    u = build_propagator(config_phase).matrix
+    u = build_propagator(config_phase)
     assert u[0, 0] == pytest.approx(np.exp(-0.2j), abs=1e-14)
     assert u[1, 1] == u[2, 2] == 1.0
 
@@ -281,7 +280,7 @@ def test_propagator_single_step_decay():
     params = SystemParams(omega_e=0.0, tau=1.0, r_m=-1.0)
     config = TrajectoryConfig.from_params(params, boxes=25)
     propagator = build_propagator(config)
-    evolved = propagator.matrix @ np.array([1.0, 0.0, 0.0], dtype=complex)
+    evolved = propagator @ np.array([1.0, 0.0, 0.0], dtype=complex)
     survival = abs(evolved[0]) ** 2
     assert survival == pytest.approx(math.cos(math.sqrt(config.dt)) ** 2, abs=1e-12)
     assert survival == pytest.approx(1.0 - config.dt, abs=config.dt**2)
@@ -292,7 +291,7 @@ def test_propagator_identity_off_active_subspace():
     rng = np.random.default_rng(8)
     # photon amplitude spread over interior boxes only: the coherent part of a
     # step must not touch it (the outputs are empty, so p = 0)
-    amps = np.zeros(config.state_size, dtype=complex)
+    amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     interior = [4, 5, 6, 12, 13]  # right boxes 2..4 and left boxes 5..4 for N = 8
     amps[interior] = rng.normal(size=len(interior)) + 1j * rng.normal(size=len(interior))
     amps /= np.linalg.norm(amps)
@@ -338,7 +337,7 @@ def test_step_mirror_reflection_rule():
         n_trajectories=1, t_max=1.0, master_seed=1,
     )
     n = config.boxes
-    amps = np.zeros(config.state_size, dtype=complex)
+    amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     amps[2 + (n - 2)] = 1.0  # right box N-2
     advanced, p = advance(amps, config, build_propagator(config))
     assert p == 0.0
@@ -354,7 +353,7 @@ def test_step_transparent_mirror_then_certain_detection():
     )
     n = config.boxes
     propagator = build_propagator(config)
-    amps = np.zeros(config.state_size, dtype=complex)
+    amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     amps[2 + (n - 2)] = 1.0
     amps, p = advance(amps, config, propagator)
     assert p == 0.0
@@ -398,7 +397,7 @@ def test_step_norm_and_empty_input_box_every_step():
 
 def test_advance_norm_underflow_guard():
     config = config_for(boxes=5)
-    amps = np.zeros(config.state_size, dtype=complex)
+    amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     amps[config.boxes + 1] = 1.0  # everything in an output box
     # the no-jump branch is empty: the kernel returns no state rather than
     # dividing by a vanishing norm
@@ -761,17 +760,21 @@ def test_ensemble_stderr_scale_and_seed_spread():
 
 
 def test_ensemble_converged_in_box_count():
-    # halving dt (doubling boxes-1) moves the mean by less than the noise band
+    # halving dt (doubling boxes - 1) halves the box model's own bias against
+    # the exact curve, which is deterministic (0.01355 at N 25, 0.00687 at
+    # N 49); the sampling error |mean - limit| of each ensemble is bounded
+    # separately by the DKW band, which fails by chance below 1e-9
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-1.0)
-    coarse = ensemble_average(
-        TrajectoryConfig.from_params(params, boxes=25, n_trajectories=800,
-                                     t_max=5.0, master_seed=5)
-    )
-    fine = ensemble_average(
-        TrajectoryConfig.from_params(params, boxes=49, n_trajectories=800,
-                                     t_max=5.0, master_seed=6)
-    )
-    assert np.allclose(coarse.times, fine.times[::2], rtol=0, atol=1e-12)
-    gap = np.abs(coarse.mean - fine.mean[::2])
-    band = 3.0 * np.sqrt(coarse.stderr**2 + fine.stderr[::2] ** 2)
-    assert np.all(gap <= band + 5e-3)
+    n = 800
+    dkw = math.sqrt(math.log(2 / 1e-9) / (2 * n))
+    bias = []
+    for boxes, seed in ((25, 5), (49, 6)):
+        config = TrajectoryConfig.from_params(
+            params, boxes=boxes, n_trajectories=n, t_max=5.0, master_seed=seed
+        )
+        result = ensemble_average(config)
+        excited, _, _, _ = _evolve(config)
+        assert np.all(np.abs(result.mean - result.limit) <= excited * dkw + 1e-15)
+        exact = excitation_probability_exact(params, result.times)
+        bias.append(np.max(np.abs(result.limit - exact)))
+    assert bias[1] / bias[0] <= 0.55

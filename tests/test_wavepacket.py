@@ -10,23 +10,25 @@ from scipy.integrate import quad
 from mirrorqed import (
     Direction,
     EmitterNotDecayed,
-    OutOfDomain,
     SystemParams,
     derived_constants,
     excitation_probability_exact,
     field_amplitude,
-    field_components,
-    left_amplitude,
     photon_density,
     spatial_profile,
     spectrum,
     total_photon_norm,
 )
-from mirrorqed.wavepacket import _smooth_breaks
+from mirrorqed.wavepacket import _components, _smooth_breaks
 
 
 def params_for(tau, phase, r_m):
     return SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
+
+
+def field_components(params, x, direction, t):
+    """Amplitudes of the region-table rows that cover the single point x."""
+    return [complex(amp[0]) for _, amp in _components(params, np.array([x], float), direction, t)]
 
 
 def oracle_left_amplitude(params, x, t):
@@ -60,7 +62,7 @@ def test_left_amplitude_first_interval_exponential():
     params = params_for(1.0, math.pi, -1)
     t = 2.0
     for x in (-1.9, -1.5, -1.1):
-        density = abs(left_amplitude(params, x, t)) ** 2
+        density = abs(field_amplitude(params, x, Direction.LEFT, t)) ** 2
         assert density == pytest.approx(0.5 * math.exp(-(x + t)), rel=1e-12)
 
 
@@ -68,14 +70,14 @@ def test_left_amplitude_transparent_mirror_is_free():
     params = SystemParams(omega_e=2.0, tau=1.0, r_m=0)
     t = 6.0
     xs = np.linspace(-5.9, -0.01, 37)
-    densities = np.abs([left_amplitude(params, x, t) for x in xs]) ** 2
+    densities = np.abs(field_amplitude(params, xs, Direction.LEFT, t)) ** 2
     assert np.max(np.abs(densities - 0.5 * np.exp(-(xs + t)))) < 1e-12
 
 
 def test_left_amplitude_hand_value_second_interval():
     # t=4, x=-2.5 lands in interval n=1: phi = 1 + a(u - tau) + r_m e^{i Omega tau}
     params = params_for(1.0, math.pi, -1)
-    amp = left_amplitude(params, -2.5, 4.0)
+    amp = field_amplitude(params, -2.5, Direction.LEFT, 4.0)
     a = -0.5 * math.exp(0.5)
     phi = 1 + a * 0.5 + math.exp(0.5)
     assert phi == pytest.approx(2.236540953, abs=1e-8)
@@ -94,19 +96,16 @@ def test_left_amplitude_matches_interval_oracle():
         x = rng.uniform(-t, 0.0)
         if x >= 0 or x < -t:
             continue
-        got = left_amplitude(params, x, t)
+        got = field_amplitude(params, x, Direction.LEFT, t)
         expected = oracle_left_amplitude(params, x, t)
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
 
 def test_left_amplitude_domain_errors():
     params = params_for(1.0, math.pi, -1)
-    with pytest.raises(OutOfDomain):
-        left_amplitude(params, 0.5, 2.0)
-    with pytest.raises(OutOfDomain):
-        left_amplitude(params, -3.0, 2.0)
+    assert field_amplitude(params, -3.0, Direction.LEFT, 2.0) == 0.0  # outside the light cone
     with pytest.raises(ValueError):
-        left_amplitude(params, -0.5, 0.0)
+        field_amplitude(params, -0.5, Direction.LEFT, 0.0)
     for direction in Direction:
         with pytest.raises(ValueError, match="t must be positive"):
             field_amplitude(params, -0.5, direction, math.nan)
@@ -152,11 +151,7 @@ def test_field_components_interfere_left_of_emitter():
     t, x = 4.0, -2.5
     comps = field_components(params, x, Direction.LEFT, t)
     assert len(comps) == 2  # direct and reflected overlap here
-    total = sum(c.amplitude for c in comps)
-    assert total == pytest.approx(left_amplitude(params, x, t), abs=1e-12)
-    for c in comps:
-        assert c.direction is Direction.LEFT
-        assert c.position == x
+    assert sum(comps) == pytest.approx(field_amplitude(params, x, Direction.LEFT, t), abs=1e-12)
 
 
 def test_field_components_single_between_emitter_and_mirror():
@@ -194,10 +189,7 @@ def test_field_components_sum_to_field_amplitude(params, t, extra_points, direct
     for x in boundaries + extra_points:
         comps = field_components(params, x, direction, t)
         assert len(comps) == documented_component_count(params, x, direction, t), x
-        assert sum(c.amplitude for c in comps) == field_amplitude(params, x, direction, t)
-        for c in comps:
-            assert c.direction is direction
-            assert c.position == x
+        assert sum(comps) == field_amplitude(params, x, direction, t)
 
 
 def test_amplitude_jump_only_at_reflection_front():
@@ -207,13 +199,13 @@ def test_amplitude_jump_only_at_reflection_front():
     t = 3.0
     front = -t + params.tau
     eps = 1e-9
-    below = abs(left_amplitude(params, front - eps, t))
-    above = abs(left_amplitude(params, front + eps, t))
+    below = abs(field_amplitude(params, front - eps, Direction.LEFT, t))
+    above = abs(field_amplitude(params, front + eps, Direction.LEFT, t))
     assert abs(above - below) > 0.1  # genuine discontinuity
     # continuity away from fronts, including the n = 1 -> 2 lattice point
     for x0 in (front + 0.3, -t + 2 * params.tau):
-        lo = left_amplitude(params, x0 - eps, t)
-        hi = left_amplitude(params, x0 + eps, t)
+        lo = field_amplitude(params, x0 - eps, Direction.LEFT, t)
+        hi = field_amplitude(params, x0 + eps, Direction.LEFT, t)
         assert abs(hi - lo) < 1e-6
 
 
@@ -362,7 +354,11 @@ def test_infinite_times_are_rejected():
     for direction in Direction:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             field_amplitude(params, -0.5, direction, math.inf)
-        with pytest.raises(ValueError, match="t must be positive and finite"):
-            field_components(params, -0.5, direction, math.inf)
     with pytest.raises(ValueError, match="t must be positive and finite"):
-        left_amplitude(params, -0.5, math.inf)
+        total_photon_norm(params, math.inf)
+
+
+def test_norm_rejects_nan_time():
+    params = SystemParams(omega_e=5.0, tau=1.0, r_m=-0.5)
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        total_photon_norm(params, math.nan)
