@@ -318,19 +318,26 @@ def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
-def round_trip_series(params: SystemParams, u, envelope: complex = 0j):
-    """f(u) exp(envelope u), f(u) = sum_{k <= u/tau} a^k/k! (u - k tau)^k; 0 where u < 0.
+def round_trip_series(params: SystemParams, u):
+    """Emitter amplitude exp(-i Omega u) f(u) with the round-trip series
+    f(u) = sum_{k <= u/tau} a^k/k! (u - k tau)^k; 0 where u < 0.
 
-    The one entry to the series for the parameters' a and tau.  The envelope
-    joins each term's exponent (see the module docstring), so neither |a|
-    nor growing terms overflow while the product stays bounded; -i Omega
-    gives the emitter amplitude.  For tau = 0 the lattice collapses and
-    f(u) = exp(a u).  Returns a complex scalar or an array shaped like u.
+    The one entry to the series for the parameters' a and tau.  For tau > 0
+    the envelope exp(-i Omega u) joins each term's exponent (see the module
+    docstring), so growing terms never overflow while the amplitude stays
+    bounded.  For tau = 0 the lattice collapses and f(u) = exp(a u), taken
+    as a separate factor.  Returns a complex scalar or an array shaped like u.
+
+    Raises:
+        ValueError: Unless every u is finite.
     """
     u_arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u_arr)):
+        raise ValueError("times must be finite")
+    consts = derived_constants(params)
+    envelope = -1j * consts.omega_complex
     if params.tau == 0:
-        a = derived_constants(params).a
-        out = np.where(u_arr >= 0, np.exp(envelope * u_arr) * np.exp(a * u_arr), 0.0)
+        out = np.where(u_arr >= 0, np.exp(envelope * u_arr) * np.exp(consts.a * u_arr), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
     return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
 
@@ -476,12 +483,12 @@ def excitation_amplitude_exact(params: SystemParams, t):
     to the Markovian limit exp(-i Omega t) exp(a t).
 
     Raises:
-        ValueError: Unless every t is finite and non-negative.
+        ValueError: If any t is negative or not finite.
     """
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0) & (t_arr < math.inf)):
-        raise ValueError("t must be non-negative and finite")
-    return round_trip_series(params, t_arr, -1j * derived_constants(params).omega_complex)
+    if np.any(t_arr < 0):
+        raise ValueError("t must be non-negative")
+    return round_trip_series(params, t_arr)
 
 
 def excitation_probability_exact(params: SystemParams, t):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Direction, SystemParams, derived_constants
+from .core import Direction, SystemParams
 from .analytic import excitation_probability_exact, round_trip_series
 
 _DECAYED_THRESHOLD = 1e-6
@@ -88,13 +88,12 @@ def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: fl
     else:
         s = t - x
         rows = [((x >= 0) & (s >= 0), s, np.where(x >= half_d, params.t_m, 1.0))]
-    envelope = -1j * derived_constants(params).omega_complex
     pre = -1j * params.coupling
     for support, s, weight in rows:
         if support.any():
             s = s[support]
             weight = weight[support] if np.ndim(weight) else weight
-            yield support, pre * weight * round_trip_series(params, s, envelope)
+            yield support, pre * weight * round_trip_series(params, s)
 
 
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):

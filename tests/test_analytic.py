@@ -27,7 +27,7 @@ from mirrorqed import (
     solve_longtime,
     solve_xi,
 )
-from mirrorqed.analytic import _round_trip_sum
+from mirrorqed.analytic import _feedback_log, _round_trip_sum
 
 
 def params_for(tau, phase, r_m):
@@ -57,14 +57,30 @@ def brute_force_series(u, a, tau):
 
 
 def test_series_no_feedback_is_one():
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=0)
     u = np.linspace(0.0, 10.0, 11)
-    assert np.all(round_trip_series(SystemParams(omega_e=1.0, tau=1.0, r_m=0), u) == 1.0)
+    assert np.all(_round_trip_sum(u, _feedback_log(params), params.tau) == 1.0)
+    free = np.exp(-1j * derived_constants(params).omega_complex * u)
+    assert np.max(np.abs(round_trip_series(params, u) - free)) < 1e-15
 
 
 def test_series_negative_argument_is_zero():
     params = params_for(1.0, 0.3, -0.5)
     assert round_trip_series(params, -0.5) == 0.0
-    assert round_trip_series(params, -0.5, -1j * derived_constants(params).omega_complex) == 0.0
+    assert _round_trip_sum(-0.5, _feedback_log(params), params.tau) == 0.0
+
+
+@pytest.mark.parametrize(
+    "tau, r_m, u",
+    [(1.0, -1.0, math.inf), (1.0, -1.0, math.nan), (1.0, 0.0, math.inf),
+     (0.0, -0.5, [0.0, math.nan])],
+)
+def test_series_rejects_non_finite_argument(tau, r_m, u):
+    # at the trapping point inf and nan used to give 0j, and without a
+    # mirror inf reached the residue sum with no residues (AttributeError)
+    params = SystemParams(omega_e=2 * math.pi, tau=tau, r_m=r_m)
+    with pytest.raises(ValueError, match="times must be finite"):
+        round_trip_series(params, u)
 
 
 def test_series_matches_brute_force():
@@ -255,7 +271,7 @@ def test_amplitude_rejects_non_finite_time(tau, r_m, t):
     # t = inf is no time: at the trapping point (phase 2 pi, r_m -1) the
     # 4/9 plateau is the limit t -> inf, which the series cannot take
     params = SystemParams(omega_e=2 * math.pi, tau=tau, r_m=r_m)
-    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+    with pytest.raises(ValueError, match="times must be finite"):
         excitation_probability_exact(params, t)
 
 
