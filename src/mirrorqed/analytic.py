@@ -45,17 +45,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    DerivedConstants,
-    PiecewisePolynomial,
-    SystemParams,
-    derived_constants,
-    pp_add,
-    pp_integrate,
-    pp_scale,
-    pp_shift,
-    pp_snap,
-)
+from .core import DerivedConstants, PiecewisePolynomial, SystemParams, derived_constants
+# Unused here; the benchmark's tracer (bench/spans.py) rebinds these names in this module.
+from .core import pp_add, pp_integrate, pp_scale, pp_shift, pp_snap  # noqa: F401
 
 
 class NoLongtimeSolution(Exception):
@@ -325,8 +317,9 @@ def round_trip_series(params: SystemParams, u):
     The one entry to the series for the parameters' a and tau.  For tau > 0
     the envelope exp(-i Omega u) joins each term's exponent (see the module
     docstring), so growing terms never overflow while the amplitude stays
-    bounded.  For tau = 0 the lattice collapses and f(u) = exp(a u), taken
-    as a separate factor.  Returns a complex scalar or an array shaped like u.
+    bounded.  For tau = 0 the lattice collapses to f(u) = exp(a u), which
+    joins the envelope in one exponent for the same reason.  Returns a
+    complex scalar or an array shaped like u.
 
     Raises:
         ValueError: Unless every u is finite.
@@ -337,7 +330,7 @@ def round_trip_series(params: SystemParams, u):
     consts = derived_constants(params)
     envelope = -1j * consts.omega_complex
     if params.tau == 0:
-        out = np.where(u_arr >= 0, np.exp(envelope * u_arr) * np.exp(consts.a * u_arr), 0.0)
+        out = np.where(u_arr >= 0, np.exp((envelope + consts.a) * u_arr), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
     return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
 
@@ -406,6 +399,21 @@ def delay_series_full(u: float, a: complex, tau: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _loop_count(n: int) -> int:
+    """m = n / 2 reabsorption loops of the even order n."""
+    if n % 2 != 0 or n < 0:
+        raise ValueError(f"n must be an even non-negative integer, got {n}")
+    return n // 2
+
+
+def _returning_loop_weight(params: SystemParams) -> complex:
+    """r_m exp(i omega_e tau), the weight of a loop that returns after tau; 0 for
+    tau = inf, where no loop returns and omega_e tau has no value."""
+    if math.isinf(params.tau):
+        return 0j
+    return params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+
+
 def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
     """Closed form of the n-th even-order expansion coefficient c_n(t).
 
@@ -413,16 +421,14 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
              sum_k C(n/2, k) (r_m e^{i omega_e tau})^k Theta(t - k tau) (t - k tau)^{n/2}
 
     counting the C(n/2, k) orderings of k delayed among n/2 total
-    reabsorption loops.
+    reabsorption loops.  At tau = inf no loop returns and only k = 0 is left.
     """
-    if n % 2 != 0 or n < 0:
-        raise ValueError(f"n must be an even non-negative integer, got {n}")
-    m = n // 2
-    rho = params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+    m = _loop_count(n)
+    rho = _returning_loop_weight(params)
     prefactor = (-1) ** m * (params.gamma / 2.0) ** m / math.factorial(m)
     acc = 0j
     for k in range(m + 1):
-        dt = t - k * params.tau
+        dt = t - k * params.tau if k else t  # 0 * inf is nan
         if dt < 0:
             break
         acc += math.comb(m, k) * rho**k * dt**m
@@ -436,22 +442,39 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     reabsorption loop:
 
         c_{n+2}(t) = -(Gamma/2) [ I(t) + r_m e^{i omega_e tau} I(t - tau) ],
-        I(t) = integral_0^t c_n,
+        I(t) = integral_0^t c_n.
 
-    realized with exact piecewise-polynomial integration and delay.  The
-    result agrees pointwise with the closed form.
+    c_n is a polynomial of degree m = n / 2 on each lattice interval
+    [k tau, (k+1) tau) and has no kink above m tau, so it lives in a dense
+    table C[k, i], k, i = 0..m: row k holds the coefficients of (t - k tau)^i,
+    and row m covers [m tau, inf).  Integrating shifts every row one column
+    up in degree and adds the integral over the rows below as its constant;
+    delaying by tau moves every row down by one.  The delay reuses the row
+    unchanged, because (t - tau) - (k - 1) tau = t - k tau, so no breakpoint
+    is ever recomputed and none can drift.  The last row stays exact because
+    I has no kink above the last kink of c_n.  For tau = 0 the table is one
+    row that is its own delayed copy; for tau = inf no loop returns.  The
+    result has breakpoints k tau and agrees with the closed form.
     """
-    if n % 2 != 0 or n < 0:
-        raise ValueError(f"n must be an even non-negative integer, got {n}")
-    rho = params.r_m * cmath.exp(1j * params.omega_e * params.tau)
-    c = PiecewisePolynomial((0.0,), ((1.0 + 0j,),))
-    for _ in range(n // 2):
-        integral = pp_integrate(c, from_zero=True)
-        delayed = pp_scale(pp_shift(integral, params.tau), rho)
-        c = pp_scale(pp_add(integral, delayed), -(params.gamma / 2.0))
-        if params.tau > 0:
-            c = pp_snap(c, params.tau)
-    return c
+    m = _loop_count(n)
+    tau = params.tau
+    rows = m + 1 if 0 < tau < math.inf else 1
+    rho = _returning_loop_weight(params)
+    degrees = np.arange(1.0, m + 1)
+    powers = tau**degrees  # integral over one interval: sum_i C[k, i] tau^i
+    table = np.zeros((rows, m + 1), dtype=complex)
+    table[:, 0] = 1.0
+    for _ in range(m):
+        anti = np.zeros_like(table)
+        anti[:, 1:] = table[:, :-1] / degrees
+        if rows > 1:
+            anti[1:, 0] = np.cumsum(anti[:-1, 1:] @ powers)
+            delayed = np.vstack([np.zeros(m + 1), anti[:-1]])
+        else:  # tau = 0: the loop returns at once; tau = inf: rho = 0
+            delayed = anti
+        table = -(params.gamma / 2.0) * (anti + rho * delayed)
+    breakpoints = (0.0,) + tuple(k * tau for k in range(1, rows))
+    return PiecewisePolynomial(breakpoints, tuple(map(tuple, table.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -207,6 +208,44 @@ def test_dyson_iterative_collapsed_lattice():
     assert pp(t) == pytest.approx(expected, abs=1e-12)
 
 
+def test_dyson_infinite_delay_has_no_feedback():
+    # no loop ever returns: c_2m = (-Gamma/2)^m t^m / m!, with no r_m e^{i omega_e tau}
+    params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-0.5)
+    t = 1.3
+    expected = (-0.5 * t) ** 2 / 2
+    assert dyson_coefficient_closed(params, 4, t) == pytest.approx(expected, rel=1e-15)
+    pp = dyson_coefficient_iterative(params, 4)
+    assert pp.breakpoints == (0.0,)
+    assert pp(t) == pytest.approx(expected, rel=1e-15)
+
+
+def mp_dyson(params, n, t):
+    """c_n(t) of the closed form in mpmath at the params' double inputs, and the
+    sum of its terms' magnitudes, which scales the rounding of any double sum."""
+    m = n // 2
+    tau, t = mp.mpf(params.tau), mp.mpf(t)
+    rho = mp.mpc(params.r_m) * mp.expj(mp.mpf(params.omega_e) * tau)
+    terms = [mp.binomial(m, k) * rho**k * (t - k * tau) ** m
+             for k in range(m + 1) if t - k * tau >= 0]
+    prefactor = (-mp.mpf(params.gamma) / 2) ** m / mp.factorial(m)
+    return prefactor * mp.fsum(terms), abs(prefactor) * mp.fsum(abs(v) for v in terms)
+
+
+# the sweep holds 0.1 and 0.03, where the recursion once failed by n = 20 and 40
+@pytest.mark.parametrize("tau", [0.01 * j for j in range(1, 21)] + [1e-300])
+def test_dyson_iterative_at_high_order_on_any_lattice(tau):
+    # k tau is not an exact double for most tau; the lattice table never adds
+    # breakpoints, so none can drift apart at n = 40
+    params = params_for(tau, 1.0, -1.0)
+    times = np.linspace(0.1, 2.0, 8)
+    pp = dyson_coefficient_iterative(params, 40)
+    assert pp.breakpoints == tuple(k * tau for k in range(21))
+    for t, value in zip(times, pp(times)):
+        ref, scale = mp_dyson(params, 40, t)
+        assert abs(value - complex(ref)) <= 1e-12 * scale
+        assert abs(dyson_coefficient_closed(params, 40, t) - complex(ref)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # Exact excitation amplitude / probability
 # ---------------------------------------------------------------------------
@@ -280,6 +319,16 @@ def test_amplitude_collapsed_lattice_matches_markovian():
     t = np.linspace(0.0, 4.0, 41)
     probs = excitation_probability_exact(params, t)
     assert np.max(np.abs(probs - excitation_probability_markovian(params, t))) < 1e-14
+
+
+def test_amplitude_collapsed_lattice_past_the_exponent_range():
+    # tau = 0, r_m = -1: a = Gamma/2 cancels the free decay, so |amplitude| = 1
+    # long after exp(a t) alone would overflow (t > ~1419.6)
+    params = SystemParams(omega_e=1.0, tau=0.0, r_m=-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = excitation_probability_exact(params, [1419.0, 1421.0, 1500.0])
+    assert np.allclose(probs, 1.0, rtol=0, atol=1e-15)
 
 
 def test_excitation_curve_fields():

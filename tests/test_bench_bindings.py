@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every function it rebinds.
+"""The benchmark still runs against the package: its tracer finds every
+function it rebinds, and the faults it once showed stay mended.
 
 `bench/spans.py` names, per module, the package functions that a traced run
 (`python3 bench/run.py --trace 1`) wraps in spans.  A rename or removal in
@@ -6,6 +7,7 @@ the package would crash that run; this test catches it in the test suite.
 """
 
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -56,3 +58,13 @@ def test_tracer_binds_and_restores_every_name(bench, tmp_path):
     metrics = spans.summarize(tracer.take())
     assert metrics["cli.run.ms"] > 0
     assert metrics["analytic.solve_longtime.ms"] > 0
+
+
+@pytest.mark.parametrize("name", ["cancellation-fault", "overflow-fault", "dyson-fault"])
+def test_mended_longtime_faults_pass_their_checks(bench, tmp_path, name):
+    # the `longtime` workload's fixed-input fault scenarios, judged by the
+    # same mpmath oracle checks the benchmark applies
+    run, _ = bench
+    workbench = run.scenarios.Workbench(run.load_package(), tmp_path)
+    scenario = {s.name: s for s in run.scenarios.longtime(workbench, random.Random(1))}[name]
+    assert scenario.check(scenario.collect(scenario.call()).data) is None
