@@ -425,14 +425,23 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
     """
     m = _loop_count(n)
     rho = _returning_loop_weight(params)
-    prefactor = (-1) ** m * (params.gamma / 2.0) ** m / math.factorial(m)
-    acc = 0j
-    for k in range(m + 1):
-        dt = t - k * params.tau if k else t  # 0 * inf is nan
-        if dt < 0:
-            break
-        acc += math.comb(m, k) * rho**k * dt**m
-    return prefactor * acc
+    try:
+        prefactor = (-1) ** m * (params.gamma / 2.0) ** m / math.factorial(m)
+        acc = 0j
+        for k in range(m + 1):
+            dt = t - k * params.tau if k else t  # 0 * inf is nan
+            if dt < 0:
+                break
+            acc += math.comb(m, k) * rho**k * dt**m
+        value = prefactor * acc
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise OverflowError(
+            f"c_{n}({t}) at tau = {params.tau}: {m}! or (t - k tau)^{m} is beyond "
+            "the double range"
+        )
+    return value
 
 
 def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolynomial:
@@ -461,19 +470,25 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     rows = m + 1 if 0 < tau < math.inf else 1
     rho = _returning_loop_weight(params)
     degrees = np.arange(1.0, m + 1)
-    powers = tau**degrees  # integral over one interval: sum_i C[k, i] tau^i
     table = np.zeros((rows, m + 1), dtype=complex)
     table[:, 0] = 1.0
-    for _ in range(m):
-        anti = np.zeros_like(table)
-        anti[:, 1:] = table[:, :-1] / degrees
-        if rows > 1:
-            anti[1:, 0] = np.cumsum(anti[:-1, 1:] @ powers)
-            delayed = np.vstack([np.zeros(m + 1), anti[:-1]])
-        else:  # tau = 0: the loop returns at once; tau = inf: rho = 0
-            delayed = anti
-        table = -(params.gamma / 2.0) * (anti + rho * delayed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = tau**degrees  # integral over one interval: sum_i C[k, i] tau^i
+        for _ in range(m):
+            anti = np.zeros_like(table)
+            anti[:, 1:] = table[:, :-1] / degrees
+            if rows > 1:
+                anti[1:, 0] = np.cumsum(anti[:-1, 1:] @ powers)
+                delayed = np.vstack([np.zeros(m + 1), anti[:-1]])
+            else:  # tau = 0: the loop returns at once; tau = inf: rho = 0
+                delayed = anti
+            table = -(params.gamma / 2.0) * (anti + rho * delayed)
     breakpoints = (0.0,) + tuple(k * tau for k in range(1, rows))
+    if not np.all(np.isfinite(table)):  # also when k tau overflows: then tau^2 does
+        raise OverflowError(
+            f"c_{n} at tau = {tau}: the coefficients of (t - k tau)^i on the lattice "
+            "are beyond the double range"
+        )
     return PiecewisePolynomial(breakpoints, tuple(map(tuple, table.tolist())))
 
 

@@ -203,15 +203,23 @@ def _poly_rebase(coeffs: tuple[complex, ...], delta: float) -> tuple[complex, ..
 
 
 def pp_eval(p: PiecewisePolynomial, t):
-    """Evaluate p at scalar or array t."""
+    """Evaluate p at scalar or array t.
+
+    Each point gathers its segment's row of a zero-padded coefficient table,
+    and one Horner pass covers all points.  The leading zero steps leave the
+    accumulator at +0, so every point sees exactly its own segment's Horner
+    recurrence.
+    """
     t_arr = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(p.breakpoints, t_arr, side="right") - 1, 0, None)
+    breakpoints = np.asarray(p.breakpoints)
+    idx = np.clip(np.searchsorted(breakpoints, t_arr, side="right") - 1, 0, None)
+    width = p.degree + 1
+    table = np.array([seg + (0j,) * (width - len(seg)) for seg in p.segments], dtype=complex)
+    coeffs = table[idx]
+    u = t_arr - breakpoints[idx]
     out = np.zeros(t_arr.shape, dtype=complex)
-    for j, seg in enumerate(p.segments):
-        mask = idx == j
-        if not np.any(mask):
-            continue
-        out[mask] = _poly_eval(seg, t_arr[mask] - p.breakpoints[j])
+    for i in reversed(range(width)):
+        out = out * u + coeffs[..., i]
     return complex(out[()]) if t_arr.ndim == 0 else out
 
 

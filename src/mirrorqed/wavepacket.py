@@ -71,7 +71,8 @@ def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: fl
     the retarded emission time s.  Left-movers are the direct part (weight 1)
     and the part reflected one round trip later (r_m).  Right-movers share
     one emission time, so they form one row whose weight is 1 before the
-    mirror and t_m behind it (one series evaluation for both parts).
+    mirror and t_m behind it.  The supported emission times of all rows go
+    through one series evaluation, so one residue plan serves every row.
     Boundary points use the convention Theta(0) = 1, except that the mirror
     position x = d/2 belongs to the transmitted region for right-movers and
     to the reflected region for left-movers (no double counting).
@@ -88,12 +89,15 @@ def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: fl
     else:
         s = t - x
         rows = [((x >= 0) & (s >= 0), s, np.where(x >= half_d, params.t_m, 1.0))]
+    series = round_trip_series(params, np.concatenate([s[support] for support, s, _ in rows]))
     pre = -1j * params.coupling
-    for support, s, weight in rows:
-        if support.any():
-            s = s[support]
+    start = 0
+    for support, _, weight in rows:
+        count = np.count_nonzero(support)
+        if count:
             weight = weight[support] if np.ndim(weight) else weight
-            yield support, pre * weight * round_trip_series(params, s)
+            yield support, pre * weight * series[start : start + count]
+        start += count
 
 
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
@@ -220,26 +224,36 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _smooth_breaks(params: SystemParams, t: float, direction: Direction) -> np.ndarray:
     """Breakpoints between which the density is smooth (lattice kinks, fronts)."""
     half_d = params.tau / 2.0
-    points = set()
+    # k = 1.. past the last lattice kink inside [lo, hi] in either direction
+    count = math.ceil(t / params.tau) + 1 if 0 < params.tau < math.inf else 0
+    lattice = np.arange(1, count + 1) * params.tau
     if direction is Direction.LEFT:
         lo, hi = -t, half_d
-        points.update((lo, 0.0, hi))
-        if params.tau > 0:
-            k = 1
-            while k * params.tau - t < hi:
-                points.add(k * params.tau - t)  # kinks of u = x + t on the lattice
-                k += 1
+        points = np.concatenate([(lo, 0.0, hi), lattice - t])  # kinks of u = x + t
     else:
         lo, hi = 0.0, t
-        points.update((lo, hi))
-        if half_d < t:
-            points.add(half_d)
-        if params.tau > 0:
-            k = 1
-            while t - k * params.tau > lo:
-                points.add(t - k * params.tau)  # kinks of v = t - x on the lattice
-                k += 1
-    return np.array(sorted(p for p in points if lo <= p <= hi))
+        points = np.concatenate([(lo, hi, half_d), t - lattice])  # kinks of v = t - x
+    points = np.unique(points)
+    return points[(lo <= points) & (points <= hi)]
+
+
+def _gauss_panels(breaks: np.ndarray, order: int, max_len: float):
+    """Nodes and weights of Gauss-Legendre panels of at most max_len between breaks.
+
+    Each interval [lo, hi] is cut into ceil((hi - lo) / max_len) equal pieces
+    with np.linspace's arithmetic: edge k is k * step + lo, and the last one
+    is hi itself.
+    """
+    lo, hi = breaks[:-1], breaks[1:]
+    pieces = np.maximum(1, np.ceil((hi - lo) / max_len)).astype(int)
+    interval = np.repeat(np.arange(len(pieces)), pieces)
+    k = np.arange(len(interval)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step, start = ((hi - lo) / pieces)[interval], lo[interval]
+    a = k * step + start
+    b = np.where(k + 1 == pieces[interval], hi[interval], (k + 1) * step + start)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes, weights = _gauss_nodes(order)
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
 def _integrate_density(
@@ -248,18 +262,7 @@ def _integrate_density(
     breaks = _smooth_breaks(params, t, direction)
     if len(breaks) < 2:
         return 0.0
-    nodes, weights = _gauss_nodes(order)
-    all_nodes = []
-    all_weights = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        pieces = max(1, int(math.ceil((hi - lo) / max_len)))
-        edges = np.linspace(lo, hi, pieces + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            all_nodes.append(mid + half * nodes)
-            all_weights.append(half * weights)
-    xs = np.concatenate(all_nodes)
-    ws = np.concatenate(all_weights)
+    xs, ws = _gauss_panels(breaks, order, max_len)
     dens = photon_density(params, xs, direction, t)
     return float(np.dot(ws, dens))
 
@@ -271,7 +274,9 @@ def total_photon_norm(
 
     Unitarity demands this equals 1 at every time.  The integrals use
     fixed-order Gauss-Legendre panels between the smoothness breakpoints of
-    the density (round-trip lattice kinks, the fronts, and the mirror).
+    the density (round-trip lattice kinks, the fronts, and the mirror),
+    every panel of one direction built in one array pass, and the density
+    at all of that direction's nodes comes from one series evaluation.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")

@@ -246,6 +246,29 @@ def test_dyson_iterative_at_high_order_on_any_lattice(tau):
         assert abs(dyson_coefficient_closed(params, 40, t) - complex(ref)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("tau", [1e300, 1e308])
+def test_dyson_at_delays_near_the_double_range_is_right_or_loud(tau):
+    # c_40 past the first round trip is ~1e6000: both forms refuse it by name
+    # instead of returning nan, and keep the free value before the mirror acts
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.7)
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        dyson_coefficient_iterative(params, 40)
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        dyson_coefficient_closed(params, 40, 2e300)
+    for t in (1.0, 1.5):
+        ref, scale = mp_dyson(params, 40, t)
+        assert abs(dyson_coefficient_closed(params, 40, t) - complex(ref)) <= 1e-14 * scale
+    # m! leaves the double range from n = 342 on
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        dyson_coefficient_closed(params, 400, 1.0)
+    # one loop stays in range on both sides of the first return
+    pp = dyson_coefficient_iterative(params, 2)
+    for t in (1.0, 1.2 * tau):
+        ref, scale = mp_dyson(params, 2, t)
+        assert abs(pp(t) - complex(ref)) <= 1e-14 * scale
+        assert abs(dyson_coefficient_closed(params, 2, t) - complex(ref)) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # Exact excitation amplitude / probability
 # ---------------------------------------------------------------------------

@@ -60,11 +60,22 @@ def test_tracer_binds_and_restores_every_name(bench, tmp_path):
     assert metrics["analytic.solve_longtime.ms"] > 0
 
 
+def longtime_scenario_check(bench, tmp_path, name):
+    """The verdict of the `longtime` scenario `name` under the benchmark's own check."""
+    run, _ = bench
+    workbench = run.scenarios.Workbench(run.load_package(), tmp_path)
+    scenario = {s.name: s for s in run.scenarios.longtime(workbench, random.Random(1))}[name]
+    return scenario.check(scenario.collect(scenario.call()).data)
+
+
 @pytest.mark.parametrize("name", ["cancellation-fault", "overflow-fault", "dyson-fault"])
 def test_mended_longtime_faults_pass_their_checks(bench, tmp_path, name):
     # the `longtime` workload's fixed-input fault scenarios, judged by the
     # same mpmath oracle checks the benchmark applies
-    run, _ = bench
-    workbench = run.scenarios.Workbench(run.load_package(), tmp_path)
-    scenario = {s.name: s for s in run.scenarios.longtime(workbench, random.Random(1))}[name]
-    assert scenario.check(scenario.collect(scenario.call()).data) is None
+    assert longtime_scenario_check(bench, tmp_path, name) is None
+
+
+@pytest.mark.parametrize("name", ["total_photon_norm-0", "total_photon_norm-1", "dyson-0", "dyson-1"])
+def test_longtime_norm_and_dyson_scenarios_pass_their_checks(bench, tmp_path, name):
+    # the photon-norm quadrature and the Dyson lattice table on the workload
+    assert longtime_scenario_check(bench, tmp_path, name) is None

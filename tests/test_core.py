@@ -232,6 +232,45 @@ def test_pp_eval_below_first_breakpoint_uses_first_segment():
     assert p(0.0) == pytest.approx(2.0 - 1.0)  # 2 + (t - 1) at t = 0
 
 
+def per_segment_pp_eval(p, t):
+    """pp_eval as a mask and a Horner loop per segment, for comparison."""
+    t_arr = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(p.breakpoints, t_arr, side="right") - 1, 0, None)
+    out = np.zeros(t_arr.shape, dtype=complex)
+    for j, seg in enumerate(p.segments):
+        mask = idx == j
+        if not np.any(mask):
+            continue
+        u = t_arr[mask] - p.breakpoints[j]
+        acc = np.zeros_like(u, dtype=complex)
+        for c in reversed(seg):
+            acc = acc * u + c
+        out[mask] = acc
+    return complex(out[()]) if t_arr.ndim == 0 else out
+
+
+def test_pp_eval_one_pass_matches_per_segment_loop_bit_for_bit():
+    # segments of unequal length, zero and signed-zero coefficients, points
+    # below the first breakpoint, on the breakpoints, and scalar input
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        count = int(rng.integers(1, 7))
+        breakpoints = tuple(np.sort(rng.choice(np.arange(-10, 30), count, replace=False)) * 0.37)
+        segments = tuple(
+            tuple(complex(*rng.choice([0.0, -0.0, rng.normal()], 2))
+                  for _ in range(int(rng.integers(1, 7))))
+            for _ in range(count)
+        )
+        p = PiecewisePolynomial(breakpoints, segments)
+        ts = np.concatenate([rng.uniform(-8.0, 15.0, 40), breakpoints, [-0.0, 0.0]])
+        assert pp_eval(p, ts).tobytes() == per_segment_pp_eval(p, ts).tobytes()
+        assert pp_eval(p, ts[:, None]).tobytes() == per_segment_pp_eval(p, ts).tobytes()
+        for t in (ts[0], breakpoints[0] - 1.0):
+            value = pp_eval(p, float(t))
+            assert isinstance(value, complex)
+            assert np.complex128(value).tobytes() == np.complex128(per_segment_pp_eval(p, t)).tobytes()
+
+
 def test_pp_add_merges_lattices():
     rng = np.random.default_rng(7)
     p = PiecewisePolynomial((0.0, 1.0), ((1.0, 0.5j), (0.0, 0.0, 1.0 + 0j)))

@@ -19,7 +19,8 @@ from mirrorqed import (
     spectrum,
     total_photon_norm,
 )
-from mirrorqed.wavepacket import _components, _smooth_breaks
+from mirrorqed import wavepacket
+from mirrorqed.wavepacket import _components, _gauss_panels, _integrate_density, _smooth_breaks
 
 
 def params_for(tau, phase, r_m):
@@ -267,6 +268,96 @@ def test_norm_gauss_panels_match_adaptive_quadrature():
     assert nodes_based == pytest.approx(both_adaptive, abs=1e-9)
 
 
+def set_based_breaks(params, t, direction):
+    """The smoothness breakpoints gathered one lattice kink at a time into a set."""
+    half_d = params.tau / 2.0
+    points = set()
+    if direction is Direction.LEFT:
+        lo, hi = -t, half_d
+        points.update((lo, 0.0, hi))
+        k = 1
+        while params.tau > 0 and k * params.tau - t < hi:
+            points.add(k * params.tau - t)
+            k += 1
+    else:
+        lo, hi = 0.0, t
+        points.update((lo, hi))
+        if half_d < t:
+            points.add(half_d)
+        k = 1
+        while params.tau > 0 and t - k * params.tau > lo:
+            points.add(t - k * params.tau)
+            k += 1
+    return np.array(sorted(p for p in points if lo <= p <= hi))
+
+
+def linspace_panels(breaks, order, max_len):
+    """Gauss-Legendre nodes and weights built one np.linspace panel at a time."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    all_nodes, all_weights = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(lo, hi, max(1, int(math.ceil((hi - lo) / max_len))) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            all_nodes.append(mid + half * nodes)
+            all_weights.append(half * weights)
+    return np.concatenate(all_nodes), np.concatenate(all_weights)
+
+
+PANEL_CASES = [
+    # one interval, ceil(t/max_len) pieces; at max_len 0.3 the last edge
+    # k * step + lo falls short of hi, so it must be hi itself
+    (SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5), 7.38),
+    (params_for(2.9, 1.1, -0.8), 5.37),  # intervals longer than max_len, same rounding
+    (params_for(0.02, 2.0, -1.0), 5.0),  # hundreds of lattice kinks
+    (params_for(0.37, 4.0, 0.6 * cmath.exp(0.4j)), 0.2),  # front short of the mirror
+]
+
+
+@pytest.mark.parametrize("params, t", PANEL_CASES)
+@pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
+def test_array_built_panels_match_the_linspace_loop_bit_for_bit(params, t, direction):
+    breaks = _smooth_breaks(params, t, direction)
+    assert breaks.tobytes() == set_based_breaks(params, t, direction).tobytes()
+    for order, max_len in ((32, 0.5), (7, 0.3)):
+        xs, ws = _gauss_panels(breaks, order, max_len)
+        ref_xs, ref_ws = linspace_panels(breaks, order, max_len)
+        assert xs.tobytes() == ref_xs.tobytes()
+        assert ws.tobytes() == ref_ws.tobytes()
+        ref = float(np.dot(ref_ws, photon_density(params, ref_xs, direction, t)))
+        assert _integrate_density(params, t, direction, order, max_len) == ref
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-3, 0.1, 1.0, 3.0, 0.75, 1 / 3, math.inf])
+@pytest.mark.parametrize("t", [0.1, 0.75, 1.0, 2.0, 7.3, 12.0])
+def test_lattice_breaks_match_the_set_based_loop(tau, t):
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    for direction in (Direction.LEFT, Direction.RIGHT):
+        breaks = _smooth_breaks(params, t, direction)
+        assert breaks.tobytes() == set_based_breaks(params, t, direction).tobytes()
+
+
+@pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
+def test_field_amplitude_evaluates_the_series_once(monkeypatch, direction):
+    # the direct and reflected rows (or both right-moving parts) share one
+    # series evaluation, so one residue plan serves them all
+    params = params_for(1.0, math.pi, -0.7)
+    x = np.linspace(-6.0, 6.0, 241)
+    supported = sum(np.count_nonzero(support) for support, _ in
+                    _components(params, x, direction, 5.0))
+    series = wavepacket.round_trip_series
+    calls = []
+
+    def counted(params, u):
+        calls.append(np.size(u))
+        return series(params, u)
+
+    monkeypatch.setattr(wavepacket, "round_trip_series", counted)
+    amp = field_amplitude(params, x, direction, 5.0)
+    assert calls == [supported]
+    assert np.count_nonzero(amp) > 0
+
+
 def test_left_norm_reduced_by_destructive_interference():
     # at the field node (phase 2 pi) the reflected wave cancels the direct one,
     # so a perfect mirror pushes less probability to the left than no mirror
@@ -275,8 +366,6 @@ def test_left_norm_reduced_by_destructive_interference():
     mirrored = params_for(1.0, 2 * math.pi, -1)
     norm_free = total_photon_norm(free, t) - excitation_probability_exact(free, t)
     # reuse the direction integrals directly
-    from mirrorqed.wavepacket import _integrate_density
-
     left_free = _integrate_density(free, t, Direction.LEFT, 32, 0.5)
     left_mirrored = _integrate_density(mirrored, t, Direction.LEFT, 32, 0.5)
     assert left_mirrored < left_free
