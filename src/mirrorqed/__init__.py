@@ -26,7 +26,6 @@ from .analytic import (
     ExcitationCurve,
     NoLongtimeSolution,
     Xi0Diverges,
-    delay_series_full,
     dressed_params,
     dyson_coefficient_closed,
     dyson_coefficient_iterative,
@@ -77,7 +76,6 @@ __all__ = [
     "TrajectoryConfig",
     "Xi0Diverges",
     "build_propagator",
-    "delay_series_full",
     "derived_constants",
     "dressed_params",
     "dyson_coefficient_closed",

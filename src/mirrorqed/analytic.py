@@ -65,15 +65,10 @@ class NoLongtimeSolution(Exception):
 class Xi0Diverges(Exception):
     """The prefactor series sum_k (-k)^k (a tau)^k / k! diverges.
 
-    Raised exactly when e |a| tau >= 1, the series' radius of convergence,
-    or a is not finite.  Carries the decay constant xi (when it was found)
-    so callers can still report the long-time rate of a trapped or slowly
-    decaying emitter.
+    Raised exactly when e |a| tau >= 1, the series' radius of convergence.
+    The decay constant xi = W_0(a tau) / tau may still exist there: solve_xi
+    returns it for a trapped or slowly decaying emitter.
     """
-
-    def __init__(self, message: str, xi: complex | None = None):
-        super().__init__(message)
-        self.xi = xi
 
 
 def _feedback_log(params: SystemParams) -> complex:
@@ -284,7 +279,8 @@ def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) ->
             log_mag = k * log_a.real + k * np.log(ul - k * tau) - math.lgamma(k + 1)
             total[live] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
     if envelope.imag:
-        total *= np.exp(1j * envelope.imag * u)
+        # not in place, which rounds one-element arrays differently from longer ones
+        total = total * np.exp(1j * envelope.imag * u)
     return total
 
 
@@ -359,39 +355,6 @@ def _principal_w(a: complex, tau: float) -> complex:
             "the slowest decay, so no single exponential dominates"
         )
     return complex(_lambert_w(z, 0)[0])
-
-
-def _check_series_radius(a: complex, tau: float, xi: complex | None = None) -> None:
-    """Raise Xi0Diverges unless e |a| tau < 1, the radius of the all-orders series."""
-    ratio = math.e * abs(a) * tau
-    if not ratio < 1.0:
-        raise Xi0Diverges(
-            f"e |a| tau = {ratio:.6g} >= 1: the prefactor series "
-            "sum_k (-k)^k (a tau)^k / k! diverges",
-            xi=xi,
-        )
-
-
-def delay_series_full(u: float, a: complex, tau: float) -> complex:
-    """All-orders sum f(u) = sum_{k>=0} a^k/k! (u - k tau)^k, no truncation.
-
-    This is the analytic continuation used by the long-time solution.  It
-    converges exactly when e |a| tau < 1, and then sums to the single residue
-    exp(W_0 u / tau) / (1 + W_0), W_0 = W_0(a tau): at u = 0 the prefactor
-    xi0, and for every u a solution of the delay relation f'(u) = a f(u - tau).
-
-    Raises:
-        Xi0Diverges: If e |a| tau >= 1 or a is not finite.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    if tau == 0:
-        return cmath.exp(a * u)
-    if a == 0:
-        return 1.0 + 0j
-    _check_series_radius(a, tau)
-    w0 = _principal_w(a, tau)
-    return cmath.exp(w0 * u / tau) / (1.0 + w0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +537,21 @@ def solve_longtime(params: SystemParams) -> DerivedConstants:
     Raises:
         NoLongtimeSolution: If no single pole dominates (see NoLongtimeSolution).
         Xi0Diverges: If e |a| tau >= 1, outside the radius of the prefactor
-            series; the exception carries xi.
+            series; solve_xi still returns xi there.
     """
     consts = derived_constants(params)
     a, tau = consts.a, params.tau
     if tau == 0 or a == 0:
         return replace(consts, xi=a, xi0=1.0 + 0j)
     w0 = _principal_w(a, tau)
-    _check_series_radius(a, tau, xi=w0 / tau)
+    ratio = math.e * abs(a) * tau  # radius of the all-orders series
+    if not ratio < 1.0:
+        raise Xi0Diverges(
+            f"e |a| tau = {ratio:.6g} >= 1: the prefactor series "
+            "sum_k (-k)^k (a tau)^k / k! diverges"
+        )
     return replace(consts, xi=w0 / tau, xi0=1.0 / (1.0 + w0))
+
 
 def excitation_probability_longtime(
     params: SystemParams, t, constants: DerivedConstants | None = None

@@ -218,6 +218,9 @@ def run_wavepacket(args) -> int:
         raise ConfigError(f"--times must be a comma list of floats, got {args.times!r}") from None
     if not snapshot_times or not all(0 < v < math.inf for v in snapshot_times):
         raise ConfigError("snapshot times must be positive and finite")
+    labels = [f"density_t{t_snap:g}" for t_snap in snapshot_times]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"snapshot times must have distinct column names, got {labels}")
     if args.xpoints < 2:
         raise ConfigError(f"--xpoints must be at least 2, got {args.xpoints}")
     xmin = args.xmin if args.xmin is not None else -(snapshot_times[-1] + 1.0)
@@ -225,14 +228,12 @@ def run_wavepacket(args) -> int:
     if not xmin < args.xmax:
         raise ConfigError(f"--xmin must be below --xmax, got [{xmin}, {args.xmax}]")
     positions = np.linspace(xmin, args.xmax, args.xpoints)
-    header = ["x"]
     columns = [positions]
     for t_snap in snapshot_times:
         profile = spatial_profile(params, t_snap, positions, Direction.LEFT)
         density = profile.density
         if args.peak_normalize and density.max() > 0:
             density = density / density.max()
-        header.append(f"density_t{t_snap:g}")
         columns.append(density)
     meta = {
         "scenario": "wavepacket",
@@ -243,7 +244,7 @@ def run_wavepacket(args) -> int:
         "direction": "left",
         "peak_normalize": bool(args.peak_normalize),
     }
-    _write_table(args.out, meta, header, columns)
+    _write_table(args.out, meta, ["x", *labels], columns)
     return 0
 
 
@@ -311,6 +312,8 @@ def run_trajectory_scenario(args) -> int:
 
 def run_compare(args) -> int:
     """Exact solution vs trajectory ensemble on the same grid; PASS/FAIL summary."""
+    if not args.tolerance >= 0:
+        raise ConfigError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     params = _params_from_args(args)
     config = _trajectory_config(args, params)
     result = ensemble_average(config)

@@ -1,8 +1,8 @@
 """Physical parameters, mirror scattering, and piecewise-polynomial algebra.
 
-Everything works in normalized units: the free-space decay rate Gamma sets
-the time scale (Gamma = 1 by default) and the speed of light is c = 1, so
-positions are measured in units of c/Gamma and the emitter-mirror round-trip
+Everything works in normalized units: the free-space decay rate Gamma is the
+unit of rate (Gamma = 1) and the speed of light is c = 1, so times are
+measured in 1/Gamma, positions in c/Gamma, and the emitter-mirror round-trip
 time tau carries all the geometry.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -33,48 +33,32 @@ class SystemParams:
         omega_e: Emitter transition frequency (units of Gamma).
         tau: Round-trip time emitter -> mirror -> emitter (units of 1/Gamma).
         r_m: Complex mirror reflection coefficient, |r_m| <= 1.
-        t_m: Real mirror transmission coefficient; derived from unitarity
-            (t_m = sqrt(1 - |r_m|^2)) when not given.
-        gamma: Free-space decay rate Gamma; 1.0 in normalized mode.
+        t_m: Real mirror transmission sqrt(1 - |r_m|^2), derived from r_m.
+        gamma: Free-space decay rate Gamma, the unit of rate: always 1.0.
     """
 
     omega_e: float
     tau: float
     r_m: complex
-    t_m: float | None = None
-    gamma: float = 1.0
+    t_m: float = field(init=False)
+    gamma: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_m", complex(self.r_m))
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.tau >= 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         if not 0 <= self.omega_e < math.inf:
             raise ValueError(f"omega_e must be finite and non-negative, got {self.omega_e}")
         if not abs(self.r_m) <= 1 + UNITARITY_TOL:
             raise ValueError(f"|r_m| must not exceed 1, got {abs(self.r_m)}")
-        if self.t_m is None:
-            object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - abs(self.r_m) ** 2)))
-        if not self.t_m >= 0:
-            raise ValueError(f"t_m must be non-negative, got {self.t_m}")
-        budget = self.t_m**2 + abs(self.r_m) ** 2
-        if not abs(budget - 1.0) <= UNITARITY_TOL:
-            raise ValueError(f"mirror must be unitary: t_m^2 + |r_m|^2 = {budget}, expected 1")
+        object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - abs(self.r_m) ** 2)))
 
     @classmethod
-    def from_round_trip_phase(
-        cls,
-        tau: float,
-        phase: float,
-        r_m: complex,
-        gamma: float = 1.0,
-        t_m: float | None = None,
-    ) -> "SystemParams":
+    def from_round_trip_phase(cls, tau: float, phase: float, r_m: complex) -> "SystemParams":
         """Build params from the round-trip phase omega_e * tau instead of omega_e."""
         if tau <= 0:
             raise ValueError("from_round_trip_phase requires tau > 0; pass omega_e directly")
-        return cls(omega_e=phase / tau, tau=tau, r_m=r_m, t_m=t_m, gamma=gamma)
+        return cls(omega_e=phase / tau, tau=tau, r_m=r_m)
 
     @property
     def round_trip_phase(self) -> float:

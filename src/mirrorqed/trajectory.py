@@ -61,7 +61,7 @@ class TrajectoryConfig:
         v_left: Coupling rate into the left-moving channel;
             v_right + v_left is the total decay rate Gamma.
         r_m: Real mirror reflection coefficient in [-1, 1].
-        t_m: Mirror transmission sqrt(1 - r_m^2).
+        t_m: Mirror transmission sqrt(1 - r_m^2), derived from r_m.
         omega_e: Emitter transition frequency (lab frame; enters as a phase
             on the excited amplitude).
         n_trajectories: Ensemble size.
@@ -79,7 +79,7 @@ class TrajectoryConfig:
     n_trajectories: int
     t_max: float
     master_seed: int
-    t_m: float = field(default=None)  # type: ignore[assignment]
+    t_m: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.boxes < 2:
@@ -96,12 +96,7 @@ class TrajectoryConfig:
             raise ValueError(f"omega_e must be finite, got {self.omega_e}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.t_m is None:
-            object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - self.r_m**2)))
-        elif not abs(self.t_m**2 + self.r_m**2 - 1.0) <= 1e-9:
-            raise ValueError(
-                f"mirror must be unitary: t_m^2 + r_m^2 = {self.t_m**2 + self.r_m**2}"
-            )
+        object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - self.r_m**2)))
 
     @classmethod
     def from_params(
@@ -111,14 +106,12 @@ class TrajectoryConfig:
         n_trajectories: int = 5000,
         t_max: float = 10.0,
         master_seed: int = 0,
-        v_right: float | None = None,
-        v_left: float | None = None,
     ) -> "TrajectoryConfig":
         """Derive a trajectory configuration from the analytic system parameters.
 
         dt = tau / (2 (N-1)) reproduces the emitter-mirror distance exactly;
-        the couplings default to the symmetric split v_right = v_left =
-        Gamma/2.  Requires tau > 0 and an (effectively) real r_m.
+        the couplings are the symmetric split v_right = v_left = Gamma/2.
+        Requires tau > 0 and an (effectively) real r_m.
         """
         if params.tau <= 0:
             raise ValueError("trajectory discretization requires tau > 0")
@@ -126,15 +119,11 @@ class TrajectoryConfig:
             raise ValueError(f"boxes must be >= 2, got {boxes}")
         if abs(complex(params.r_m).imag) > 1e-12:
             raise ValueError("trajectory mirror rule requires real r_m")
-        if v_right is None and v_left is None:
-            v_right = v_left = params.gamma / 2.0
-        elif v_right is None or v_left is None:
-            raise ValueError("give both v_right and v_left or neither")
         return cls(
             boxes=boxes,
             dt=params.tau / (2.0 * (boxes - 1)),
-            v_right=v_right,
-            v_left=v_left,
+            v_right=params.gamma / 2.0,
+            v_left=params.gamma / 2.0,
             r_m=float(complex(params.r_m).real),
             omega_e=params.omega_e,
             n_trajectories=n_trajectories,

@@ -128,14 +128,9 @@ def photon_density(params: SystemParams, x, direction: Direction, t: float):
 
 
 def spatial_profile(
-    params: SystemParams,
-    t: float,
-    positions=None,
-    direction: Direction = Direction.LEFT,
+    params: SystemParams, t: float, positions, direction: Direction
 ) -> SpatialProfile:
-    """Sample the wave packet on a position grid (default: left of the emitter)."""
-    if positions is None:
-        positions = np.linspace(-t, 0.0, 4001, endpoint=False)
+    """Sample the wave packet of one direction on a position grid."""
     positions = np.asarray(positions, dtype=float)
     amplitudes = field_amplitude(params, positions, direction, t)
     emitted = positions + t if direction is Direction.LEFT else t - positions
@@ -216,6 +211,11 @@ def spectrum(
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Legendre order and longest panel of the photon-norm quadrature
+_GAUSS_ORDER = 32
+_PANEL_LEN = 0.5
+
+
 @lru_cache(maxsize=8)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
@@ -256,20 +256,16 @@ def _gauss_panels(breaks: np.ndarray, order: int, max_len: float):
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
-def _integrate_density(
-    params: SystemParams, t: float, direction: Direction, order: int, max_len: float
-) -> float:
+def _integrate_density(params: SystemParams, t: float, direction: Direction) -> float:
     breaks = _smooth_breaks(params, t, direction)
     if len(breaks) < 2:
         return 0.0
-    xs, ws = _gauss_panels(breaks, order, max_len)
+    xs, ws = _gauss_panels(breaks, _GAUSS_ORDER, _PANEL_LEN)
     dens = photon_density(params, xs, direction, t)
     return float(np.dot(ws, dens))
 
 
-def total_photon_norm(
-    params: SystemParams, t: float, order: int = 32, max_len: float = 0.5
-) -> float:
+def total_photon_norm(params: SystemParams, t: float) -> float:
     """P_e(t) plus the photon probability integrated over both directions.
 
     Unitarity demands this equals 1 at every time.  The integrals use
@@ -282,5 +278,5 @@ def total_photon_norm(
         raise ValueError(f"t must be positive and finite, got {t}")
     total = excitation_probability_exact(params, t)
     for direction in (Direction.LEFT, Direction.RIGHT):
-        total += _integrate_density(params, t, direction, order, max_len)
+        total += _integrate_density(params, t, direction)
     return total

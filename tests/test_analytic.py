@@ -13,7 +13,6 @@ from mirrorqed import (
     NoLongtimeSolution,
     SystemParams,
     Xi0Diverges,
-    delay_series_full,
     derived_constants,
     dressed_params,
     dyson_coefficient_closed,
@@ -28,16 +27,27 @@ from mirrorqed import (
     solve_longtime,
     solve_xi,
 )
-from mirrorqed.analytic import _feedback_log, _round_trip_sum
+from mirrorqed.analytic import _feedback_log, _principal_w, _round_trip_sum
 
 
 def params_for(tau, phase, r_m):
     return SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
 
 
+def params_with_feedback(a, tau):
+    """Params at omega_e = 0 whose feedback constant is a, up to rounding."""
+    return SystemParams(omega_e=0.0, tau=tau, r_m=-2.0 * a * math.exp(-tau / 2.0))
+
+
 def series_at(u, a, tau):
     """The round-trip series at a bare feedback constant a != 0 and delay tau > 0."""
     return _round_trip_sum(u, cmath.log(a), tau)
+
+
+def residue_at(u, a, tau):
+    """The all-orders series exp(W_0 u / tau) / (1 + W_0), W_0 = W_0(a tau)."""
+    w0 = _principal_w(a, tau)
+    return cmath.exp(w0 * u / tau) / (1.0 + w0)
 
 
 def brute_force_series(u, a, tau):
@@ -104,27 +114,31 @@ def test_series_continuous_at_lattice_points():
 
 
 def test_series_full_matches_truncated_before_first_round_trip():
-    # below u = tau the truncation is inactive aside from the analytic tail
-    val = delay_series_full(0.0, -0.1, 1.0)
-    explicit = sum((-k) ** k * (-0.1) ** k / math.factorial(k) for k in range(40))
-    assert abs(val - explicit) < 1e-14
+    # the all-orders sum at u = 0 is the prefactor xi0 = sum_k (-k)^k (a tau)^k / k!
+    params = params_with_feedback(-0.1, 1.0)
+    a = derived_constants(params).a
+    explicit = sum((-k) ** k * a**k / math.factorial(k) for k in range(40))
+    assert abs(solve_longtime(params).xi0 - explicit) < 1e-14
 
 
 def test_series_full_divergence_detected():
     with pytest.raises(Xi0Diverges):
-        delay_series_full(0.0, 0.5 * math.exp(0.5), 1.0)
+        solve_longtime(params_with_feedback(0.5 * math.exp(0.5), 1.0))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_series_full_at_the_convergence_boundary(sign):
     # e |a| tau = 0.9999 converges (the sum is 1 / (1 + W_0)), 1.0001 does not
-    a = sign * 0.9999 / math.e
-    expected = complex(1 / (1 + mp.lambertw(mp.mpf(a))))
+    params = params_with_feedback(sign * 0.9999 / math.e, 1.0)
+    a = derived_constants(params).a
+    assert a.imag == 0
+    expected = complex(1 / (1 + mp.lambertw(mp.mpf(a.real))))
     # near a tau = -1/e, 1 + W_0 ~ sqrt(2 (1 + e a)) amplifies the rounding of
     # 1 + e a about 1e4 times
-    assert abs(delay_series_full(0.0, a, 1.0) - expected) <= 1e-12 * abs(expected)
+    assert abs(solve_longtime(params).xi0 - expected) <= 1e-12 * abs(expected)
+    # off the real axis, so that W_0 dominates also for a < -1/e
     with pytest.raises(Xi0Diverges):
-        delay_series_full(0.0, sign * 1.0001 / math.e, 1.0)
+        solve_longtime(params_with_feedback(sign * 1.0001 / math.e * cmath.exp(1e-3j), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +429,8 @@ def test_solve_xi_matches_lambertw_branch():
         if math.e * abs(z) < 1:
             assert solve_longtime(params).xi == xi
         else:
-            with pytest.raises(Xi0Diverges) as excinfo:
+            with pytest.raises(Xi0Diverges):
                 solve_longtime(params)
-            assert excinfo.value.xi == xi
 
 
 @pytest.mark.parametrize(
@@ -437,9 +450,8 @@ def test_solve_xi_takes_the_dominant_pole_past_the_series_radius(tau, phase, r_m
     xi = solve_xi(params)
     assert abs(xi - w0 / tau) <= 1e-12 * abs(xi)
     assert abs(xi - expected) < 1e-3
-    with pytest.raises(Xi0Diverges) as excinfo:
+    with pytest.raises(Xi0Diverges):
         solve_longtime(params)
-    assert abs(excinfo.value.xi - w0 / tau) <= 1e-12 * abs(xi)
 
 
 def test_solve_xi_residual():
@@ -467,9 +479,8 @@ def test_solve_xi_just_off_the_real_axis(offset):
     xi = solve_xi(params)
     assert abs(xi - complex(lambertw(a * 4.0, 0)) / 4.0) <= 1e-12 * abs(xi)
     assert math.copysign(1.0, xi.imag) == math.copysign(1.0, -offset)
-    with pytest.raises(Xi0Diverges) as excinfo:
+    with pytest.raises(Xi0Diverges):
         solve_longtime(params)
-    assert excinfo.value.xi == xi
 
 
 @pytest.mark.parametrize("tau", [1416.0, math.inf])
@@ -478,8 +489,8 @@ def test_longtime_beyond_the_double_range(tau):
     params = SystemParams(omega_e=1.0, tau=tau, r_m=-1)
     with pytest.raises(NoLongtimeSolution):
         solve_longtime(params)
-    with pytest.raises(Xi0Diverges):
-        delay_series_full(0.0, derived_constants(params).a, tau)
+    with pytest.raises(NoLongtimeSolution):
+        solve_xi(params)
 
 
 def test_longtime_without_feedback_at_infinite_delay():
@@ -502,9 +513,8 @@ def test_solve_longtime_trapping_point():
     # a = (1/2) e^{1/2} makes xi = 1/2 exact; the prefactor series diverges
     params = params_for(1.0, 2 * math.pi, -1)
     assert solve_xi(params) == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(Xi0Diverges) as excinfo:
+    with pytest.raises(Xi0Diverges):
         solve_longtime(params)
-    assert excinfo.value.xi == pytest.approx(0.5, abs=1e-9)
 
 
 def test_solve_longtime_collapsed_lattice():
@@ -570,10 +580,8 @@ def test_untruncated_series_solves_delay_equation(a):
     tau = 1.0
     h = 1e-5
     for t in np.linspace(2 * tau, 10 * tau, 17):
-        deriv = (
-            delay_series_full(t + h, a, tau) - delay_series_full(t - h, a, tau)
-        ) / (2 * h)
-        rhs = a * delay_series_full(t - tau, a, tau)
+        deriv = (residue_at(t + h, a, tau) - residue_at(t - h, a, tau)) / (2 * h)
+        rhs = a * residue_at(t - tau, a, tau)
         assert abs(deriv - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +162,21 @@ def test_wavepacket_snapshots(tmp_path):
     assert np.all(data[outside, 1] == 0.0)
 
 
+@pytest.mark.parametrize("times", ["2,2", "2,2.0000001", "1e-7,1.00000001e-7"])
+def test_wavepacket_column_names_are_distinct(times, tmp_path, capsys):
+    # both times used to be written as one header name, density_t2, twice
+    out = tmp_path / "wp.csv"
+    code = run([
+        "wavepacket", "--tau", "1.0", "--phase", str(math.pi), "--rm", "-1",
+        "--times", times, "--xpoints", "11", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: snapshot times must have distinct column names"
+    )
+    assert not out.exists()
+
+
 def test_wavepacket_peak_normalization(tmp_path):
     out = tmp_path / "wp.csv"
     run([
@@ -248,6 +266,22 @@ def test_compare_fail_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf"])
+def test_compare_tolerance_must_be_non_negative(tolerance, tmp_path, capsys):
+    # these used to report a validation FAIL with exit code 2
+    out = tmp_path / "c.csv"
+    code = run([
+        "compare", "--tau", "1.0", "--phase", str(math.pi), "--rm", "-0.5",
+        "--tmax", "3", "--boxes", "9", "--trajectories", "50", "--seed", "3",
+        "--tolerance", tolerance, "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: --tolerance must be a non-negative")
+    assert "FAIL" not in captured.out
+    assert not out.exists()
 
 
 def test_invalid_reflection_is_config_error(tmp_path, capsys):
@@ -537,3 +571,42 @@ def test_nonfinite_grid_bounds_are_config_errors(argv, tmp_path, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "finite" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(language):
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return [body for lang, body in blocks if lang == language]
+
+
+def readme_commands():
+    block = next(b for b in readme_blocks("") if b.startswith("mirrorqed "))
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted(argv[0] for argv in readme_commands()) == sorted(
+        ["excitation", "markovian", "dressed", "wavepacket", "spectrum", "trajectory",
+         "compare"]
+    )
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path, capsys):
+    # each README line writes its table into tmp_path instead of the working directory
+    out = argv.index("--out") + 1
+    argv = [*argv[:out], str(tmp_path / argv[out]), *argv[out + 1:]]
+    assert run(argv) == 0, capsys.readouterr().err
+    assert (tmp_path / Path(argv[out]).name).stat().st_size > 0
+
+
+def test_readme_python_example_runs(capsys):
+    (snippet,) = readme_blocks("python")
+    exec(compile(snippet, str(README), "exec"), {})
+    assert capsys.readouterr().out

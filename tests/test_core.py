@@ -1,6 +1,7 @@
 """Tests for parameters, mirror scattering, piecewise-polynomial algebra and
 the public surface."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,27 +77,23 @@ def test_mirror_unitarity_bulk():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        SystemParams(omega_e=1.0, tau=1.0, r_m=0, gamma=0.0)
     with pytest.raises(ValueError, match="tau"):
         SystemParams(omega_e=1.0, tau=-1.0, r_m=0)
     with pytest.raises(ValueError, match="omega_e"):
         SystemParams(omega_e=-1.0, tau=1.0, r_m=0)
     with pytest.raises(ValueError, match="r_m"):
         SystemParams(omega_e=1.0, tau=1.0, r_m=1.5)
-    with pytest.raises(ValueError, match="unitary"):
-        SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5, t_m=0.5)
 
 
 @pytest.mark.parametrize(
     "field, overrides",
     [
-        ("gamma", {"gamma": math.nan}),
+        # abs() of a NaN-and-infinity complex is inf, not NaN
+        ("r_m", {"r_m": complex(math.nan, math.inf)}),
         ("tau", {"tau": math.nan}),
         ("omega_e", {"omega_e": math.nan}),
         ("r_m", {"r_m": math.nan}),
         ("r_m", {"r_m": complex(-0.5, math.nan)}),
-        ("t_m", {"r_m": 0.0, "t_m": math.nan}),
     ],
 )
 def test_params_reject_nan(field, overrides):
@@ -123,6 +120,26 @@ def test_params_accept_infinite_delay():
 def test_params_derives_transmission():
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5)
     assert params.t_m == pytest.approx(math.sqrt(0.75), abs=1e-15)
+
+
+def test_transmission_and_rate_are_not_settable():
+    # unitarity fixes t_m, and Gamma is the unit: neither is an input, but
+    # both stay fields, so the CLI headers still list them
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.6)
+    assert (params.t_m, params.gamma) == (0.8, 1.0)
+    assert list(dataclasses.asdict(params)) == ["omega_e", "tau", "r_m", "t_m", "gamma"]
+    with pytest.raises(TypeError, match="t_m"):
+        SystemParams(omega_e=1.0, tau=1.0, r_m=-0.6, t_m=0.8)
+    with pytest.raises(TypeError, match="gamma"):
+        SystemParams(omega_e=1.0, tau=1.0, r_m=-0.6, gamma=1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        dataclasses.replace(params, gamma=2)
+    with pytest.raises(TypeError, match="gamma"):
+        SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-0.6, gamma=1.0)
+    with pytest.raises(TypeError, match="t_m"):
+        SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-0.6, t_m=0.8)
+    # replace derives t_m afresh from the new r_m
+    assert dataclasses.replace(params, r_m=0).t_m == 1.0
 
 
 def test_params_from_phase():
@@ -313,9 +330,9 @@ PUBLIC_NAMES = [
     "DerivedConstants", "Direction", "DressedParams", "EmitterNotDecayed",
     "EnsembleResult", "ExcitationCurve", "NoLongtimeSolution", "NormUnderflow",
     "PiecewisePolynomial", "SpatialProfile", "Spectrum", "SystemParams",
-    "TrajectoryConfig", "Xi0Diverges", "build_propagator", "delay_series_full",
-    "derived_constants", "dressed_params", "dyson_coefficient_closed",
-    "dyson_coefficient_iterative", "ensemble_average", "excitation_amplitude_exact",
+    "TrajectoryConfig", "Xi0Diverges", "build_propagator", "derived_constants",
+    "dressed_params", "dyson_coefficient_closed", "dyson_coefficient_iterative",
+    "ensemble_average", "excitation_amplitude_exact",
     "excitation_curve", "excitation_probability_exact", "excitation_probability_longtime",
     "excitation_probability_markovian", "field_amplitude", "mirror_coefficients",
     "photon_density", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",

@@ -26,6 +26,7 @@ from mirrorqed import (
     excitation_probability_exact,
     excitation_probability_markovian,
     field_amplitude,
+    round_trip_series,
     solve_longtime,
     solve_xi,
     spectrum,
@@ -195,6 +196,30 @@ def test_series_continuous_where_the_sums_switch():
     for u in np.arange(7.0, 17.0):
         below, above = series_at(np.array([u - 1e-9, u + 1e-9]), a, tau)
         assert abs(above - below) <= 1e-7 * abs(below)
+
+
+def test_each_point_of_a_batch_equals_its_own_scalar_call():
+    # a point's value must not depend on the other points in its call; an
+    # in-place envelope multiply rounded one-element arrays differently
+    def check(params, u, stride=1):
+        batch = round_trip_series(params, u)
+        for point, value in zip(u[::stride], batch[::stride]):
+            assert round_trip_series(params, point) == value, (params, point)
+
+    # the case that showed it: the last of four causal points, 1.1e-16 apart
+    check(SystemParams(omega_e=764.99, tau=0.0017146513530075325, r_m=-0.5),
+          np.array([0.002, 0.005, 0.009, 0.01422229]))
+    rng = np.random.default_rng(11)
+    sides = set()
+    for _ in range(200):
+        tau = 10 ** rng.uniform(-3, math.log10(3))
+        params = SystemParams(omega_e=rng.uniform(0, 1000), tau=tau, r_m=rng.uniform(-1, 1))
+        u = rng.uniform(0, 60 * tau, int(rng.integers(2, 9)))
+        check(params, u)
+        sides.update(np.floor(u / tau) >= 16)  # at 16 terms every point is on the residue side
+    assert sides == {False, True}
+    params = SystemParams(omega_e=321.5, tau=0.037, r_m=0.83)
+    check(params, np.linspace(0.0, 60 * params.tau, 2001), stride=37)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,6 @@ def test_config_validation():
         ("r_m", {"r_m": math.nan}),
         ("omega_e", {"omega_e": math.nan}),
         ("t_max", {"t_max": math.nan}),
-        ("unitary", {"t_m": math.nan}),
     ],
 )
 def test_config_rejects_nan(field, overrides):
@@ -224,6 +223,23 @@ def test_config_from_params_geometry():
     assert config.v_right == config.v_left == 0.5
     assert config.gamma == 1.0
     assert config.t_m == pytest.approx(0.0)
+
+
+def test_config_transmission_and_couplings_are_not_settable():
+    # t_m follows from r_m; from_params always splits Gamma evenly
+    config = config_for(r_m=-0.6)
+    assert config.t_m == 0.8
+    assert list(dataclasses.asdict(config))[-1] == "t_m"
+    assert dataclasses.replace(config, r_m=0.0).t_m == 1.0
+    with pytest.raises(TypeError, match="t_m"):
+        TrajectoryConfig(
+            boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=-0.6, omega_e=1.0,
+            n_trajectories=1, t_max=1.0, master_seed=0, t_m=0.8,
+        )
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.6)
+    for coupling in ("v_right", "v_left"):
+        with pytest.raises(TypeError, match=coupling):
+            TrajectoryConfig.from_params(params, **{coupling: 0.5})
 
 
 def test_config_grid():
@@ -657,8 +673,10 @@ def test_ensemble_is_exact_where_no_trajectory_is_detected():
     # left-moving coupling nothing reaches an output before step N - 1, so
     # every seed leaves the first steps undetected.
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-0.5)
-    config = TrajectoryConfig.from_params(
-        params, boxes=100, n_trajectories=300, t_max=1.25, master_seed=1,
+    config = dataclasses.replace(
+        TrajectoryConfig.from_params(
+            params, boxes=100, n_trajectories=300, t_max=1.25, master_seed=1
+        ),
         v_right=1.0, v_left=0.0,
     )
     result = ensemble_average(config)
