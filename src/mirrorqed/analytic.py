@@ -385,25 +385,30 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
 
     counting the C(n/2, k) orderings of k delayed among n/2 total
     reabsorption loops.  At tau = inf no loop returns and only k = 0 is left.
+    With (Gamma/2)(t - k tau) = f_k 2^{e_k}, the terms are summed in units of
+    2^{m e_0} and m! is divided out as a mantissa and a power of two, so
+    neither m! nor (t - k tau)^m has to fit a double: only c_n(t) itself.
     """
     m = _loop_count(n)
     rho = _returning_loop_weight(params)
+    top = math.frexp(params.gamma / 2.0 * t)[1]
+    factorial = math.factorial(m)
+    bits = factorial.bit_length()  # m! = (factorial / 2^bits) 2^bits
     try:
-        prefactor = (-1) ** m * (params.gamma / 2.0) ** m / math.factorial(m)
         acc = 0j
         for k in range(m + 1):
             dt = t - k * params.tau if k else t  # 0 * inf is nan
             if dt < 0:
                 break
-            acc += math.comb(m, k) * rho**k * dt**m
-        value = prefactor * acc
+            f, e = math.frexp(params.gamma / 2.0 * dt)
+            acc += math.comb(m, k) * rho**k * math.ldexp(f**m, m * (e - top))
+        acc *= (-1) ** m / (factorial / (1 << bits))
+        exponent = m * top - bits
+        value = complex(math.ldexp(acc.real, exponent), math.ldexp(acc.imag, exponent))
     except OverflowError:
         value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise OverflowError(
-            f"c_{n}({t}) at tau = {params.tau}: {m}! or (t - k tau)^{m} is beyond "
-            "the double range"
-        )
+    if not cmath.isfinite(value) or (acc and not value):
+        raise OverflowError(f"c_{n}({t}) at tau = {params.tau} is beyond the double range")
     return value
 
 

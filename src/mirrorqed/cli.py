@@ -279,15 +279,19 @@ def run_spectrum(args) -> int:
 
 def _trajectory_config(args, params: SystemParams) -> TrajectoryConfig:
     try:
-        return TrajectoryConfig.from_params(
-            params,
-            boxes=args.boxes,
-            n_trajectories=args.trajectories,
-            t_max=args.tmax,
-            master_seed=args.seed,
-        )
+        return TrajectoryConfig(params, boxes=args.boxes, n_trajectories=args.trajectories,
+                                t_max=args.tmax, master_seed=args.seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+
+
+def _trajectory_meta(config: TrajectoryConfig) -> dict:
+    # the system is written under "params"; a real r_m keeps its float form
+    meta = asdict(config)
+    del meta["params"]
+    if config.r_m.imag == 0:
+        meta["r_m"] = config.r_m.real
+    return meta
 
 
 def run_trajectory_scenario(args) -> int:
@@ -299,7 +303,7 @@ def run_trajectory_scenario(args) -> int:
         "scenario": "trajectory",
         "version": __version__,
         "params": _params_meta(params),
-        "trajectory": asdict(config),
+        "trajectory": _trajectory_meta(config),
     }
     _write_table(
         args.out,
@@ -324,7 +328,7 @@ def run_compare(args) -> int:
         "scenario": "compare",
         "version": __version__,
         "params": _params_meta(params),
-        "trajectory": asdict(config),
+        "trajectory": _trajectory_meta(config),
         "summary": {
             "max_abs_deviation": deviation,
             # the box model's own error against the exact curve, and the

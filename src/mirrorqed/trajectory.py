@@ -10,7 +10,11 @@ amplitude e, right box 0 and left box 0 under the emitter + local-coupling
 Hamiltonian, (3) no-jump projection: the weight in the output boxes (right
 box N-1 behind the mirror, left box 0 past the emitter) is the step's
 detection probability p, and the projection drops it, (4) box shift with
-mirror transmission/reflection.
+mirror transmission/reflection.  The system comes from a SystemParams:
+dt = tau / (2 (N-1)), the emitter couples to each direction at rate
+Gamma/2, and the mirror passes right box N-2 on with t_m and reflects it
+with any complex r_m, |r_m|^2 + t_m^2 = 1, such as the mirror of coupling J
+from `mirror_coefficients`.
 
 Right box 0 is empty at every coherent step, and the boxes only carry each
 emission to the mirror and back, so the unnormalized no-jump state is e plus
@@ -51,89 +55,55 @@ class NormUnderflow(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Discretization, coupling, and ensemble settings for trajectory runs.
+    """A system, its box discretization and the ensemble of a trajectory run.
+
+    Only `params` and the four ensemble settings are constructor arguments;
+    the rest is derived from them, as SystemParams derives t_m and gamma.
 
     Attributes:
-        boxes: Number N of boxes per direction (>= 2); fixes dt through the
-            emitter-mirror distance dt (N-1) = tau/2.
-        dt: Time step (units of 1/Gamma).
-        v_right: Coupling rate into the right-moving channel.
-        v_left: Coupling rate into the left-moving channel;
-            v_right + v_left is the total decay rate Gamma.
-        r_m: Real mirror reflection coefficient in [-1, 1].
-        t_m: Mirror transmission sqrt(1 - r_m^2), derived from r_m.
-        omega_e: Emitter transition frequency (lab frame; enters as a phase
-            on the excited amplitude).
+        params: The emitter-mirror system; any r_m with |r_m| <= 1 and tau > 0.
+        boxes: Number N of boxes per direction (>= 2).
         n_trajectories: Ensemble size.
         t_max: End time of each trajectory.
         master_seed: 64-bit seed; trajectory i reads uniform i of the Philox
             stream keyed by master_seed.
+        dt: Time step tau / (2 (N-1)), so dt (N-1) is the emitter-mirror
+            distance tau/2.
+        v_right: Coupling rate into the right-moving channel, Gamma/2.
+        v_left: Coupling rate into the left-moving channel, Gamma/2.
+        r_m: Mirror reflection coefficient of `params`.
+        t_m: Mirror transmission of `params`.
+        omega_e: Emitter transition frequency of `params` (lab frame; enters
+            as a phase on the excited amplitude).
     """
 
-    boxes: int
-    dt: float
-    v_right: float
-    v_left: float
-    r_m: float
-    omega_e: float
-    n_trajectories: int
-    t_max: float
-    master_seed: int
+    params: SystemParams
+    boxes: int = 25
+    n_trajectories: int = 5000
+    t_max: float = 10.0
+    master_seed: int = 0
+    dt: float = field(init=False)
+    v_right: float = field(init=False)
+    v_left: float = field(init=False)
+    r_m: complex = field(init=False)
     t_m: float = field(init=False)
+    omega_e: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.boxes < 2:
+        if self.boxes < 2:  # checked before dt divides by boxes - 1
             raise ValueError(f"boxes must be >= 2, got {self.boxes}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0 <= self.v_right < math.inf and 0 <= self.v_left < math.inf):
-            raise ValueError("coupling rates v_right/v_left must be non-negative and finite")
-        if not -1.0 <= self.r_m <= 1.0:
-            raise ValueError(f"r_m must be real in [-1, 1], got {self.r_m}")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not math.isfinite(self.omega_e):
-            raise ValueError(f"omega_e must be finite, got {self.omega_e}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - self.r_m**2)))
-
-    @classmethod
-    def from_params(
-        cls,
-        params: SystemParams,
-        boxes: int = 25,
-        n_trajectories: int = 5000,
-        t_max: float = 10.0,
-        master_seed: int = 0,
-    ) -> "TrajectoryConfig":
-        """Derive a trajectory configuration from the analytic system parameters.
-
-        dt = tau / (2 (N-1)) reproduces the emitter-mirror distance exactly;
-        the couplings are the symmetric split v_right = v_left = Gamma/2.
-        Requires tau > 0 and an (effectively) real r_m.
-        """
-        if params.tau <= 0:
-            raise ValueError("trajectory discretization requires tau > 0")
-        if boxes < 2:  # checked before dt divides by boxes - 1
-            raise ValueError(f"boxes must be >= 2, got {boxes}")
-        if abs(complex(params.r_m).imag) > 1e-12:
-            raise ValueError("trajectory mirror rule requires real r_m")
-        return cls(
-            boxes=boxes,
-            dt=params.tau / (2.0 * (boxes - 1)),
-            v_right=params.gamma / 2.0,
-            v_left=params.gamma / 2.0,
-            r_m=float(complex(params.r_m).real),
-            omega_e=params.omega_e,
-            n_trajectories=n_trajectories,
-            t_max=t_max,
-            master_seed=master_seed,
-        )
-
-    @property
-    def gamma(self) -> float:
-        return self.v_right + self.v_left
+        params = self.params
+        dt = params.tau / (2.0 * (self.boxes - 1))
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt} from tau = {params.tau}")
+        derived = {"dt": dt, "v_right": params.gamma / 2.0, "v_left": params.gamma / 2.0,
+                   "r_m": params.r_m, "t_m": params.t_m, "omega_e": params.omega_e}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_steps(self) -> int:
@@ -218,7 +188,7 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, floa
     (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).tolist()
     n_steps = config.n_steps
     r_m, t_m = config.r_m, config.t_m
-    reflected, transmitted = r_m * r_m, t_m * t_m
+    reflected, transmitted = (r_m * r_m.conjugate()).real, t_m * t_m
     delay = 2 * config.boxes - 3  # M: steps from an emission to its return at left box 0
     lag = config.boxes - 1  # steps from an emission to the right output
     # emissions and their |.|^2, oldest first, behind the empty boxes of t = 0

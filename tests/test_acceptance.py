@@ -204,7 +204,7 @@ def test_criterion_08_trajectory_oracle_agreement():
     first_mean = None
     for tau, phase, r_m in benchmark_cases:
         params = params_for(tau, phase, r_m)
-        config = TrajectoryConfig.from_params(
+        config = TrajectoryConfig(
             params, boxes=25, n_trajectories=5000, t_max=10.0, master_seed=seed
         )
         result = ensemble_average(config)

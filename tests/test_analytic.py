@@ -272,7 +272,7 @@ def test_dyson_at_delays_near_the_double_range_is_right_or_loud(tau):
     for t in (1.0, 1.5):
         ref, scale = mp_dyson(params, 40, t)
         assert abs(dyson_coefficient_closed(params, 40, t) - complex(ref)) <= 1e-14 * scale
-    # m! leaves the double range from n = 342 on
+    # c_400(1) = 2^-200 / 200! ~ 8e-436 lies below the double range
     with pytest.raises(OverflowError, match="beyond the double range"):
         dyson_coefficient_closed(params, 400, 1.0)
     # one loop stays in range on both sides of the first return
@@ -281,6 +281,17 @@ def test_dyson_at_delays_near_the_double_range_is_right_or_loud(tau):
         ref, scale = mp_dyson(params, 2, t)
         assert abs(pp(t) - complex(ref)) <= 1e-14 * scale
         assert abs(dyson_coefficient_closed(params, 2, t) - complex(ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [340, 400])
+def test_dyson_closed_form_where_its_factors_leave_the_double_range(n):
+    # 100^170 and 200! are beyond the double range, c_340(100) ~ 9.2e-19 and
+    # c_400(100) ~ 7.9e-36 are not; each term is a mantissa and a power of two
+    params = SystemParams(omega_e=1.0, tau=1000.0, r_m=-0.7)
+    ref, scale = mp_dyson(params, n, 100.0)
+    value = dyson_coefficient_closed(params, n, 100.0)
+    assert abs(value - complex(ref)) <= 1e-13 * scale
+    assert float(abs(ref)) == pytest.approx({340: 9.207012702e-19, 400: 7.890639953e-36}[n])
 
 
 # ---------------------------------------------------------------------------

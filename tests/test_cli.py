@@ -1,5 +1,6 @@
 """Tests for the command-line scenario runner and its CSV output contract."""
 
+import hashlib
 import json
 import math
 import os
@@ -256,6 +257,23 @@ def test_compare_splits_discretization_and_sampling_error(tmp_path, capsys):
     assert summary["max_abs_deviation"] <= (
         summary["discretization_error"] + summary["sampling_error"]
     )
+
+
+def test_trajectory_and_compare_take_a_complex_mirror(tmp_path, capsys):
+    # the paper's mirror of coupling J = c, r_m = -0.8i (mirror_coefficients(1))
+    system = ["--tau", "1", "--phase", "0.3", "--rm", "0.8", "--rm-phase", str(-math.pi / 2),
+              "--boxes", "49", "--trajectories", "5000", "--seed", "42"]
+    assert run(["compare", *system, "--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    meta = read_table(tmp_path / "c.csv")[0]
+    assert meta["summary"]["max_abs_deviation"] == pytest.approx(0.0045, abs=1e-4)
+    assert meta["trajectory"]["r_m"] == meta["params"]["r_m"] == {
+        "re": pytest.approx(0.0, abs=1e-16), "im": -0.8
+    }
+    assert run(["trajectory", *system, "--out", str(tmp_path / "t.csv")]) == 0
+    _, header, data = read_table(tmp_path / "t.csv")
+    assert header == ["t", "P_trajectory_mean", "stderr"]
+    assert data[0, 1] == 1.0
 
 
 def test_compare_fail_exits_two(tmp_path, capsys):
@@ -610,3 +628,20 @@ def test_readme_python_example_runs(capsys):
     (snippet,) = readme_blocks("python")
     exec(compile(snippet, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+# sha256 of the whole output file, header line included; the box model and the
+# Philox draws fix every byte for a fixed seed
+README_DIGESTS = {
+    "trajectory": "ccc9ce3137066477e86d29c01f723c235b8af50f1164feceb8de0fe5e41ce5c8",
+    "compare": "3632d35e5b95d9c3046ba37d5a6d4f25590705be2955020633b765da3f99a898",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_trajectory_output_bytes_are_pinned(command, tmp_path, capsys):
+    (argv,) = [argv for argv in readme_commands() if argv[0] == command]
+    out = argv.index("--out") + 1
+    argv[out] = str(tmp_path / argv[out])
+    assert run(argv) == 0
+    assert hashlib.sha256(Path(argv[out]).read_bytes()).hexdigest() == README_DIGESTS[command]

@@ -15,6 +15,7 @@ from mirrorqed import (
     build_propagator,
     ensemble_average,
     excitation_probability_exact,
+    mirror_coefficients,
     run_trajectory,
     trajectory,
     trajectory_rng,
@@ -24,7 +25,7 @@ from mirrorqed.trajectory import NormUnderflow, _evolve
 
 def config_for(tau=1.0, phase=math.pi, r_m=-1.0, boxes=9, n_traj=10, t_max=2.0, seed=7):
     params = SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
-    return TrajectoryConfig.from_params(
+    return TrajectoryConfig(
         params, boxes=boxes, n_trajectories=n_traj, t_max=t_max, master_seed=seed
     )
 
@@ -136,83 +137,53 @@ def ulp_gap(a, b):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="boxes"):
-        TrajectoryConfig(
-            boxes=1, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
-            n_trajectories=1, t_max=1.0, master_seed=0,
-        )
-    with pytest.raises(ValueError, match="r_m"):
-        TrajectoryConfig(
-            boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=-1.5, omega_e=1.0,
-            n_trajectories=1, t_max=1.0, master_seed=0,
-        )
-    with pytest.raises(ValueError, match="tau"):
-        TrajectoryConfig.from_params(
-            SystemParams(omega_e=1.0, tau=0.0, r_m=0), boxes=4
-        )
-    with pytest.raises(ValueError, match="real"):
-        TrajectoryConfig.from_params(
-            SystemParams(omega_e=1.0, tau=1.0, r_m=0.5j), boxes=4
-        )
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0)
     # rejected before dt = tau / (2 (boxes - 1)) divides by zero
     with pytest.raises(ValueError, match="boxes must be >= 2"):
-        TrajectoryConfig.from_params(
-            SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0), boxes=1
-        )
+        TrajectoryConfig(params, boxes=1)
+    with pytest.raises(ValueError, match="n_trajectories"):
+        TrajectoryConfig(params, n_trajectories=0)
+    with pytest.raises(ValueError, match="tau"):
+        TrajectoryConfig(SystemParams(omega_e=1.0, tau=0.0, r_m=0), boxes=4)
+
+
+def config_with(tau=1.0, omega_e=1.0, r_m=0.0, t_max=1.0):
+    return TrajectoryConfig(
+        SystemParams(omega_e=omega_e, tau=tau, r_m=r_m), boxes=4, n_trajectories=1, t_max=t_max
+    )
 
 
 @pytest.mark.parametrize(
     "field, overrides",
     [
-        ("dt", {"dt": math.nan}),
-        ("v_right", {"v_right": math.nan}),
-        ("v_right", {"v_left": math.nan}),
+        ("tau", {"tau": math.nan}),
+        ("r_m", {"r_m": complex(-0.5, math.nan)}),
+        ("r_m", {"r_m": complex(math.nan, -0.5)}),
         ("r_m", {"r_m": math.nan}),
         ("omega_e", {"omega_e": math.nan}),
         ("t_max", {"t_max": math.nan}),
     ],
 )
 def test_config_rejects_nan(field, overrides):
-    kwargs = dict(
-        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
-        n_trajectories=1, t_max=1.0, master_seed=0,
-    )
     with pytest.raises(ValueError, match=field):
-        TrajectoryConfig(**{**kwargs, **overrides})
+        config_with(**overrides)
 
 
 @pytest.mark.parametrize(
     "field, overrides",
     [
-        ("dt", {"dt": math.inf}),
+        ("dt", {"tau": math.inf}),
         ("t_max", {"t_max": math.inf}),
         ("omega_e", {"omega_e": math.inf}),
         ("omega_e", {"omega_e": -math.inf}),
     ],
 )
 def test_config_rejects_infinity(field, overrides):
-    # an infinite time step or end time leaves no step grid, and an infinite
-    # frequency turns every amplitude into NaN after the first step
-    kwargs = dict(
-        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
-        n_trajectories=1, t_max=1.0, master_seed=0,
-    )
+    # an infinite delay gives an infinite time step, and an infinite step or
+    # end time leaves no step grid; an infinite frequency turns every
+    # amplitude into NaN after the first step
     with pytest.raises(ValueError, match=f"{field} must be"):
-        TrajectoryConfig(**{**kwargs, **overrides})
-    # an infinite delay gives an infinite time step
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        TrajectoryConfig.from_params(SystemParams(omega_e=1.0, tau=math.inf, r_m=-1.0))
-
-
-@pytest.mark.parametrize("coupling", ["v_right", "v_left"])
-def test_config_rejects_infinite_couplings(coupling):
-    # an infinite rate used to give a NaN mean and a RuntimeWarning
-    kwargs = dict(
-        boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=0.0, omega_e=1.0,
-        n_trajectories=1, t_max=1.0, master_seed=0,
-    )
-    with pytest.raises(ValueError, match="non-negative and finite"):
-        TrajectoryConfig(**{**kwargs, coupling: math.inf})
+        config_with(**overrides)
 
 
 def test_config_from_params_geometry():
@@ -221,25 +192,27 @@ def test_config_from_params_geometry():
     # dt (N - 1) reproduces the emitter-mirror distance tau / 2
     assert config.dt * (config.boxes - 1) == pytest.approx(0.5, rel=1e-15)
     assert config.v_right == config.v_left == 0.5
-    assert config.gamma == 1.0
     assert config.t_m == pytest.approx(0.0)
+    defaults = TrajectoryConfig(config.params)
+    assert (defaults.boxes, defaults.n_trajectories, defaults.t_max, defaults.master_seed) == (
+        25, 5000, 10.0, 0
+    )
 
 
 def test_config_transmission_and_couplings_are_not_settable():
-    # t_m follows from r_m; from_params always splits Gamma evenly
+    # five settable values: the system and the four ensemble settings; the
+    # step, the couplings (Gamma/2 each), the mirror and the frequency follow
+    init = [f.name for f in dataclasses.fields(TrajectoryConfig) if f.init]
+    assert init == ["params", "boxes", "n_trajectories", "t_max", "master_seed"]
     config = config_for(r_m=-0.6)
-    assert config.t_m == 0.8
-    assert list(dataclasses.asdict(config))[-1] == "t_m"
-    assert dataclasses.replace(config, r_m=0.0).t_m == 1.0
-    with pytest.raises(TypeError, match="t_m"):
-        TrajectoryConfig(
-            boxes=4, dt=0.1, v_right=0.5, v_left=0.5, r_m=-0.6, omega_e=1.0,
-            n_trajectories=1, t_max=1.0, master_seed=0, t_m=0.8,
-        )
-    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.6)
-    for coupling in ("v_right", "v_left"):
-        with pytest.raises(TypeError, match=coupling):
-            TrajectoryConfig.from_params(params, **{coupling: 0.5})
+    assert (config.r_m, config.t_m) == (-0.6, 0.8)
+    other = SystemParams(omega_e=2.0, tau=1.0, r_m=0.0)
+    assert dataclasses.replace(config, params=other).t_m == 1.0
+    for derived in ("dt", "v_right", "v_left", "r_m", "t_m", "omega_e"):
+        with pytest.raises(TypeError, match=derived):
+            TrajectoryConfig(config.params, **{derived: 0.5})
+    assert not hasattr(TrajectoryConfig, "from_params")
+    assert not hasattr(config, "gamma")
 
 
 def test_config_grid():
@@ -270,31 +243,25 @@ def test_propagator_unitary():
         params = SystemParams.from_round_trip_phase(
             tau=rng.uniform(0.2, 3.0), phase=rng.uniform(0, 7), r_m=rng.uniform(-1, 1)
         )
-        config = TrajectoryConfig.from_params(params, boxes=int(rng.integers(2, 40)))
+        config = TrajectoryConfig(params, boxes=int(rng.integers(2, 40)))
         u = build_propagator(config)
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
 
 
 def test_propagator_trivial_couplings():
-    config = TrajectoryConfig(
-        boxes=5, dt=0.1, v_right=0.0, v_left=0.0, r_m=0.0, omega_e=0.0,
-        n_trajectories=1, t_max=1.0, master_seed=0,
-    )
-    assert np.allclose(build_propagator(config), np.eye(3), atol=1e-15)
-    config_phase = TrajectoryConfig(
-        boxes=5, dt=0.1, v_right=0.0, v_left=0.0, r_m=0.0, omega_e=2.0,
-        n_trajectories=1, t_max=1.0, master_seed=0,
-    )
-    u = build_propagator(config_phase)
-    assert u[0, 0] == pytest.approx(np.exp(-0.2j), abs=1e-14)
-    assert u[1, 1] == u[2, 2] == 1.0
+    # the emitter couples to (right box 0 + left box 0) / sqrt 2 alone: the
+    # difference of the two boxes is untouched at any frequency
+    dark = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)
+    for phase in (0.0, 2.0):
+        u = build_propagator(config_for(phase=phase, boxes=5))
+        np.testing.assert_allclose(u @ dark, dark, rtol=0, atol=1e-15)
 
 
 def test_propagator_single_step_decay():
     # one step from |e, 0> at omega_e = 0: survival cos^2 sqrt(Gamma dt),
     # consistent with 1 - Gamma dt at small dt
     params = SystemParams(omega_e=0.0, tau=1.0, r_m=-1.0)
-    config = TrajectoryConfig.from_params(params, boxes=25)
+    config = TrajectoryConfig(params, boxes=25)
     propagator = build_propagator(config)
     evolved = propagator @ np.array([1.0, 0.0, 0.0], dtype=complex)
     survival = abs(evolved[0]) ** 2
@@ -329,29 +296,10 @@ def test_propagator_identity_off_active_subspace():
 # ---------------------------------------------------------------------------
 
 
-def test_step_noop_without_couplings_or_photon():
-    config = TrajectoryConfig(
-        boxes=6, dt=0.05, v_right=0.0, v_left=0.0, r_m=-1.0, omega_e=0.0,
-        n_trajectories=200, t_max=1.0, master_seed=1,
-    )
-    amps = initial_state(config)
-    advanced, p = advance(amps, config, build_propagator(config))
-    assert p == 0.0
-    assert np.array_equal(advanced, amps)
-    # the survival stays 1 and a threshold v = 1 - u lies in (0, 1], so no
-    # trajectory is ever detected: every trajectory stays excited
-    result = ensemble_average(config)
-    assert np.all(result.mean == 1.0)
-    assert np.all(result.stderr == 0.0)
-
-
 def test_step_mirror_reflection_rule():
     # photon in right box N-2 with r_m = -1: the shift sends -1 into left box
     # N-2 and nothing through the mirror
-    config = TrajectoryConfig(
-        boxes=6, dt=0.05, v_right=0.0, v_left=0.0, r_m=-1.0, omega_e=0.0,
-        n_trajectories=1, t_max=1.0, master_seed=1,
-    )
+    config = config_for(r_m=-1.0, boxes=6)
     n = config.boxes
     amps = np.zeros(2 * config.boxes + 2, dtype=complex)
     amps[2 + (n - 2)] = 1.0  # right box N-2
@@ -363,10 +311,7 @@ def test_step_mirror_reflection_rule():
 
 
 def test_step_transparent_mirror_then_certain_detection():
-    config = TrajectoryConfig(
-        boxes=6, dt=0.05, v_right=0.0, v_left=0.0, r_m=0.0, omega_e=0.0,
-        n_trajectories=1, t_max=1.0, master_seed=1,
-    )
+    config = config_for(r_m=0.0, boxes=6)
     n = config.boxes
     propagator = build_propagator(config)
     amps = np.zeros(2 * config.boxes + 2, dtype=complex)
@@ -379,18 +324,18 @@ def test_step_transparent_mirror_then_certain_detection():
     amps, p = advance(amps, config, propagator)
     assert p == 1.0
     assert amps is None
-    # the same from the emitter: a pi/2 rotation per step moves the excitation
-    # into right box 0, and it reaches the output at step N-1 = 5 with p = 1
-    # exactly; every trajectory ends there and none raises NormUnderflow
-    dt = 0.05
-    config = TrajectoryConfig(
-        boxes=6, dt=dt, v_right=(math.pi / 2) ** 2 / dt, v_left=0.0, r_m=0.0,
-        omega_e=0.0, n_trajectories=50, t_max=1.0, master_seed=1,
-    )
+    # the same from the emitter: at Gamma dt = (pi/2)^2 one step rotates the
+    # excitation into right box 0 and left box 0 in equal parts; the left
+    # half is detected in step 0, the right half reaches the output at step
+    # N-1 = 5, where detection is certain and every trajectory ends without
+    # raising NormUnderflow
+    params = SystemParams(omega_e=0.0, tau=5 * math.pi**2 / 2, r_m=0.0)
+    config = TrajectoryConfig(params, boxes=6, n_trajectories=50, t_max=50.0, master_seed=1)
+    assert config.n_steps == 20
     _, survival, completed, tail = _evolve(config)
     assert completed == 5
-    # nothing reaches an output before step 5, and nothing is left after it
-    np.testing.assert_allclose(survival[:6], 1.0, rtol=1e-15)
+    assert survival[0] == 1.0
+    np.testing.assert_allclose(survival[1:6], 0.5, rtol=1e-15)
     assert np.all(survival[6:] == 0.0)
     assert tail == 0.0
     result = ensemble_average(config)
@@ -669,16 +614,11 @@ def test_ensemble_rows_match_individual_trajectories():
 
 def test_ensemble_is_exact_where_no_trajectory_is_detected():
     # the mean of n equal rows is P_e itself and their spread exactly zero;
-    # averaging the rows gave standard errors of 2.9e-16 there.  With no
-    # left-moving coupling nothing reaches an output before step N - 1, so
-    # every seed leaves the first steps undetected.
+    # averaging the rows gave standard errors of 2.9e-16 there.  A step
+    # detects about Gamma dt / 2 of the ensemble at first, so with dt 1/198
+    # the first steps of 50 trajectories go undetected.
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-0.5)
-    config = dataclasses.replace(
-        TrajectoryConfig.from_params(
-            params, boxes=100, n_trajectories=300, t_max=1.25, master_seed=1
-        ),
-        v_right=1.0, v_left=0.0,
-    )
+    config = TrajectoryConfig(params, boxes=100, n_trajectories=50, t_max=1.25, master_seed=1)
     result = ensemble_average(config)
     excited, survival, completed, tail = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
@@ -715,17 +655,25 @@ def test_limit_is_the_infinite_ensemble_mean():
 
 
 def test_discretization_error_is_first_order_in_dt():
-    # the box model's own error, free of sampling noise, halves with dt
-    params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-1.0)
-    errors = []
-    for boxes in (25, 49, 97):
-        config = TrajectoryConfig.from_params(params, boxes=boxes, n_trajectories=1, t_max=10.0)
-        result = ensemble_average(config)
-        exact = excitation_probability_exact(params, result.times)
-        errors.append(np.max(np.abs(result.limit - exact)))
-    assert errors == pytest.approx([0.0135, 0.0069, 0.0035], abs=2e-4)
-    assert 1.9 < errors[0] / errors[1] < 2.1
-    assert 1.9 < errors[1] / errors[2] < 2.1
+    # the box model's own error, free of sampling noise, halves with dt; the
+    # mirror of coupling J = c, r_m = -0.8i (mirror_coefficients(1)), is
+    # reflected with as it is
+    _, j_mirror = mirror_coefficients(1.0)
+    cases = [
+        (math.pi, -1.0, [0.0135, 0.0069, 0.0035], 2e-4),
+        (0.3, j_mirror, [0.00412, 0.00210, 0.00106], 2e-5),
+    ]
+    for phase, r_m, expected, tolerance in cases:
+        params = SystemParams.from_round_trip_phase(tau=1.0, phase=phase, r_m=r_m)
+        errors = []
+        for boxes in (25, 49, 97):
+            config = TrajectoryConfig(params, boxes=boxes, n_trajectories=1, t_max=10.0)
+            result = ensemble_average(config)
+            exact = excitation_probability_exact(params, result.times)
+            errors.append(np.max(np.abs(result.limit - exact)))
+        assert errors == pytest.approx(expected, abs=tolerance)
+        assert 1.9 < errors[0] / errors[1] < 2.1
+        assert 1.9 < errors[1] / errors[2] < 2.1
 
 
 def test_ensemble_without_steps_is_the_initial_state():
@@ -745,9 +693,7 @@ def test_ensemble_free_space_tracks_exponential():
     # deterministic and measured at 1.15e-3 here
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=0.0)
     n = 200_000
-    config = TrajectoryConfig.from_params(
-        params, boxes=25, n_trajectories=n, t_max=5.0, master_seed=2025
-    )
+    config = TrajectoryConfig(params, boxes=25, n_trajectories=n, t_max=5.0, master_seed=2025)
     result = ensemble_average(config)
     excited, _, _, _ = _evolve(config)
     dkw = math.sqrt(math.log(2 / 1e-9) / (2 * n))
@@ -761,7 +707,7 @@ def test_ensemble_stderr_scale_and_seed_spread():
     means = []
     stderrs = []
     for seed in range(10):
-        config = TrajectoryConfig.from_params(
+        config = TrajectoryConfig(
             params, boxes=9, n_trajectories=400, t_max=4.0, master_seed=seed
         )
         result = ensemble_average(config)
@@ -787,7 +733,7 @@ def test_ensemble_converged_in_box_count():
     dkw = math.sqrt(math.log(2 / 1e-9) / (2 * n))
     bias = []
     for boxes, seed in ((25, 5), (49, 6)):
-        config = TrajectoryConfig.from_params(
+        config = TrajectoryConfig(
             params, boxes=boxes, n_trajectories=n, t_max=5.0, master_seed=seed
         )
         result = ensemble_average(config)
