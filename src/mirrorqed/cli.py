@@ -20,6 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from ._table import format_rows
 from .analytic import (
     NoLongtimeSolution,
     Xi0Diverges,
@@ -70,13 +71,9 @@ def _json_safe(obj):
 
 
 def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = ["# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False)]
-    lines.append(",".join(header))
-    # '%.17g' % v and format(v, ".17g") run the same double-to-string routine
-    columns = [np.asarray(col, dtype=float).tolist() for col in np.broadcast_arrays(*columns)]
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines.extend(row_format % row for row in zip(*columns))
-    text = "\n".join(lines) + "\n"
+    text = "# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False) + "\n"
+    text += ",".join(header) + "\n"
+    text += format_rows([np.asarray(col, dtype=float) for col in np.broadcast_arrays(*columns)])
     if out is None:
         sys.stdout.write(text)
     else:

@@ -523,6 +523,26 @@ def test_every_field_is_canonical_and_rows_match_grid(argv, rows, tmp_path, caps
         assert all(format(float(s), ".17g") == s for s in fields), line
 
 
+def test_large_spectrum_and_wavepacket_tables_match_per_value_format(tmp_path, capsys):
+    # 32768 and 16004 values: both tables take the numpy pass of the writer
+    spec, wave = tmp_path / "spec.csv", tmp_path / "wave.csv"
+    assert run(["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "0",
+                "--samples", "16384", "--out", str(spec)]) == 0
+    assert run(["wavepacket", "--tau", "1", "--phase", "6.283185307179586", "--rm", "-1",
+                "--times", "2,5,10", "--xpoints", "4001", "--out", str(wave)]) == 0
+    capsys.readouterr()
+    free = mirrorqed.spectrum(SystemParams(omega_e=5.0, tau=1.0, r_m=0.0 * np.exp(0j)),
+                              t_final=40.0, sample_count=16384)
+    assert spec.read_text().splitlines()[2:] == per_value_rows(
+        [free.frequencies, free.spectral_density])
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=6.283185307179586,
+                                                r_m=-1.0 * np.exp(0j))
+    x = np.linspace(-11.0, 0.0, 4001)
+    densities = [mirrorqed.spatial_profile(params, t, x, mirrorqed.Direction.LEFT).density
+                 for t in (2.0, 5.0, 10.0)]
+    assert wave.read_text().splitlines()[2:] == per_value_rows([x, *densities])
+
+
 # --- strict-JSON headers and finite grid bounds ------------------------------
 
 
