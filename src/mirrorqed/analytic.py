@@ -28,13 +28,13 @@ sum has no cancellation but needs many branches at small t / tau.  Each
 point therefore takes the causal sum while it has fewer lattice terms than
 a switch of 16 (lowered, down to 8, where the estimated cancellation
 sum |term| / |f| ~ exp((W_0(|a| tau) - Re W_0(a tau)) t / tau) would pass
-1e4), and the residue sum beyond.  The residue sum keeps the branches
-|j| <= J with J set by |W_0| and the switch, each only where it exceeds
-1e-17 of the W_0 term.  The envelope exp(-i Omega t) enters every exponent,
-so terms that grow while the amplitude stays bounded never overflow.  Near
-the branch point a tau = -1/e, W_0 and the branch it merges with approach
--1 together and both residues diverge; there the pair is summed in a
-closed form that is analytic in q = 2 (1 + e a tau) and finite at q = 0.
+1e4), and the residue sum beyond.  Each call plans that sum afresh, one W_j
+per branch |j| <= J (J set by |W_0| and the switch), each kept only where it
+exceeds 1e-17 of the W_0 term.  The envelope exp(-i Omega t) enters every
+exponent, so growing terms never overflow while the amplitude stays bounded.
+Near the branch point a tau = -1/e, W_0 and the branch it merges with
+approach -1 together and both residues diverge; there the pair is summed in
+a closed form that is analytic in q = 2 (1 + e a tau) and finite at q = 0.
 """
 
 from __future__ import annotations
@@ -90,23 +90,18 @@ def _feedback_log(params: SystemParams) -> complex:
 # z = -1/e, p = sqrt(2 (1 + e z)): the recurrence of Corless et al., Adv.
 # Comput. Math. 5, 329 (1996), eqs. (4.23)-(4.24).  +p gives W_0, -p the
 # branch W_0 merges with.  Forty terms reach double precision for |p| <= 1/2.
-def _branch_point_coefficients(count: int) -> np.ndarray:
+def _branch_point_coefficients(count: int) -> tuple[float, ...]:
     mu, alpha = [-1.0, 1.0], [2.0, -1.0]
     for k in range(2, count):
         alpha.append(sum(mu[j] * mu[k + 1 - j] for j in range(2, k)))
         mu.append((k - 1) / (k + 1) * (mu[k - 2] / 2 + alpha[k - 2] / 4)
                   - alpha[k] / 2 - mu[k - 1] / (k + 1))
-    return np.array(mu)
+    return tuple(mu)
 
 
 _MU = _branch_point_coefficients(40)
 _PAIR_Q = 0.25  # |q| = |p|^2 below which the merging pair comes from the series
 _HALLEY_ITERATIONS = 40
-
-
-def _merging_branch(z: np.ndarray) -> np.ndarray:
-    """The branch W_0 merges with at z = -1/e: W_{-1} from Im z >= 0, W_1 below."""
-    return np.where(z.imag >= 0, -1, 1)
 
 
 def _pair_parts(q):
@@ -119,50 +114,45 @@ def _pair_parts(q):
     return c1, h1
 
 
-def _lambert_w(z, k) -> np.ndarray:
-    """Branch k of the Lambert W function, w exp(w) = z, elementwise.
+def _lambert_w(z: complex, k: int, log_z: complex | None = None) -> complex:
+    """Branch k of the Lambert W function, w exp(w) = z, at one point.
 
     Branch cuts follow Corless et al. (and scipy.special.lambertw).  Close to
-    the branch point the two merging branches come straight from the series
-    in p; every other value is polished by Halley's iteration from a
-    branch-point-series, Pade or asymptotic first guess.
+    the branch point W_0 and the branch it merges with (W_{-1} from Im z >= 0,
+    W_1 below) come straight from the series in p; the rest is polished by
+    Halley's iteration from a series, Pade or asymptotic first guess.  k != 0
+    runs on log z (`log_z`, principal, if given), exact where z underflows.
     """
-    z, k = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(k, dtype=int))
-    z, k = z.ravel(), k.ravel()
-    q = 2.0 * (1.0 + math.e * z)
-    sign = np.where(k == 0, 1.0, np.where(k == _merging_branch(z), -1.0, 0.0))
-    w = np.empty(z.shape, dtype=complex)
-    near = (sign != 0) & (np.abs(z + 1.0 / math.e) < 0.3)
-    if near.any():
-        c1, h1 = _pair_parts(q[near])
-        w[near] = -1.0 + q[near] * c1 + sign[near] * np.sqrt(q[near]) * h1
-    # the (3, 2) Pade approximant of W_0 about 0, inside the pole-free region
-    # scipy.special.lambertw uses for the same purpose
-    small = ~near & (k == 0) & (np.abs(z.imag) < 1.0) & (z.real < 1.5)
-    small &= z.real > np.maximum(-1.0, -2.5 * np.abs(z.imag) - 0.2)
-    zs = z[small]
-    w[small] = zs * (60.0 + zs * (114.0 + 17.0 * zs)) / (60.0 + zs * (174.0 + 101.0 * zs))
-    far = ~near & ~small
-    log_z = np.log(z[far]) + 2j * math.pi * k[far]
-    log_log = np.log(log_z)
-    w[far] = log_z - log_log + log_log / log_z
-    # the series is exact to double precision for |q| < _PAIR_Q; polish the rest
-    todo = np.flatnonzero(~near | (np.abs(q) >= _PAIR_Q))
-    for _ in range(_HALLEY_ITERATIONS):
-        if not todo.size:
+    z = complex(z)
+    log_z = cmath.log(z) if k and log_z is None else log_z
+    merging = -1 if z.imag >= 0 else 1
+    if k in (0, merging) and abs(z + 1.0 / math.e) < 0.3:
+        q = 2.0 * (1.0 + math.e * z)
+        c1, h1 = _pair_parts(q)
+        w = -1.0 + q * c1 + (1.0 if k == 0 else -1.0) * cmath.sqrt(q) * h1
+        if abs(q) < _PAIR_Q:  # the series is exact to double precision there
             return w
-        wt, zt = w[todo], z[todo]
-        # Scale the residual by exp(-w) where Re w >= 0 so nothing overflows.
-        right = wt.real >= 0
-        ew = np.exp(np.where(right, -wt, wt))
-        f = np.where(right, wt - zt * ew, wt * ew - zt)
-        df = np.where(right, wt + 1.0, ew * (wt + 1.0))
-        step = f / (df - (wt + 2.0) * f / (2.0 * wt + 2.0))
-        w[todo] = wt - step
+    elif k == 0 and abs(z.imag) < 1.0 and max(-1.0, -2.5 * abs(z.imag) - 0.2) < z.real < 1.5:
+        # the (3, 2) Pade approximant of W_0 about 0, inside the pole-free
+        # region scipy.special.lambertw uses for the same purpose
+        w = z * (60.0 + z * (114.0 + 17.0 * z)) / (60.0 + z * (174.0 + 101.0 * z))
+    else:
+        log_k = (cmath.log(z) if log_z is None else log_z) + 2j * math.pi * k
+        log_log = cmath.log(log_k)
+        w = log_k - log_log + log_log / log_k
+    for _ in range(_HALLEY_ITERATIONS):
+        if k or w.real >= 0:  # scaled by exp(-w), as z exp(-w) = exp(log z - w) ~ w
+            f, df = w - (cmath.exp(log_z - w) if k else z * cmath.exp(-w)), w + 1.0
+        else:
+            ew = cmath.exp(w)
+            f, df = w * ew - z, ew * (w + 1.0)
+        step = f / (df - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
         # Halley converges cubically, so after a step below 1e-8 |w| the
         # error is at rounding level; a NaN step never counts as converged
-        todo = todo[~(np.abs(step) <= 1e-8 * np.abs(w[todo]))]
-    raise FloatingPointError(f"Halley iteration for W did not converge at z = {z[todo[0]]}")
+        if abs(step) <= 1e-8 * abs(w):
+            return w
+    raise FloatingPointError(f"Halley iteration for W did not converge at z = {z}")
 
 
 # The causal sum serves points with fewer than `switch` lattice terms and the
@@ -178,10 +168,10 @@ _CANCELLATION_MAX = 1e4
 class _Residues:
     """Poles s_j = W_j(a tau) / tau of the Laplace transform 1 / (s - a exp(-s tau)).
 
-    `branches` holds the W_j summed one by one, from the smallest real part
-    up; beyond x = u / tau = `reach` a branch stays below 1e-17 of the W_0
-    term.  `pair` is q = 2 (1 + e a tau) when W_0 and its merging branch
-    are summed together in closed form, else None.
+    `branches` holds the W_j summed one by one, smallest real part first; past
+    x = u / tau = `reach` a branch stays below 1e-17 of the W_0 term, which
+    reaches every point.  `pair` is q = 2 (1 + e a tau) when W_0 and its
+    merging branch are summed together in closed form, else None.
     """
 
     switch: int
@@ -196,54 +186,59 @@ def _residues(log_a: complex, tau: float) -> _Residues | None:
     if log_z.real > 700.0:
         return None
     z = cmath.exp(log_z)
-    w0, w_abs = _lambert_w([z, abs(z)], 0)
+    # branch j counts from the principal log z; log_a carries any phase
+    log_z = cmath.log(z) if z else complex(log_z.real, math.remainder(log_z.imag, 2 * math.pi))
+    w0 = _lambert_w(z, 0)
     # sum |causal terms| is the series at |a|, ~ exp(W_0(|a| tau) x), while
     # the sum itself is ~ exp(W_0(a tau) x)
-    gap = w_abs.real - w0.real
+    gap = _lambert_w(abs(z), 0).real - w0.real
     switch = _SWITCH_MAX
     if gap * _SWITCH_MAX > math.log(_CANCELLATION_MAX):
         switch = max(_SWITCH_MIN, int(math.log(_CANCELLATION_MAX) / gap))
     # |exp(W_j x)| = (|z| / |W_j|)^x with |W_j| ~ 2 pi |j|, so past `count`
     # branches every term is below 1e-17 of the W_0 term at all x >= switch
     count = math.ceil(abs(w0) * 10.0 ** (17.0 / switch) / (2.0 * math.pi)) + 1
-    j = np.arange(-count, count + 1)
     q = 2.0 * (1.0 + math.e * z)
     pair = q if abs(q) < _PAIR_Q else None
-    skip = (j == 0) | ((j == _merging_branch(np.array(z))) & (pair is not None))
-    w = _lambert_w(z, j[~skip])
-    drop = w0.real - w.real
-    reach = np.full(w.shape, math.inf)
-    below = drop > 0
-    reach[below] = (
-        17.0 * math.log(10.0) + np.log(max(1.0, abs(1.0 + w0)) / np.abs(1.0 + w[below]))
-    ) / drop[below]
-    keep = reach > switch
-    w, reach = w[keep], reach[keep]
+    merging = -1 if z.imag >= 0 else 1
+    lead = 17.0 * math.log(10.0) + math.log(max(1.0, abs(1.0 + w0)))
+    kept = []
+    for j in range(-count, count + 1):
+        if j == 0 or (j == merging and pair is not None):
+            continue
+        w = _lambert_w(z, j, log_z)
+        drop = w0.real - w.real
+        end = (lead - math.log(abs(1.0 + w))) / drop if drop > 0 else math.inf
+        if end > switch:
+            kept.append((w, end))
     if pair is None:
-        w, reach = np.append(w, w0), np.append(reach, math.inf)
-    order = np.argsort(w.real)
-    return _Residues(switch, w[order], reach[order], pair)
+        kept.append((w0, math.inf))
+    kept.sort(key=lambda branch: branch[0].real)
+    return _Residues(switch, np.array([w for w, _ in kept], dtype=complex),
+                     np.array([end for _, end in kept]), pair)
 
 
-def _residue_sum(u: np.ndarray, tau: float, envelope: complex, res: _Residues) -> np.ndarray:
+def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
+                 res: _Residues) -> np.ndarray:
     """sum_j exp((s_j + envelope) u) / (1 + W_j), smallest terms first.
 
     Points are visited in increasing u, so each branch only touches the
     prefix of points before its reach.
     """
     order = np.argsort(u)
-    us = u[order]
+    us, xs = u[order], x[order]
     total = np.zeros(us.shape, dtype=complex)
-    for w, end in zip(res.branches, np.searchsorted(us / tau, res.reach)):
+    # W_0's infinite reach takes every point, also where x = u / tau is inf
+    for w, end in zip(res.branches, np.searchsorted(xs, res.reach, side="right")):
         total[:end] += np.exp((w / tau + envelope) * us[:end]) / (1.0 + w)
     if res.pair is not None:
-        total += _pair_sum(us, tau, envelope, res.pair)
+        total += _pair_sum(us, xs, envelope, res.pair)
     out = np.empty_like(total)
     out[order] = total
     return out
 
 
-def _pair_sum(u: np.ndarray, tau: float, envelope: complex, q: complex) -> np.ndarray:
+def _pair_sum(u: np.ndarray, x: np.ndarray, envelope: complex, q: complex) -> np.ndarray:
     """The two residues whose poles merge at a tau = -1/e, without cancellation.
 
     With W = -1 + c +- h, c = q c1 and h = sqrt(q) h1, the pair
@@ -258,7 +253,6 @@ def _pair_sum(u: np.ndarray, tau: float, envelope: complex, q: complex) -> np.nd
     c1, h1 = _pair_parts(q)
     h = cmath.sqrt(q) * h1
     h = h if h.real >= 0 else -h
-    x = u / tau
     y = x * h
     em1 = np.expm1(-2.0 * y)
     sinhc = np.where(y == 0, 1.0, -em1 / (2.0 * np.where(y == 0, 1.0, y)))  # exp(-y) sinh(y)/y
@@ -295,14 +289,15 @@ def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     total = np.zeros(flat.shape, dtype=complex)
     live = np.flatnonzero(flat >= 0)
     ul = flat[live]
-    terms = np.floor(ul / tau)
+    with np.errstate(over="ignore"):  # an overflowing x is past every switch
+        x = ul / tau  # floor(x) >= switch exactly where x >= switch
     res = None
-    if log_a.real > -math.inf and terms.size and terms.max() >= _SWITCH_MIN:
+    if log_a.real > -math.inf and x.size and x.max() >= _SWITCH_MIN:
         res = _residues(log_a, tau)
-    late = terms >= (res.switch if res is not None else math.inf)
+    late = x >= (res.switch if res is not None else math.inf)
     total[live[~late]] = _causal_sum(ul[~late], log_a, tau, envelope)
     if late.any():
-        total[live[late]] = _residue_sum(ul[late], tau, envelope, res)
+        total[live[late]] = _residue_sum(ul[late], x[late], tau, envelope, res)
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
@@ -313,9 +308,9 @@ def round_trip_series(params: SystemParams, u):
     The one entry to the series for the parameters' a and tau.  For tau > 0
     the envelope exp(-i Omega u) joins each term's exponent (see the module
     docstring), so growing terms never overflow while the amplitude stays
-    bounded.  For tau = 0 the lattice collapses to f(u) = exp(a u), which
-    joins the envelope in one exponent for the same reason.  Returns a
-    complex scalar or an array shaped like u.
+    bounded.  For tau = 0, or below _NO_DELAY, the lattice collapses to
+    f(u) = exp(a u), which joins the envelope in one exponent for the same
+    reason.  Returns a complex scalar or an array shaped like u.
 
     Raises:
         ValueError: Unless every u is finite.
@@ -325,12 +320,15 @@ def round_trip_series(params: SystemParams, u):
         raise ValueError("times must be finite")
     consts = derived_constants(params)
     envelope = -1j * consts.omega_complex
-    if params.tau == 0:
+    if params.tau < _NO_DELAY:
         out = np.where(u_arr >= 0, np.exp((envelope + consts.a) * u_arr), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
     return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
 
 
+# A delay below the smallest normal double acts as none: |a tau| < 2.2e-308 there, so
+# f(u) rounds to exp(a u), while a tau would keep only the bits of a subnormal.
+_NO_DELAY = np.finfo(float).tiny
 # |Im(a tau)| / |a tau| up to which a tau counts as real.  A round-trip phase
 # of pi, 3 pi or 5 pi passed through omega_e = phase / tau lands up to ~11 ulp
 # off the real axis; a phase pi +- 1e-9 lands 1e-9 off it.
@@ -354,7 +352,7 @@ def _principal_w(a: complex, tau: float) -> complex:
             f"a tau = {z.real:.6g} is real and at or below -1/e: two poles share "
             "the slowest decay, so no single exponential dominates"
         )
-    return complex(_lambert_w(z, 0)[0])
+    return _lambert_w(z, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +525,7 @@ def solve_xi(params: SystemParams) -> complex:
             -1/e (see NoLongtimeSolution).
     """
     a, tau = derived_constants(params).a, params.tau
-    if tau == 0 or a == 0:
+    if tau < _NO_DELAY or a == 0:
         return a
     return _principal_w(a, tau) / tau
 
@@ -546,7 +544,7 @@ def solve_longtime(params: SystemParams) -> DerivedConstants:
     """
     consts = derived_constants(params)
     a, tau = consts.a, params.tau
-    if tau == 0 or a == 0:
+    if tau < _NO_DELAY or a == 0:
         return replace(consts, xi=a, xi0=1.0 + 0j)
     w0 = _principal_w(a, tau)
     ratio = math.e * abs(a) * tau  # radius of the all-orders series

@@ -60,11 +60,12 @@ def test_tracer_binds_and_restores_every_name(bench, tmp_path):
     assert metrics["analytic.solve_longtime.ms"] > 0
 
 
-def longtime_scenario_check(bench, tmp_path, name):
-    """The verdict of the `longtime` scenario `name` under the benchmark's own check."""
+def scenario_check(bench, tmp_path, workload, name):
+    """The verdict of scenario `name` of `workload` under the benchmark's own check."""
     run, _ = bench
     workbench = run.scenarios.Workbench(run.load_package(), tmp_path)
-    scenario = {s.name: s for s in run.scenarios.longtime(workbench, random.Random(1))}[name]
+    scenarios = run.scenarios.WORKLOADS[workload](workbench, random.Random(1))
+    scenario = {s.name: s for s in scenarios}[name]
     return scenario.check(scenario.collect(scenario.call()).data)
 
 
@@ -72,10 +73,22 @@ def longtime_scenario_check(bench, tmp_path, name):
 def test_mended_longtime_faults_pass_their_checks(bench, tmp_path, name):
     # the `longtime` workload's fixed-input fault scenarios, judged by the
     # same mpmath oracle checks the benchmark applies
-    assert longtime_scenario_check(bench, tmp_path, name) is None
+    assert scenario_check(bench, tmp_path, "longtime", name) is None
 
 
 @pytest.mark.parametrize("name", ["total_photon_norm-0", "total_photon_norm-1", "dyson-0", "dyson-1"])
 def test_longtime_norm_and_dyson_scenarios_pass_their_checks(bench, tmp_path, name):
     # the photon-norm quadrature and the Dyson lattice table on the workload
-    assert longtime_scenario_check(bench, tmp_path, name) is None
+    assert scenario_check(bench, tmp_path, "longtime", name) is None
+
+
+@pytest.mark.parametrize("workload, name", [
+    ("longtime", "excitation-0"), ("longtime", "excitation-4"),
+    *(("longtime", f"solve_longtime-{i}") for i in range(6)),
+    ("exact-curves", "excitation-0"), ("exact-curves", "excitation-1"),
+    ("exact-curves", "spectrum-1"),
+])
+def test_residue_plan_scenarios_pass_their_checks(bench, tmp_path, workload, name):
+    # scenarios whose values come from the Lambert-W residue plan or W_0 alone,
+    # where the last bits of libm through cmath may differ between platforms
+    assert scenario_check(bench, tmp_path, workload, name) is None

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -32,7 +33,7 @@ from mirrorqed import (
     spectrum,
     total_photon_norm,
 )
-from mirrorqed.analytic import _lambert_w, _round_trip_sum
+from mirrorqed.analytic import _feedback_log, _lambert_w, _residues, _round_trip_sum
 
 # tau at which a tau = -1/e for phase pi and r_m = -1: tau/2 exp(tau/2) = 1/e
 CRITICAL_TAU = 2 * float(mp.lambertw(1 / mp.e))
@@ -237,7 +238,7 @@ def lambert_grid():
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_lambert_w_matches_scipy(k):
     z = lambert_grid()
-    got = _lambert_w(z, k)
+    got = np.array([_lambert_w(x, k) for x in z])
     expected = lambertw(z, k)
     assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
 
@@ -250,8 +251,67 @@ def test_lambert_w_near_the_branch_point(k):
         for angle in (0.0, 1.0, math.pi, -1.0):
             z = -1 / math.e + distance * cmath.exp(1j * angle)
             expected = complex(mp.lambertw(mp.mpc(z), k))
-            got = complex(_lambert_w(z, k)[0])
+            got = _lambert_w(z, k)
             assert abs(got - expected) <= 1e-15 * (1 + 1 / abs(1 + expected)), (z, k)
+
+
+@pytest.mark.parametrize("k", [-1000, -317, -40, -3, -1, 0, 1, 2, 41, 318, 1000])
+def test_lambert_w_far_branches_match_scipy(k):
+    # |z| from e^-700 to e^700 all around the origin
+    magnitude = np.exp(np.linspace(-700.0, 700.0, 71))
+    angle = np.linspace(-math.pi, math.pi, 13)
+    z = (magnitude[:, None] * np.exp(1j * angle[None, :])).ravel()
+    got = np.array([_lambert_w(x, k) for x in z])
+    expected = lambertw(z, k)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("tau, phase, r_m", [
+    (0.02, 2 * math.pi, -1.0),  # W_0 alone
+    (1.0, 3.5, -1.0),  # eight branches
+    (CRITICAL_TAU * (1 - 1e-6), math.pi, -1.0),  # W_0 and W_{-1} summed as a pair
+    (200.0, 2.0, -0.7),  # 316 branches
+])
+def test_residue_plan_branches_are_scipy_branches(tau, phase, r_m):
+    # every branch the plan keeps is one W_j(a tau), none twice, W_0 unless it
+    # is paired with its merging branch, smallest real part first
+    log_a = _feedback_log(SystemParams.from_round_trip_phase(tau, phase, r_m))
+    plan = _residues(log_a, tau)
+    z = cmath.exp(log_a + math.log(tau))
+    j = np.arange(-len(plan.branches) - 8, len(plan.branches) + 9)
+    candidates = lambertw(z, j)
+    kept = []
+    for w in plan.branches:
+        nearest = int(np.argmin(np.abs(candidates - w)))
+        assert abs(w - candidates[nearest]) <= 1e-13 * abs(candidates[nearest]), (w, j[nearest])
+        kept.append(int(j[nearest]))
+    assert len(set(kept)) == len(kept)
+    merging = -1 if z.imag >= 0 else 1
+    assert 0 in kept if plan.pair is None else not {0, merging} & set(kept)
+    assert np.all(np.diff(plan.branches.real) >= 0)
+
+
+@pytest.mark.parametrize("tau", [1e-307, 1e-309, 1e-310, 5e-324])
+def test_delays_at_the_bottom_of_the_double_range(tau):
+    # u / tau overflows, so W_0 must reach every point; below the normal range
+    # a tau keeps only the bits of a subnormal and the delay acts as none
+    t = np.array([0.5, 1.0, 200.0])
+    none = SystemParams(omega_e=1.0, tau=0.0, r_m=1.0)
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=1.0)
+    expected = excitation_probability_exact(none, t)
+    assert np.all(np.abs(excitation_probability_exact(params, t) - expected) <= 1e-10 * expected)
+    assert solve_xi(params) == pytest.approx(solve_xi(none), rel=1e-12)
+
+
+@pytest.mark.parametrize("tau, r_m", [(1e-5, 1e-320), (1e-200, 1e-200), (1e-5, 1e-316)])
+def test_series_where_a_tau_underflows(tau, r_m):
+    # exp(log(a tau)) is 0 or subnormal: the branches beyond W_0 come from
+    # log(a tau), and the emitter decays freely
+    t = np.array([0.5, 3.0, 20.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = excitation_probability_exact(SystemParams(omega_e=1.0, tau=tau, r_m=r_m), t)
+    assert np.all(np.abs(got - np.exp(-t)) <= 1e-12 * np.exp(-t))
 
 
 def test_principal_branch_equals_solve_xi():
