@@ -50,7 +50,6 @@ from .wavepacket import (
 )
 from .trajectory import (
     EnsembleResult,
-    NormUnderflow,
     TrajectoryConfig,
     build_propagator,
     ensemble_average,
@@ -68,7 +67,6 @@ __all__ = [
     "EnsembleResult",
     "ExcitationCurve",
     "NoLongtimeSolution",
-    "NormUnderflow",
     "PiecewisePolynomial",
     "SpatialProfile",
     "Spectrum",

@@ -95,17 +95,22 @@ def mirror_coefficients(j_over_c: float) -> tuple[float, complex]:
     """Transmission and reflection coefficients of a mirror with coupling rate J.
 
     t_m = (1 - (J/2c)^2) / (1 + (J/2c)^2) and r_m = -i (J/c) / (1 + (J/2c)^2),
-    which satisfy t_m^2 + |r_m|^2 = 1 for any J >= 0.
+    which satisfy t_m^2 + |r_m|^2 = 1 for any J >= 0.  Above J/c = 2e150
+    they round to t_m = -1 and r_m = -4i c/J, which are taken directly: (J/2c)^2
+    overflows above J/c ~ 2.7e154.  J = inf gives the mirror t_m = -1, r_m = 0.
 
     Args:
-        j_over_c: Mirror coupling rate divided by the speed of light, J/c >= 0.
+        j_over_c: Mirror coupling rate divided by the speed of light, J/c >= 0
+            (inf allowed, NaN rejected).
 
     Returns:
         (t_m, r_m) with t_m real and r_m purely imaginary (Im r_m <= 0).
     """
-    if j_over_c < 0:
+    if not j_over_c >= 0:
         raise ValueError(f"J/c must be non-negative, got {j_over_c}")
     half = j_over_c / 2.0
+    if half > 1e150:
+        return -1.0, -1j * (2.0 / half)
     denom = 1.0 + half * half
     t_m = (1.0 - half * half) / denom
     r_m = -1j * j_over_c / denom

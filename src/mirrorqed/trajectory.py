@@ -33,6 +33,9 @@ detection, one waiting time drawn per trajectory: the waiting-time form of
 quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The squared
 norm S[k] of the unnormalized no-jump state is the chance that no detection
 came before step k, so one uniform per trajectory fixes its first detection.
+The uniforms are multiples of 2**-53 below 1, so every trajectory has been
+detected once S falls below 2**-53: the run stops where S leaves the normal
+double range, or where detection is certain, and is zero after that.
 Averaging the trajectories reproduces the open-system dynamics and serves as
 an independent check of the exact analytic solution.
 """
@@ -45,13 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SystemParams
-
-_NORM_FLOOR = 1e-300
-
-
-class NormUnderflow(ArithmeticError):
-    """The no-jump norm fell below 1e-300 of its value before the step."""
-
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
@@ -100,6 +96,8 @@ class TrajectoryConfig:
         dt = params.tau / (2.0 * (self.boxes - 1))
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt} from tau = {params.tau}")
+        if self.t_max / dt == math.inf:
+            raise ValueError(f"t_max / dt must be finite, got {self.t_max} / {dt}")
         derived = {"dt": dt, "v_right": params.gamma / 2.0, "v_left": params.gamma / 2.0,
                    "r_m": params.r_m, "t_m": params.t_m, "omega_e": params.omega_e}
         for name, value in derived.items():
@@ -168,22 +166,19 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     return generator
 
 
-def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """The no-jump run from |e, 0>: P_e and survival S at every step start.
 
     Steps the recurrence of the module docstring.  The squared norm S of the
     unnormalized state is summed over e and every box in flight, the
     transmitted box included; one minus the weight dropped so far would lose
     digits (8e-7 relative at phase pi, r_m -1, N 25, t 10).  P_e = |e|^2 / S.
-    S is rescaled by a power of two below 2**-128; the survival is the
-    unscaled S.
 
-    The run stops after the first step k whose detection probability
+    The run stops after the first step whose detection probability
     (|left out|^2 + |right out|^2) / S is at least 1, where no no-jump state
-    is left, or with the norm below the floor times its value before the
-    step; later values stay zero.  Returns P_e and the survival (n_steps + 1
-    values each), the steps completed (k or n_steps) and the unscaled S
-    after step k: 0 when the run did not stop or was certain to detect.
+    is left, or that leaves S below the smallest normal double, where every
+    trajectory has been detected (see `_first_detections`); later values stay
+    zero.  Returns P_e and the survival, n_steps + 1 values each.
     """
     (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).tolist()
     n_steps = config.n_steps
@@ -191,15 +186,14 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, floa
     reflected, transmitted = (r_m * r_m.conjugate()).real, t_m * t_m
     delay = 2 * config.boxes - 3  # M: steps from an emission to its return at left box 0
     lag = config.boxes - 1  # steps from an emission to the right output
+    tiny = float(np.finfo(float).tiny)
     # emissions and their |.|^2, oldest first, behind the empty boxes of t = 0
     emitted = [0j] * delay
     weight = [0.0] * delay
     e = 1 + 0j
     norm = 1.0  # S before the step
-    scale = 0  # the amplitudes are 2**scale times the unnormalized state
     excited, survival = [1.0], [1.0]
-    completed, tail = n_steps, 0.0
-    for step in range(n_steps):
+    for _ in range(n_steps):
         l0 = r_m * emitted[-delay]
         right = t_m * emitted[-lag]
         e, emission, left = u00 * e + u02 * l0, u10 * e + u12 * l0, u20 * e + u22 * l0
@@ -212,31 +206,17 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray, int, floa
         new_norm = e2 + sum(weight[end - lag + 1 :]) + transmitted * weight[end - lag]
         new_norm += reflected * sum(weight[end - delay : end - lag + 1])
         dropped = (left * left.conjugate()).real + (right * right.conjugate()).real
-        if dropped / norm >= 1.0:
-            completed = step
+        if dropped / norm >= 1.0 or new_norm < tiny:
             break
-        if math.sqrt(new_norm / norm) < _NORM_FLOOR:
-            completed, tail = step, math.ldexp(new_norm, -2 * scale)
-            break
-        if new_norm < 2.0**-128:
-            shift = -(math.frexp(new_norm)[1] // 2)
-            factor = math.ldexp(1.0, shift)
-            e *= factor
-            emitted[-delay:] = [z * factor for z in emitted[-delay:]]
-            weight[-delay:] = [math.ldexp(w, 2 * shift) for w in weight[-delay:]]
-            e2, new_norm = math.ldexp(e2, 2 * shift), math.ldexp(new_norm, 2 * shift)
-            scale += shift
         norm = new_norm
         excited.append(e2 / norm)
-        survival.append(math.ldexp(norm, -2 * scale))
+        survival.append(norm)
     for values in (excited, survival):
         values += [0.0] * (n_steps + 1 - len(values))  # zeros after a stop
-    return np.array(excited), np.array(survival), completed, tail
+    return np.array(excited), np.array(survival)
 
 
-def _first_detections(
-    survival: np.ndarray, completed: int, tail: float, u: np.ndarray
-) -> np.ndarray:
+def _first_detections(survival: np.ndarray, u: np.ndarray) -> np.ndarray:
     """First detection step of the trajectories drawing uniforms `u` (n_steps if none).
 
     The threshold v = 1 - u lies in (0, 1].  S[k] is the chance that a
@@ -244,19 +224,11 @@ def _first_detections(
     detected at the k with S[k+1] < v <= S[k], and not at all when
     v <= S[n_steps]; its first detection is the number of steps k >= 1 with
     S[k] >= v.  The running minimum keeps that count a binary search where
-    rounding lifts S by an ulp.
-
-    Raises NormUnderflow if some v <= `tail`, the survival after step
-    `completed`: that trajectory passes the step undetected, but the no-jump
-    run ended there because its norm underflowed.
+    rounding lifts S by an ulp.  `Generator.random` gives multiples of
+    2**-53 below 1, so v >= 2**-53: every trajectory is detected before S
+    leaves the normal range, where `_evolve` stops.
     """
     v = 1.0 - u
-    survivors = np.count_nonzero(v <= tail)
-    if survivors:
-        raise NormUnderflow(
-            f"state norm fell below {_NORM_FLOOR} at step {completed} "
-            f"with {survivors} trajectories undetected"
-        )
     return np.searchsorted(-np.minimum.accumulate(survival[1:]), -v, side="right")
 
 
@@ -268,9 +240,9 @@ def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarra
     to the trajectory's first detection, fixed by its own uniform, and zero
     after it.
     """
-    excited, survival, completed, tail = _evolve(config)
+    excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, trajectory_index).random(1)
-    first = _first_detections(survival, completed, tail, u)
+    first = _first_detections(survival, u)
     return np.where(np.arange(config.n_steps + 1) <= first, excited, 0.0)
 
 
@@ -283,14 +255,13 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
     not yet detected.  The mean is P_e (c / n) and the standard error
     P_e sqrt(c (n - c) / (n - 1)) / n, the sample formulas over the rows
     that run_trajectory returns, without building them; where no trajectory
-    is detected they give P_e and 0 exactly.  NormUnderflow is raised when
-    the no-jump norm underflows at a step that some trajectory passes
-    undetected.
+    is detected they give P_e and 0 exactly, and where every trajectory is
+    detected, 0 and 0.
     """
     n_traj = config.n_trajectories
-    excited, survival, completed, tail = _evolve(config)
+    excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(n_traj)
-    first = _first_detections(survival, completed, tail, u)
+    first = _first_detections(survival, u)
     undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
     mean = excited * (undetected / n_traj)
     if n_traj > 1:

@@ -123,6 +123,17 @@ def test_markovian_infinite_delay_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trajectory_step_count_beyond_the_double_range_is_config_error(tmp_path, capsys):
+    # t_max / dt = inf has no step count; this used to raise OverflowError
+    for command in ("trajectory", "compare"):
+        out = tmp_path / f"{command}.csv"
+        code = run([command, "--tau", "1", "--phase", "1", "--rm", "-1",
+                    "--tmax", "1e308", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error: t_max / dt must be finite")
+        assert not out.exists()
+
+
 def test_excitation_infinite_delay_omits_markovian_column(tmp_path):
     out = tmp_path / "exc.csv"
     code = run([

@@ -20,7 +20,7 @@ from mirrorqed import (
     trajectory,
     trajectory_rng,
 )
-from mirrorqed.trajectory import NormUnderflow, _evolve
+from mirrorqed.trajectory import _evolve
 
 
 def config_for(tau=1.0, phase=math.pi, r_m=-1.0, boxes=9, n_traj=10, t_max=2.0, seed=7):
@@ -83,6 +83,9 @@ def initial_state(config):
     return amps
 
 
+NORM_FLOOR = 1e-300  # below it `advance` has no no-jump state to renormalize
+
+
 def advance(amps, config, u):
     """One no-jump step of the dense state vector, shape (2N+2,).
 
@@ -108,7 +111,7 @@ def advance(amps, config, u):
     out[n + 3] = config.r_m * amps[n]  # reflected into left box N-2
     out[n + 4 :] = amps[n + 3 : i_l0]  # left-movers migrate toward the emitter
     norm = np.sqrt(np.sum(np.abs(out) ** 2))
-    if norm < trajectory._NORM_FLOOR:
+    if norm < NORM_FLOOR:
         return None, p_right + p_left
     return out / norm, p_right + p_left
 
@@ -145,6 +148,17 @@ def test_config_validation():
         TrajectoryConfig(params, n_trajectories=0)
     with pytest.raises(ValueError, match="tau"):
         TrajectoryConfig(SystemParams(omega_e=1.0, tau=0.0, r_m=0), boxes=4)
+
+
+def test_config_rejects_a_step_count_beyond_the_double_range():
+    # n_steps = round(t_max / dt) has no integer value at t_max / dt = inf;
+    # a huge finite count is accepted (and would take that many steps)
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0)
+    with pytest.raises(ValueError, match="t_max / dt must be finite"):
+        TrajectoryConfig(params, t_max=1e308)
+    with pytest.raises(ValueError, match="t_max / dt must be finite"):
+        TrajectoryConfig(SystemParams(omega_e=1.0, tau=1e-307, r_m=-1.0), t_max=10.0)
+    assert TrajectoryConfig(params, t_max=1e300).n_steps > 10**301
 
 
 def config_with(tau=1.0, omega_e=1.0, r_m=0.0, t_max=1.0):
@@ -327,17 +341,15 @@ def test_step_transparent_mirror_then_certain_detection():
     # the same from the emitter: at Gamma dt = (pi/2)^2 one step rotates the
     # excitation into right box 0 and left box 0 in equal parts; the left
     # half is detected in step 0, the right half reaches the output at step
-    # N-1 = 5, where detection is certain and every trajectory ends without
-    # raising NormUnderflow
+    # N-1 = 5, where detection is certain: the run stops there and every
+    # trajectory has ended
     params = SystemParams(omega_e=0.0, tau=5 * math.pi**2 / 2, r_m=0.0)
     config = TrajectoryConfig(params, boxes=6, n_trajectories=50, t_max=50.0, master_seed=1)
     assert config.n_steps == 20
-    _, survival, completed, tail = _evolve(config)
-    assert completed == 5
+    _, survival = _evolve(config)
     assert survival[0] == 1.0
     np.testing.assert_allclose(survival[1:6], 0.5, rtol=1e-15)
     assert np.all(survival[6:] == 0.0)
-    assert tail == 0.0
     result = ensemble_average(config)
     assert np.all(result.mean[6:] == 0.0)
     assert np.all(result.stderr[6:] == 0.0)
@@ -378,9 +390,9 @@ def test_advance_norm_underflow_guard():
 )
 def test_recurrence_matches_dense_kernel(boxes, phase, r_m):
     config = config_for(phase=phase, r_m=r_m, boxes=boxes, t_max=4.0)
-    excited, survival, completed, tail = _evolve(config)
+    excited, survival = _evolve(config)
     dense_excited, dense_p = dense_evolve(config)
-    assert (completed, tail) == (config.n_steps, 0.0)
+    assert survival[-1] > 0.0  # the run did not stop
     np.testing.assert_allclose(excited, dense_excited, rtol=1e-12, atol=0)
     np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - dense_p), rtol=1e-12, atol=0)
 
@@ -389,57 +401,39 @@ def test_recurrence_matches_oracle_to_1e12_relative():
     # S is summed over e and every box in flight; taking it as one minus the
     # weight dropped so far puts P_e off by up to ~1e-6 relative here
     config = config_for(phase=math.pi, r_m=-1.0, boxes=25, t_max=10.0)
-    excited, survival, completed, _ = _evolve(config)
+    excited, survival = _evolve(config)
     oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
-    assert completed == config.n_steps == 480
+    assert config.n_steps == 480
+    assert survival[-1] > 0.0
     np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
     # S at each step start is the chance that no detection came before it
     np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - oracle_p), rtol=1e-12, atol=0)
 
 
-def test_long_free_space_run_rescales_instead_of_underflowing():
-    # |e|^2 ~ exp(-t) falls below the smallest double near t = 745; the
-    # power-of-two rescaling keeps P_e = |e|^2 / S on the per-step
-    # renormalized oracle to the end
-    config = config_for(phase=math.pi, r_m=0.0, boxes=5, t_max=2000.0)
-    excited, survival, completed, _ = _evolve(config)
-    assert completed == config.n_steps == 16000
-    assert math.exp(-config.t_max) == 0.0
+def test_long_free_space_run_stops_where_the_norm_leaves_the_double_range():
+    # S ~ exp(-t) falls below the smallest normal double near t = 708, long
+    # after every uniform's threshold v = 1 - u >= 2**-53 has been passed.
+    # Up to there each step keeps the no-detection chance 1 - p of the
+    # per-step renormalized oracle; from the stop on the run is zero, and so
+    # are the ensemble's mean and standard error.
+    config = config_for(phase=math.pi, r_m=0.0, boxes=5, n_traj=1000, t_max=2000.0)
+    excited, survival = _evolve(config)
+    assert config.n_steps == 16000
     oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
-    np.testing.assert_allclose(excited, oracle_excited, rtol=1e-12, atol=0)
-    assert excited[-1] > 0.5
-    # the survival itself is an unscaled probability and underflows to zero;
-    # where it is a normal double each step keeps the no-detection chance
-    # 1 - p of the oracle's step
-    assert survival[-1] == 0.0 < survival[len(survival) // 4]
-    normal = survival[1:] >= np.finfo(float).tiny
+    stop = np.count_nonzero(survival)
+    assert 5000 < stop < 6000
+    assert np.all(survival[:stop] >= np.finfo(float).tiny)
+    assert np.all(survival[stop:] == 0.0) and np.all(excited[stop:] == 0.0)
     np.testing.assert_allclose(
-        survival[1:][normal] / survival[:-1][normal], 1.0 - oracle_p[normal],
-        rtol=1e-12, atol=0,
+        survival[1:stop] / survival[: stop - 1], 1.0 - oracle_p[: stop - 1], rtol=1e-12, atol=0
     )
-
-
-def test_norm_underflow_fires_only_for_undetected_trajectories(monkeypatch):
-    # a raised floor turns step 7 of this run (p = 0.21, the first step with
-    # p > 0.19) into an underflow; only trajectories still undetected after
-    # it may raise, in the ensemble exactly as one at a time
-    monkeypatch.setattr(trajectory, "_NORM_FLOOR", 0.9)
-    outcomes = set()
-    for seed in range(12):
-        config = config_for(r_m=-1.0, boxes=5, n_traj=2, t_max=3.0, seed=seed)
-        rows = []
-        for index in range(config.n_trajectories):
-            try:
-                rows.append(run_trajectory(config, index))
-            except NormUnderflow:
-                pass
-        if len(rows) < config.n_trajectories:
-            with pytest.raises(NormUnderflow):
-                ensemble_average(config)
-        else:
-            assert np.array_equal(ensemble_average(config).mean, np.mean(rows, axis=0))
-        outcomes.add(len(rows) == config.n_trajectories)
-    assert outcomes == {True, False}
+    np.testing.assert_allclose(excited[:stop], oracle_excited[:stop], rtol=1e-12, atol=0)
+    # the next step would leave S below the normal range
+    assert survival[stop - 1] * (1.0 - oracle_p[stop - 1]) < np.finfo(float).tiny
+    result = ensemble_average(config)
+    gone = np.nonzero(survival < 2.0**-53)[0][0]
+    assert gone < stop
+    assert np.all(result.mean[gone:] == 0.0) and np.all(result.stderr[gone:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +456,17 @@ def test_rng_block_draws_match_sequential_draws():
     rng = trajectory_rng(99, 3)
     sequential = np.array([rng.random(2) for _ in range(17)])
     assert np.array_equal(block, sequential)
+
+
+def test_uniforms_are_multiples_of_2_to_the_minus_53_below_one():
+    # the no-jump run stops where S leaves the normal double range; that cuts
+    # no trajectory only because every threshold v = 1 - u is at least 2**-53
+    for seed in (0, 2**63 + 5):
+        u = trajectory_rng(seed, 0).random(2**20)
+        scaled = np.ldexp(u, 53)
+        assert np.array_equal(scaled, np.floor(scaled))
+        assert u.min() >= 0.0
+        assert u.max() <= 1.0 - 2.0**-53
 
 
 def positioned_uniform(seed, index):
@@ -490,16 +495,16 @@ def test_trajectory_rng_starts_at_uniform_i_of_the_seed_stream():
 
 def test_run_trajectory_reads_the_ensembles_draw():
     config = config_for(r_m=-0.5, boxes=9, n_traj=8, t_max=4.0, seed=2**64 - 1)
-    excited, survival, completed, tail = _evolve(config)
+    excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
     steps = np.arange(config.n_steps + 1)
-    firsts = trajectory._first_detections(survival, completed, tail, u)
+    firsts = trajectory._first_detections(survival, u)
     for index, first in enumerate(firsts):
         row = run_trajectory(config, index)
         assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
     index = 2**32 + 3
     u = np.array([positioned_uniform(config.master_seed, index)])
-    (first,) = trajectory._first_detections(survival, completed, tail, u)
+    (first,) = trajectory._first_detections(survival, u)
     row = run_trajectory(config, index)
     assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
     assert len(set(firsts)) > 3
@@ -511,10 +516,8 @@ def test_first_detections_at_the_survival_values():
     # never; a survival lifted by an ulp counts as its running minimum
     survival = np.array([1.0, 0.75, 0.5, 0.5 + 2**-53, 0.25])
     v = np.array([1.0, 0.75, 0.5 + 2**-53, 0.5, 0.25, 2**-53])
-    first = trajectory._first_detections(survival, 4, 0.0, 1.0 - v)
+    first = trajectory._first_detections(survival, 1.0 - v)
     assert first.tolist() == [0, 1, 1, 3, 4, 4]
-    with pytest.raises(NormUnderflow, match="at step 2 with 2 trajectories"):
-        trajectory._first_detections(survival, 2, 0.25, 1.0 - v)
 
 
 def test_first_detections_follow_the_survival():
@@ -523,9 +526,9 @@ def test_first_detections_follow_the_survival():
     # failing by chance with probability below 1e-9
     config = config_for(r_m=-0.5, boxes=9, n_traj=200_000, t_max=4.0, seed=11)
     n = config.n_trajectories
-    _, survival, completed, tail = _evolve(config)
+    _, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(n)
-    first = trajectory._first_detections(survival, completed, tail, u)
+    first = trajectory._first_detections(survival, u)
     counts = np.bincount(first, minlength=config.n_steps + 1)
     expected = n * -np.diff(survival, append=0.0)
     assert expected.min() > 5  # every bin is inside the chi-square regime
@@ -620,9 +623,9 @@ def test_ensemble_is_exact_where_no_trajectory_is_detected():
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=math.pi, r_m=-0.5)
     config = TrajectoryConfig(params, boxes=100, n_trajectories=50, t_max=1.25, master_seed=1)
     result = ensemble_average(config)
-    excited, survival, completed, tail = _evolve(config)
+    excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
-    first = trajectory._first_detections(survival, completed, tail, u)
+    first = trajectory._first_detections(survival, u)
     none_yet = np.arange(config.n_steps + 1) <= first.min()
     assert np.count_nonzero(none_yet) > 1
     assert np.array_equal(result.mean[none_yet], excited[none_yet])
@@ -646,7 +649,7 @@ def test_ensemble_memory_does_not_scale_with_trajectories_times_steps():
 def test_limit_is_the_infinite_ensemble_mean():
     config = config_for(phase=math.pi, r_m=-0.5, boxes=9, n_traj=4000, t_max=4.0, seed=5)
     result = ensemble_average(config)
-    excited, survival, _, _ = _evolve(config)
+    excited, survival = _evolve(config)
     assert np.array_equal(result.limit, excited * survival)
     # the mean counts the undetected trajectories, a binomial draw of mean
     # n S; five of its standard deviations bound the gap at every step
@@ -695,7 +698,7 @@ def test_ensemble_free_space_tracks_exponential():
     n = 200_000
     config = TrajectoryConfig(params, boxes=25, n_trajectories=n, t_max=5.0, master_seed=2025)
     result = ensemble_average(config)
-    excited, _, _, _ = _evolve(config)
+    excited, _ = _evolve(config)
     dkw = math.sqrt(math.log(2 / 1e-9) / (2 * n))
     assert np.all(np.abs(result.mean - result.limit) <= excited * dkw + 1e-15)
     assert np.max(np.abs(result.limit - np.exp(-result.times))) <= 1.2e-3
@@ -737,7 +740,7 @@ def test_ensemble_converged_in_box_count():
             params, boxes=boxes, n_trajectories=n, t_max=5.0, master_seed=seed
         )
         result = ensemble_average(config)
-        excited, _, _, _ = _evolve(config)
+        excited, _ = _evolve(config)
         assert np.all(np.abs(result.mean - result.limit) <= excited * dkw + 1e-15)
         exact = excitation_probability_exact(params, result.times)
         bias.append(np.max(np.abs(result.limit - exact)))
