@@ -43,6 +43,7 @@ from .wavepacket import (
     SpatialProfile,
     Spectrum,
     field_amplitude,
+    laplace_spectrum,
     photon_density,
     spatial_profile,
     spectrum,
@@ -85,6 +86,7 @@ __all__ = [
     "excitation_probability_longtime",
     "excitation_probability_markovian",
     "field_amplitude",
+    "laplace_spectrum",
     "mirror_coefficients",
     "photon_density",
     "pp_add",

@@ -33,7 +33,7 @@ from .analytic import (
 )
 from .core import Direction, SystemParams
 from .trajectory import TrajectoryConfig, ensemble_average
-from .wavepacket import spatial_profile, spectrum
+from .wavepacket import _whole_photon_spectrum, spatial_profile, spectrum
 
 
 class ConfigError(ValueError):
@@ -246,15 +246,20 @@ def run_wavepacket(args) -> int:
 
 
 def run_spectrum(args) -> int:
-    """Spectral probability density of the photon emitted to the left."""
+    """Spectral probability density of the photon emitted to the left.
+
+    The closed form of the whole photon where the emitter decays, the FFT of
+    the finite window elsewhere; the header names which under "method".
+    """
     params = _params_from_args(args)
     try:
-        result = spectrum(
-            params,
-            t_final=args.t_final,
-            sample_count=args.samples,
-            allow_undecayed=args.allow_undecayed,
-        )
+        closed = _whole_photon_spectrum(params, args.t_final, args.samples, args.allow_undecayed)
+        if closed is None:
+            result = spectrum(params, t_final=args.t_final, sample_count=args.samples,
+                              allow_undecayed=args.allow_undecayed)
+            method, frequencies, density = "fft", result.frequencies, result.spectral_density
+        else:
+            method, (frequencies, density) = "laplace", closed
     except ValueError as err:
         raise ConfigError(str(err)) from None
     meta = {
@@ -262,15 +267,14 @@ def run_spectrum(args) -> int:
         "version": __version__,
         "params": _params_meta(params),
         "grid": {
-            "t_final": result.t_final,
-            "sample_count": result.sample_count,
-            "spacing": result.spacing,
+            "t_final": args.t_final,
+            "sample_count": args.samples,
+            "spacing": args.t_final / args.samples,
         },
-        "omega_e": result.omega_e,
+        "method": method,
+        "omega_e": params.omega_e,
     }
-    _write_table(
-        args.out, meta, ["omega", "spectral_density"], [result.frequencies, result.spectral_density]
-    )
+    _write_table(args.out, meta, ["omega", "spectral_density"], [frequencies, density])
     return 0
 
 

@@ -49,6 +49,12 @@ import numpy as np
 
 from .core import SystemParams
 
+# Longest run: `_evolve` keeps four Python lists with one entry per step,
+# ~150 bytes a step, and a whole `compare` ~260, so a run at this many steps
+# peaks near 0.6 GB and takes ~10-15 s on one core.
+_MAX_STEPS = 2**21
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """A system, its box discretization and the ensemble of a trajectory run.
@@ -60,7 +66,7 @@ class TrajectoryConfig:
         params: The emitter-mirror system; any r_m with |r_m| <= 1 and tau > 0.
         boxes: Number N of boxes per direction (>= 2).
         n_trajectories: Ensemble size.
-        t_max: End time of each trajectory.
+        t_max: End time of each trajectory, at most 2**21 steps of dt.
         master_seed: 64-bit seed; trajectory i reads uniform i of the Philox
             stream keyed by master_seed.
         dt: Time step tau / (2 (N-1)), so dt (N-1) is the emitter-mirror
@@ -96,8 +102,9 @@ class TrajectoryConfig:
         dt = params.tau / (2.0 * (self.boxes - 1))
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt} from tau = {params.tau}")
-        if self.t_max / dt == math.inf:
-            raise ValueError(f"t_max / dt must be finite, got {self.t_max} / {dt}")
+        if not self.t_max / dt <= _MAX_STEPS:
+            raise ValueError(f"t_max / dt must be finite and at most {_MAX_STEPS} steps, "
+                             f"got {self.t_max} / {dt}")
         derived = {"dt": dt, "v_right": params.gamma / 2.0, "v_left": params.gamma / 2.0,
                    "r_m": params.r_m, "t_m": params.t_m, "omega_e": params.omega_e}
         for name, value in derived.items():

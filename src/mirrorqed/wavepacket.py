@@ -7,10 +7,19 @@ the direct part once it passes the emitter), the right-moving part still
 between emitter and mirror, and the part transmitted through the mirror.
 Each component is the emitter amplitude at its retarded emission time,
 weighted by 1, r_m or t_m.
+
+The spectrum of the left-moving photon comes in two forms.  `laplace_spectrum`
+is the closed form of the whole emitted photon, from the Laplace transform of
+the emitter amplitude; it needs no time window and no field samples, and holds
+for every emitter that decays.  `spectrum` Fourier transforms field samples of
+the window [-c t_final, 0) at time t_final, so it is the spectrum of whatever
+part of the photon that window holds; it also covers trapped emitters, whose
+photon is never complete.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Direction, SystemParams
-from .analytic import excitation_probability_exact, round_trip_series
+from .analytic import _REAL_AXIS, excitation_probability_exact, round_trip_series
 
 _DECAYED_THRESHOLD = 1e-6
 
@@ -155,25 +164,20 @@ def spatial_profile(
 # ---------------------------------------------------------------------------
 
 
-def spectrum(
-    params: SystemParams,
-    t_final: float = 40.0,
-    sample_count: int = 2**14,
-    allow_undecayed: bool = False,
-) -> Spectrum:
-    """Spectral probability density of the photon emitted to the left.
+def _frequency_grid(t_final: float, sample_count: int) -> np.ndarray:
+    """Ascending angular frequencies of a DFT over sample_count samples t_final long."""
+    return 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(sample_count, d=t_final / sample_count))
 
-    Phi_L(x, t_final) is sampled uniformly on x in [-c t_final, 0), read as a
-    function of the time variable x/c, and Fourier transformed; the squared
-    magnitudes on the conjugate frequency grid give the spectrum, normalized
-    to unit peak.  No window is applied: by the decay precondition the signal
-    is negligible at the window edge.
 
-    Raises:
-        EmitterNotDecayed: If P_e(t_final) > 1e-6, unless `allow_undecayed`
-            is set (trapping regimes never decay; their spectrum covers only
-            the emitted part of the excitation).
-    """
+def _peak_normalized(density: np.ndarray) -> np.ndarray:
+    peak = density.max()
+    return density / peak if peak > 0 else density
+
+
+def _decay_residual(
+    params: SystemParams, t_final: float, sample_count: int, allow_undecayed: bool
+) -> float:
+    """P_e(t_final) for a valid spectrum grid; raises where `spectrum` does."""
     if sample_count < 2 or sample_count & (sample_count - 1):
         raise ValueError(f"sample_count must be a power of two, got {sample_count}")
     if not 0 < t_final < math.inf:
@@ -184,26 +188,117 @@ def spectrum(
             f"P_e(t_final) = {residual:.3g} > {_DECAYED_THRESHOLD}; enlarge t_final "
             "or pass allow_undecayed for trapping regimes"
         )
+    return residual
+
+
+def _exactly_trapped(params: SystemParams) -> bool:
+    """Whether 1 + r_m exp(i omega_e tau) vanishes within the rounding of omega_e tau.
+
+    Then a bound state at omega_e keeps part of the excitation for good, and
+    the closed-form amplitude of `laplace_spectrum` is 0/0 at omega_e.  The
+    phase omega_e tau is rounded to ~eps |omega_e tau|, hence the scaled
+    tolerance.
+    """
+    phase = params.round_trip_phase
+    mirror = abs(1.0 + params.r_m * cmath.exp(1j * phase))
+    return mirror <= _REAL_AXIS * max(1.0, abs(phase))
+
+
+def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:
+    """Spectral density |A(omega)|^2 of the whole photon emitted to the left.
+
+    A is the left-moving amplitude after the emitter has decayed: the mirror
+    factor times the Laplace transform F(s) = 1 / (s - a exp(-s tau)) of the
+    emitter amplitude at s = Gamma/2 + i (omega_e - omega) (Tufarelli,
+    Ciccarello & Kim, PRA 87, 013820 (2013)).  With rho = r_m exp(i omega tau),
+    a exp(-s tau) = -(Gamma/2) rho, so
+
+        A = (1 + rho) / ((Gamma/2) (1 + rho) + i (omega_e - omega)),
+
+    exact at every frequency and free of the feedback constant a, which
+    leaves the double range past Gamma tau ~ 1418.  The density is not
+    normalized; `mirrorqed spectrum` divides it by its peak on the grid.
+
+    Raises:
+        ValueError: If omega_e tau is not finite (tau = inf included: no
+            reflection ever returns, and rho has no value).
+        EmitterNotDecayed: If the emitter is exactly trapped, so that part of
+            the excitation never leaves (r_m exp(i omega_e tau) = -1).
+    """
+    if not math.isfinite(params.round_trip_phase):
+        raise ValueError(f"omega_e tau must be finite, got {params.round_trip_phase}")
+    if _exactly_trapped(params):
+        raise EmitterNotDecayed(
+            "r_m exp(i omega_e tau) = -1: a bound state keeps part of the excitation"
+        )
+    omega = np.asarray(frequencies, dtype=float)
+    rho = params.r_m * np.exp(1j * params.tau * omega)
+    amplitude = (1.0 + rho) / (0.5 * params.gamma * (1.0 + rho) + 1j * (params.omega_e - omega))
+    return np.abs(amplitude) ** 2
+
+
+def spectrum(
+    params: SystemParams,
+    t_final: float = 40.0,
+    sample_count: int = 2**14,
+    allow_undecayed: bool = False,
+) -> Spectrum:
+    """Spectral probability density of the part of the left-moving photon in a window.
+
+    Phi_L(x, t_final) is sampled uniformly on x in [-c t_final, 0), read as a
+    function of the time variable x/c, and Fourier transformed; the squared
+    magnitudes on the conjugate frequency grid give the spectrum, normalized
+    to unit peak.  No window function is applied.
+
+    This is the spectrum of the finite window, and the decay guard does not
+    make the window hold the whole photon: light the emitter sends towards
+    the mirror after t_final - tau has not passed the emitter by t_final.  At
+    tau 20, r_m -0.2 and t_final 40, P_e(t_final) is 8e-9, yet the result is
+    ~2e-2 of the peak off the whole photon's spectrum (`laplace_spectrum`) at
+    every sample count (phases 0-2), and 6e-4 to 1.5e-3 at t_final 80 with
+    16384 samples.  Kinks of the field at the round-trip lattice alias too.
+
+    Raises:
+        EmitterNotDecayed: If P_e(t_final) > 1e-6, unless `allow_undecayed`
+            is set (trapping regimes never decay; their spectrum covers only
+            the emitted part of the excitation).
+    """
+    _decay_residual(params, t_final, sample_count, allow_undecayed)
     spacing = t_final / sample_count  # in the time variable x/c
     x_grid = -t_final + spacing * np.arange(sample_count)
     samples = field_amplitude(params, x_grid, Direction.LEFT, t_final)
     # exp(+i omega x/c) convention so the line sits at +omega_e; the constant
     # phase exp(-i omega t_final) drops out of the magnitudes
     amplitudes = np.fft.fftshift(np.fft.ifft(samples)) * math.sqrt(sample_count)
-    frequencies = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(sample_count, d=spacing))
-    density = np.abs(amplitudes) ** 2
-    peak = density.max()
-    if peak > 0:
-        density = density / peak
     return Spectrum(
-        frequencies=frequencies,
-        spectral_density=density,
+        frequencies=_frequency_grid(t_final, sample_count),
+        spectral_density=_peak_normalized(np.abs(amplitudes) ** 2),
         amplitudes=amplitudes,
         t_final=t_final,
         sample_count=sample_count,
         spacing=spacing,
         omega_e=params.omega_e,
     )
+
+
+def _whole_photon_spectrum(
+    params: SystemParams, t_final: float, sample_count: int, allow_undecayed: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The peak-normalized closed form on the frequency grid of `spectrum`,
+    or None where the window FFT of `spectrum` stays.
+
+    The closed form is taken where it is the spectrum of the whole emitted
+    photon: the emitter passes the decay guard of `spectrum`, reflected light
+    has reached the window (tau < t_final; at tau >= t_final the grid spacing
+    2 pi / t_final cannot resolve the mirror's period 2 pi / tau either), and
+    no bound state holds part of the excitation.  Raises what `spectrum`
+    raises.
+    """
+    residual = _decay_residual(params, t_final, sample_count, allow_undecayed)
+    if residual > _DECAYED_THRESHOLD or not params.tau < t_final or _exactly_trapped(params):
+        return None
+    frequencies = _frequency_grid(t_final, sample_count)
+    return frequencies, _peak_normalized(laplace_spectrum(params, frequencies))
 
 
 # ---------------------------------------------------------------------------

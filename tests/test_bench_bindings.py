@@ -86,9 +86,11 @@ def test_longtime_norm_and_dyson_scenarios_pass_their_checks(bench, tmp_path, na
     ("longtime", "excitation-0"), ("longtime", "excitation-4"),
     *(("longtime", f"solve_longtime-{i}") for i in range(6)),
     ("exact-curves", "excitation-0"), ("exact-curves", "excitation-1"),
-    ("exact-curves", "spectrum-1"),
+    *(("exact-curves", f"spectrum-{i}") for i in range(4)),
 ])
 def test_residue_plan_scenarios_pass_their_checks(bench, tmp_path, workload, name):
     # scenarios whose values come from the Lambert-W residue plan or W_0 alone,
-    # where the last bits of libm through cmath may differ between platforms
+    # where the last bits of libm through cmath may differ between platforms;
+    # the spectra take their decay guard from it, and cover both spectrum
+    # paths: the closed form (spectrum-0 to -2) and the window FFT (-3)
     assert scenario_check(bench, tmp_path, workload, name) is None

@@ -134,6 +134,20 @@ def test_trajectory_step_count_beyond_the_double_range_is_config_error(tmp_path,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("tmax", ["1e15", "1e300"])
+def test_trajectory_step_count_above_the_ceiling_is_config_error(tmp_path, capsys, tmax):
+    # these used to die in the run with a MemoryError or OverflowError traceback
+    for command in ("trajectory", "compare"):
+        out = tmp_path / f"{command}.csv"
+        code = run([command, "--tau", "1", "--phase", "1", "--rm", "0",
+                    "--tmax", tmax, "--trajectories", "10", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: t_max / dt must be finite and at most")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_excitation_infinite_delay_omits_markovian_column(tmp_path):
     out = tmp_path / "exc.csv"
     code = run([
@@ -542,10 +556,11 @@ def test_large_spectrum_and_wavepacket_tables_match_per_value_format(tmp_path, c
     assert run(["wavepacket", "--tau", "1", "--phase", "6.283185307179586", "--rm", "-1",
                 "--times", "2,5,10", "--xpoints", "4001", "--out", str(wave)]) == 0
     capsys.readouterr()
-    free = mirrorqed.spectrum(SystemParams(omega_e=5.0, tau=1.0, r_m=0.0 * np.exp(0j)),
-                              t_final=40.0, sample_count=16384)
-    assert spec.read_text().splitlines()[2:] == per_value_rows(
-        [free.frequencies, free.spectral_density])
+    # the decayed emitter's spectrum is the closed form on the FFT frequency grid
+    omega = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(16384, d=40.0 / 16384))
+    free = mirrorqed.laplace_spectrum(SystemParams(omega_e=5.0, tau=1.0, r_m=0.0 * np.exp(0j)),
+                                      omega)
+    assert spec.read_text().splitlines()[2:] == per_value_rows([omega, free / free.max()])
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=6.283185307179586,
                                                 r_m=-1.0 * np.exp(0j))
     x = np.linspace(-11.0, 0.0, 4001)

@@ -352,8 +352,8 @@ PUBLIC_NAMES = [
     "dressed_params", "dyson_coefficient_closed", "dyson_coefficient_iterative",
     "ensemble_average", "excitation_amplitude_exact",
     "excitation_curve", "excitation_probability_exact", "excitation_probability_longtime",
-    "excitation_probability_markovian", "field_amplitude", "mirror_coefficients",
-    "photon_density", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",
+    "excitation_probability_markovian", "field_amplitude", "laplace_spectrum",
+    "mirror_coefficients", "photon_density", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",
     "pp_snap", "round_trip_series", "run_trajectory", "solve_longtime", "solve_xi",
     "spatial_profile", "spectrum", "total_photon_norm", "trajectory_rng",
 ]

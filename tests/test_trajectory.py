@@ -152,13 +152,25 @@ def test_config_validation():
 
 def test_config_rejects_a_step_count_beyond_the_double_range():
     # n_steps = round(t_max / dt) has no integer value at t_max / dt = inf;
-    # a huge finite count is accepted (and would take that many steps)
+    # a huge finite count is rejected too, before any step is taken
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0)
     with pytest.raises(ValueError, match="t_max / dt must be finite"):
         TrajectoryConfig(params, t_max=1e308)
     with pytest.raises(ValueError, match="t_max / dt must be finite"):
         TrajectoryConfig(SystemParams(omega_e=1.0, tau=1e-307, r_m=-1.0), t_max=10.0)
-    assert TrajectoryConfig(params, t_max=1e300).n_steps > 10**301
+    with pytest.raises(ValueError, match="at most 2097152 steps"):
+        TrajectoryConfig(params, t_max=1e300)
+
+
+def test_config_bounds_the_step_count():
+    # the run keeps ~150 bytes a step, so the count has a fixed ceiling;
+    # only the constructor runs here, never a run of that length
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0)
+    dt = TrajectoryConfig(params, boxes=25).dt
+    assert TrajectoryConfig(params, boxes=25, t_max=2**21 * dt).n_steps == 2**21
+    for t_max in ((2**21 + 1) * dt, 1e15):
+        with pytest.raises(ValueError, match="at most 2097152 steps"):
+            TrajectoryConfig(params, boxes=25, t_max=t_max)
 
 
 def config_with(tau=1.0, omega_e=1.0, r_m=0.0, t_max=1.0):

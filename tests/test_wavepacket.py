@@ -1,8 +1,12 @@
 """Tests for the spatial and spectral profiles of the emitted photon."""
 
 import cmath
+import importlib.util
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,12 +18,14 @@ from mirrorqed import (
     derived_constants,
     excitation_probability_exact,
     field_amplitude,
+    laplace_spectrum,
     photon_density,
     spatial_profile,
     spectrum,
     total_photon_norm,
 )
 from mirrorqed import wavepacket
+from mirrorqed.cli import run
 from mirrorqed.wavepacket import _components, _gauss_panels, _integrate_density, _smooth_breaks
 
 
@@ -453,3 +459,178 @@ def test_norm_rejects_nan_time():
     params = SystemParams(omega_e=5.0, tau=1.0, r_m=-0.5)
     with pytest.raises(ValueError, match="t must be positive and finite"):
         total_photon_norm(params, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form spectrum of the whole photon
+# ---------------------------------------------------------------------------
+
+# the benchmark's mpmath oracle, which imports nothing from mirrorqed
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
+
+
+def fft_grid(t_final, sample_count):
+    return 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(sample_count, d=t_final / sample_count))
+
+
+def oracle_density(params, omega):
+    """|A(omega)|^2 from `oracle.laplace_amplitude` at 30 digits.
+
+    The oracle takes a real r_m.  A depends on r_m = |r_m| e^{i phi} only
+    through r_m e^{i omega tau} and r_m e^{i omega_e tau}, so a complex r_m
+    is the real |r_m| with omega and omega_e both shifted by phi / tau.
+    """
+    with mp.workdps(30):
+        r_m = mp.mpc(params.r_m.real, params.r_m.imag)
+        shift = mp.arg(r_m) / params.tau if params.r_m.imag else mp.mpf(0)
+        magnitude = abs(r_m) if params.r_m.imag else mp.mpf(params.r_m.real)
+        return [
+            float(abs(oracle.laplace_amplitude(
+                params.tau, mp.mpf(params.omega_e) + shift, magnitude, mp.mpf(w) + shift
+            )) ** 2)
+            for w in omega
+        ]
+
+
+def oracle_rows(density, stride):
+    """Every `stride`-th row plus the 16 rows either side of the peak."""
+    peak = int(np.argmax(density))
+    near = range(max(0, peak - 16), min(len(density), peak + 17))
+    return sorted(set(range(0, len(density), stride)) | set(near))
+
+
+def worst_off_oracle(params, omega, density, stride):
+    """max |density - oracle| over `oracle_rows`, as a share of the peak of each."""
+    rows = oracle_rows(density, stride)
+    ref = np.array(oracle_density(params, omega[rows]))
+    return float(np.max(np.abs(density[rows] / density.max() - ref / ref.max())))
+
+
+# seed-1 inputs of the benchmark's decaying exact-curves spectra, then a
+# delay past the window (tau 20) and a complex r_m
+CLOSED_FORM_CASES = [
+    SystemParams(omega_e=3.0105302667555534, tau=1.0262280082457942, r_m=0),
+    params_for(0.9945387194054801, 4.533569729745489, -0.5),
+    params_for(0.9728762221270453, 4.032134044697638, -1.0),
+    params_for(20.0, 1.0, -0.2),
+    params_for(1.0, 1.3, 0.8 * cmath.exp(-0.4j)),
+    params_for(1.0, 2.0, -0.8j),
+]
+
+
+@pytest.mark.parametrize("params", CLOSED_FORM_CASES)
+def test_laplace_spectrum_matches_the_mpmath_oracle(params):
+    # relative to the peak: at |r_m| = 1 the amplitude has exact zeros
+    omega = fft_grid(40.0, 2**14)
+    density = laplace_spectrum(params, omega)
+    assert np.all(np.isfinite(density))
+    assert worst_off_oracle(params, omega, density, 128) < 1e-12
+
+
+def test_laplace_spectrum_where_the_feedback_constant_is_infinite():
+    # at Gamma tau 2000, a = -r_m (Gamma/2) exp(i Omega tau) leaves the double
+    # range; on the sub-grid omega tau = 2 pi k the mirror factor is 1 + r_m,
+    # so the line is the Lorentzian of width 1 + r_m.  omega tau ~ 1e4 is
+    # rounded by up to 9e-13, which bounds the agreement with the oracle.
+    params = SystemParams(omega_e=5.0, tau=2000.0, r_m=-0.5)
+    assert cmath.isinf(derived_constants(params).a)
+    omega = 2 * np.pi * np.arange(1000, 2200) / params.tau
+    width = 1 + params.r_m.real
+    lorentz = width**2 / (width**2 / 4 + (omega - params.omega_e) ** 2)
+    assert np.max(np.abs(laplace_spectrum(params, omega) / lorentz - 1)) < 1e-9
+    dense = np.linspace(4.0, 6.0, 20001)
+    density = laplace_spectrum(params, dense)
+    assert np.all(np.isfinite(density))
+    assert worst_off_oracle(params, dense, density, 500) < 1e-11
+
+
+def test_laplace_spectrum_rejects_trapping_and_an_infinite_delay():
+    with pytest.raises(EmitterNotDecayed, match="bound state"):
+        laplace_spectrum(params_for(20.0, 125.66370614359172, -1.0), [1.0])
+    with pytest.raises(EmitterNotDecayed, match="bound state"):
+        laplace_spectrum(SystemParams(omega_e=1.0, tau=0.0, r_m=-1.0), [1.0])
+    with pytest.raises(ValueError, match="omega_e tau must be finite"):
+        laplace_spectrum(SystemParams(omega_e=5.0, tau=math.inf, r_m=-0.5), [1.0])
+
+
+def run_spectrum(tmp_path, *argv):
+    """(header, omega strings, columns) that `mirrorqed spectrum` writes."""
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", *argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "omega,spectral_density"
+    rows = [line.split(",") for line in lines[2:]]
+    columns = np.array([[float(v) for v in row] for row in rows]).T
+    return json.loads(lines[0][2:]), [row[0] for row in rows], columns
+
+
+def test_cli_writes_the_closed_form_for_a_decayed_emitter(tmp_path):
+    meta, _, (omega, density) = run_spectrum(
+        tmp_path, "--tau", "1", "--phase", "2", "--rm", "-0.5", "--samples", "1024")
+    assert meta["method"] == "laplace"
+    assert np.array_equal(omega, fft_grid(40.0, 1024))
+    closed = laplace_spectrum(params_for(1.0, 2.0, -0.5), omega)
+    assert np.array_equal(density, closed / closed.max())
+
+
+@pytest.mark.parametrize(
+    ("argv", "params", "t_final", "samples", "allow_undecayed"),
+    [
+        # no reflected light reaches the window
+        (["--tau", "40", "--omega-e", "5", "--rm", "-0.5", "--t-final", "40"],
+         SystemParams(omega_e=5.0, tau=40.0, r_m=-0.5), 40.0, 1024, False),
+        (["--tau", "inf", "--omega-e", "5", "--rm", "-1"],
+         SystemParams(omega_e=5.0, tau=math.inf, r_m=-1.0), 40.0, 1024, False),
+        # exact trapping that passes the guard, omega_e on the grid
+        (["--tau", "20", "--phase", "125.66370614359172", "--rm", "-1", "--t-final", "39"],
+         params_for(20.0, 125.66370614359172, -1.0), 39.0, 16384, False),
+        # the benchmark's trapped spectrum, P_e -> 4/9
+        (["--tau", "1", "--phase", "6.283185307179586", "--rm", "-1", "--allow-undecayed"],
+         params_for(1.0, 2 * math.pi, -1.0), 40.0, 1024, True),
+        # a window that ends before the emitter decays
+        (["--tau", "1", "--phase", "2", "--rm", "-0.5", "--t-final", "5", "--allow-undecayed"],
+         params_for(1.0, 2.0, -0.5), 5.0, 1024, True),
+    ],
+)
+def test_cli_keeps_the_window_fft_where_the_closed_form_does_not_apply(
+    tmp_path, argv, params, t_final, samples, allow_undecayed
+):
+    meta, _, (omega, density) = run_spectrum(tmp_path, *argv, "--samples", str(samples))
+    assert meta["method"] == "fft"
+    fft = spectrum(params, t_final, samples, allow_undecayed=allow_undecayed)
+    assert np.array_equal(omega, fft.frequencies)
+    assert np.array_equal(density, fft.spectral_density)
+
+
+def test_exact_trapping_passes_the_decay_guard_with_omega_e_on_the_grid():
+    # where the closed form's 0/0 would land on a grid point: the plain
+    # formula gives 2 there, the limit is tau / (1 + Gamma tau / 2)
+    params = params_for(20.0, 125.66370614359172, -1.0)
+    assert excitation_probability_exact(params, 39.0) < 1e-6
+    assert params.omega_e in fft_grid(39.0, 16384)
+
+
+def test_omega_column_is_the_same_bytes_on_both_paths(tmp_path):
+    flags = ["--omega-e", "5", "--rm", "-0.5", "--t-final", "40", "--samples", "2048"]
+    laplace_meta, laplace_omega, _ = run_spectrum(tmp_path, "--tau", "1", *flags)
+    fft_meta, fft_omega, _ = run_spectrum(tmp_path, "--tau", "40", *flags)
+    assert (laplace_meta["method"], fft_meta["method"]) == ("laplace", "fft")
+    assert laplace_omega == fft_omega
+
+
+def test_cli_spectrum_of_a_photon_the_window_cuts_matches_the_oracle(tmp_path):
+    # P_e(40) = 8e-9, but light re-emitted after t_final - tau = 20 has not
+    # passed the emitter: the window FFT is ~2e-2 of the peak off here
+    params = params_for(20.0, 1.0, -0.2)
+    meta, _, (omega, density) = run_spectrum(
+        tmp_path, "--tau", "20", "--phase", "1", "--rm", "-0.2", "--t-final", "40",
+        "--samples", "4096")
+    assert meta["method"] == "laplace"
+    assert worst_off_oracle(params, omega, density, 32) < 1e-12
+    fft = spectrum(params, 40.0, 4096)
+    assert np.max(np.abs(fft.spectral_density - density)) > 1e-2
+
