@@ -24,7 +24,8 @@ right box 0, left box 0), a step is the scalar delay recurrence
     e' = u00 e + u02 l0,  emission = u10 e + u12 l0,  left out = u20 e + u22 l0,
 
 with l0 = r_m times the emission M steps earlier; the right output is t_m
-times the emission N-1 steps earlier.
+times the emission N-1 steps earlier.  A step therefore reads two slots of a
+ring of the last M emissions and does O(1) work, whatever N.
 
 With a single excitation a detection leaves the vacuum for good, so all
 trajectories share this one no-jump run until their first detection, and
@@ -33,11 +34,15 @@ detection, one waiting time drawn per trajectory: the waiting-time form of
 quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The squared
 norm S[k] of the unnormalized no-jump state is the chance that no detection
 came before step k, so one uniform per trajectory fixes its first detection.
-The uniforms are multiples of 2**-53 below 1, so every trajectory has been
-detected once S falls below 2**-53: the run stops where S leaves the normal
-double range, or where detection is certain, and is zero after that.
-Averaging the trajectories reproduces the open-system dynamics and serves as
-an independent check of the exact analytic solution.
+S[k] is the norm still in flight at the end of the run plus the weight each
+step from k on drops into the outputs, a sum of non-negative terms, so it
+never rises, and the undetected count at every step is one sort of the
+thresholds and one binary search.  The uniforms are multiples of 2**-53
+below 1, so every trajectory has been detected once S falls below 2**-53:
+the run stops where S leaves the normal double range, or where detection is
+certain, and is zero after that.  Averaging the trajectories reproduces the
+open-system dynamics and serves as an independent check of the exact
+analytic solution.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ import numpy as np
 
 from .core import SystemParams
 
-# Longest run: `_evolve` keeps four Python lists with one entry per step,
-# ~150 bytes a step, and a whole `compare` ~260, so a run at this many steps
-# peaks near 0.6 GB and takes ~10-15 s on one core.
+# Longest run.  At this many steps (N 25, trapped, so the run never stops)
+# `_evolve` peaks at 52 MB by tracemalloc, 26 bytes a step, and takes 1.8 s;
+# `ensemble_average` peaks at 112 MB and takes 2.0 s (one x86-64 core).
 _MAX_STEPS = 2**21
 
 
@@ -176,16 +181,22 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
 def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """The no-jump run from |e, 0>: P_e and survival S at every step start.
 
-    Steps the recurrence of the module docstring.  The squared norm S of the
-    unnormalized state is summed over e and every box in flight, the
-    transmitted box included; one minus the weight dropped so far would lose
-    digits (8e-7 relative at phase pi, r_m -1, N 25, t 10).  P_e = |e|^2 / S.
+    Steps the recurrence of the module docstring over a ring of the last M
+    emissions: slot k % M holds the emission M steps back, whose return is
+    l0, and slot (k - lag) % M the one at the right output.  A step keeps
+    |e|^2 and its drop |left out|^2 + t_m^2 |emission k - lag|^2.  S at the
+    end is the squared norm in flight, |e|^2 plus every box, the transmitted
+    box included, and each earlier S[k] is S[k+1] plus the drop of step k: a
+    reverse sum of non-negative terms, so S never rises and loses no digits
+    (one minus the weight dropped so far lost 8e-7 relative at phase pi,
+    r_m -1, N 25, t 10).  P_e = |e|^2 / S.
 
-    The run stops after the first step whose detection probability
-    (|left out|^2 + |right out|^2) / S is at least 1, where no no-jump state
-    is left, or that leaves S below the smallest normal double, where every
-    trajectory has been detected (see `_first_detections`); later values stay
-    zero.  Returns P_e and the survival, n_steps + 1 values each.
+    The run stops after the first step whose drop is at least the S before
+    it, where no no-jump state is left, or that leaves S below the smallest
+    normal double, where every trajectory has been detected (see
+    `_first_detections`); later values are zero.  S never rises, so the loop
+    itself ends once the norm in flight is below that double, checked every
+    max(M, 32) steps.  Returns P_e and the survival, n_steps + 1 values each.
     """
     (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).tolist()
     n_steps = config.n_steps
@@ -194,33 +205,46 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     delay = 2 * config.boxes - 3  # M: steps from an emission to its return at left box 0
     lag = config.boxes - 1  # steps from an emission to the right output
     tiny = float(np.finfo(float).tiny)
-    # emissions and their |.|^2, oldest first, behind the empty boxes of t = 0
-    emitted = [0j] * delay
-    weight = [0.0] * delay
+    # the last M emissions and their |.|^2 by slot k % M, empty boxes at t = 0
+    ring = [0j] * delay
+    weights = [0.0] * delay
     e = 1 + 0j
-    norm = 1.0  # S before the step
-    excited, survival = [1.0], [1.0]
-    for _ in range(n_steps):
-        l0 = r_m * emitted[-delay]
-        right = t_m * emitted[-lag]
-        e, emission, left = u00 * e + u02 * l0, u10 * e + u12 * l0, u20 * e + u22 * l0
-        emitted.append(emission)
-        weight.append((emission * emission.conjugate()).real)
-        # right boxes 1..N-2 hold the N-2 newest emissions, the next one is
-        # split into the transmitted box and left box N-2, older ones move left
-        e2 = (e * e.conjugate()).real
-        end = len(weight)
-        new_norm = e2 + sum(weight[end - lag + 1 :]) + transmitted * weight[end - lag]
-        new_norm += reflected * sum(weight[end - delay : end - lag + 1])
-        dropped = (left * left.conjugate()).real + (right * right.conjugate()).real
-        if dropped / norm >= 1.0 or new_norm < tiny:
+    excited, drop = np.empty(n_steps + 1), np.empty(n_steps)  # |e|^2 after step k at k + 1
+    excited_at, drop_at = memoryview(excited), memoryview(drop)
+    done = 0
+    while done < n_steps:
+        for k in range(done, min(done + max(delay, 32), n_steps)):
+            i = k % delay
+            l0 = r_m * ring[i]
+            e, emission, left = u00 * e + u02 * l0, u10 * e + u12 * l0, u20 * e + u22 * l0
+            ring[i] = emission
+            drop_at[k] = (left * left.conjugate()).real + transmitted * weights[i - lag]
+            weights[i] = (emission * emission.conjugate()).real
+            excited_at[k + 1] = (e * e.conjugate()).real
+        done = k + 1
+        if (e * e.conjugate()).real + sum(weights) < tiny:  # bounds the norm in flight
             break
-        norm = new_norm
-        excited.append(e2 / norm)
-        survival.append(norm)
-    for values in (excited, survival):
-        values += [0.0] * (n_steps + 1 - len(values))  # zeros after a stop
-    return np.array(excited), np.array(survival)
+    # the ring from its oldest slot: right boxes 1..N-2 hold the N-2 newest
+    # emissions, the next one is split into the transmitted box and left box
+    # N-2, older ones move left
+    oldest = done % delay
+    by_age = weights[oldest:] + weights[:oldest]
+    split = delay - lag
+    in_flight = (e * e.conjugate()).real + sum(by_age[split + 1 :]) + transmitted * by_age[split]
+    in_flight += reflected * sum(by_age[: split + 1])
+    drop = drop[:done]
+    survival = np.zeros(n_steps + 1)
+    survival[:done] = drop
+    survival[done] = in_flight
+    np.cumsum(survival[done::-1], out=survival[done::-1])  # S[k] = S[k + 1] + drop[k]
+    survival[0] = 1.0
+    gone = (drop >= survival[:done]) | (survival[1 : done + 1] < tiny)
+    stop = int(np.argmax(gone)) if gone.any() else done
+    survival[stop + 1 :] = 0.0  # zeros after a stop
+    excited[0] = 1.0
+    excited[1 : stop + 1] /= survival[1 : stop + 1]
+    excited[stop + 1 :] = 0.0
+    return excited, survival
 
 
 def _first_detections(survival: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -230,10 +254,11 @@ def _first_detections(survival: np.ndarray, u: np.ndarray) -> np.ndarray:
     trajectory is still undetected at step k, so the trajectory is first
     detected at the k with S[k+1] < v <= S[k], and not at all when
     v <= S[n_steps]; its first detection is the number of steps k >= 1 with
-    S[k] >= v.  The running minimum keeps that count a binary search where
-    rounding lifts S by an ulp.  `Generator.random` gives multiples of
-    2**-53 below 1, so v >= 2**-53: every trajectory is detected before S
-    leaves the normal range, where `_evolve` stops.
+    S[k] >= v.  S from `_evolve` never rises; the running minimum keeps that
+    count a binary search for any other survival, such as one that rounding
+    lifts by an ulp.  `Generator.random` gives multiples of 2**-53 below 1,
+    so v >= 2**-53: every trajectory is detected before S leaves the normal
+    range, where `_evolve` stops.
     """
     v = 1.0 - u
     return np.searchsorted(-np.minimum.accumulate(survival[1:]), -v, side="right")
@@ -258,18 +283,21 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
 
     Trajectory i is the no-jump run cut at its first detection, fixed by
     uniform i of the master_seed stream, so at step k its P_e is P_e[k] or 0:
-    the ensemble reduces to the count c[k] = #{first >= k} of trajectories
-    not yet detected.  The mean is P_e (c / n) and the standard error
-    P_e sqrt(c (n - c) / (n - 1)) / n, the sample formulas over the rows
-    that run_trajectory returns, without building them; where no trajectory
-    is detected they give P_e and 0 exactly, and where every trajectory is
-    detected, 0 and 0.
+    the ensemble reduces to the count c[k] of trajectories not yet detected.
+    That is every trajectory at step 0 and, from step 1 on, the number of
+    thresholds v = 1 - u with v <= S[k] (see `_first_detections`): one sort of
+    the thresholds and one binary search per step.  The mean is P_e (c / n)
+    and the standard error P_e sqrt(c (n - c) / (n - 1)) / n, the sample
+    formulas over the rows that run_trajectory returns, without building
+    them; where no trajectory is detected they give P_e and 0 exactly, and
+    where every trajectory is detected, 0 and 0.
     """
     n_traj = config.n_trajectories
     excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(n_traj)
-    first = _first_detections(survival, u)
-    undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
+    undetected = np.empty(config.n_steps + 1, dtype=np.intp)
+    undetected[0] = n_traj
+    undetected[1:] = np.searchsorted(np.sort(1.0 - u), survival[1:], side="right")
     mean = excited * (undetected / n_traj)
     if n_traj > 1:
         stderr = excited * np.sqrt(undetected * (n_traj - undetected) / (n_traj - 1)) / n_traj

@@ -679,8 +679,8 @@ def test_readme_python_example_runs(capsys):
 # sha256 of the whole output file, header line included; the box model and the
 # Philox draws fix every byte for a fixed seed
 README_DIGESTS = {
-    "trajectory": "ccc9ce3137066477e86d29c01f723c235b8af50f1164feceb8de0fe5e41ce5c8",
-    "compare": "3632d35e5b95d9c3046ba37d5a6d4f25590705be2955020633b765da3f99a898",
+    "trajectory": "56024496c8ef91fcc3601ff796fae8b7e5d2c78780862b3d558b0bd718af130e",
+    "compare": "58553f1580bf9ad39acb025e3d0357e001df25a2fd75237bbb0a79ba9df7411b",
 }
 
 

@@ -409,6 +409,118 @@ def test_recurrence_matches_dense_kernel(boxes, phase, r_m):
     np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - dense_p), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("boxes", [2, 3, 9])
+def test_recurrence_matches_dense_kernel_across_ring_turns(boxes):
+    # the run keeps the last M = 2N - 3 emissions in a ring and checks the
+    # norm in flight every max(M, 32) steps: runs of one step, around one and
+    # two turns of the ring, and across the first checks, with a mirror that
+    # both reflects and transmits
+    turn = 2 * boxes - 3
+    dt = config_for(boxes=boxes).dt
+    for n_steps in sorted({1, turn - 1, turn, turn + 1, 2 * turn, 32, 33, 100} - {0}):
+        config = config_for(phase=0.3, r_m=-0.6j, boxes=boxes, t_max=n_steps * dt)
+        assert config.n_steps == n_steps
+        excited, survival = _evolve(config)
+        dense_excited, dense_p = dense_evolve(config)
+        assert survival[-1] > 0.0
+        np.testing.assert_allclose(excited, dense_excited, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(survival[1:], np.cumprod(1.0 - dense_p), rtol=1e-12, atol=0)
+
+
+# the runs of this file's tests, the README `trajectory` and `compare` runs
+# and the bench's fine runs
+SURVIVAL_RUNS = [
+    pytest.param(config_for(phase=phase, r_m=r_m, boxes=boxes, t_max=4.0),
+                 id=f"N{boxes}-phase{phase:.3g}-rm{r_m}")
+    for boxes in (2, 3, 9, 25)
+    for phase, r_m in [(math.pi, -1.0), (2 * math.pi, -0.5), (1.0, 0.0), (0.3, 0.7)]
+] + [
+    pytest.param(config_for(phase=math.pi, r_m=-0.5, boxes=25, t_max=10.0),
+                 id="readme-trajectory"),
+    pytest.param(config_for(phase=2 * math.pi, r_m=-1.0, boxes=25, t_max=10.0),
+                 id="readme-compare"),
+    pytest.param(config_for(phase=0.3, r_m=mirror_coefficients(1.0)[1], boxes=97, t_max=10.0),
+                 id="j-mirror-N97"),
+    pytest.param(config_for(phase=math.pi, r_m=-0.5, boxes=100, t_max=1.25), id="fine-N100"),
+    pytest.param(config_for(phase=math.pi, r_m=0.0, boxes=5, t_max=2000.0),
+                 id="free-space-to-the-stop"),
+    pytest.param(TrajectoryConfig(SystemParams(omega_e=0.0, tau=5 * math.pi**2 / 2, r_m=0.0),
+                                  boxes=6, t_max=50.0), id="certain-detection"),
+]
+
+
+@pytest.mark.parametrize("config", SURVIVAL_RUNS)
+def test_survival_never_rises(config):
+    # S is the norm in flight at the end plus a reverse sum of non-negative
+    # drops, so it never rises, from S[0] = 1 on, and the running minimum in
+    # `_first_detections` leaves it as it is
+    _, survival = _evolve(config)
+    assert survival[0] == 1.0
+    assert survival[1] <= 1.0
+    assert np.all(np.diff(survival) <= 0.0)
+
+
+class FixedUniforms:
+    """Stands in for the Philox stream: `random(n)` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        config_for(phase=math.pi, r_m=-0.5, boxes=9, t_max=4.0),
+        config_for(phase=math.pi, r_m=0.0, boxes=5, t_max=2000.0),
+        TrajectoryConfig(SystemParams(omega_e=0.0, tau=5 * math.pi**2 / 2, r_m=0.0), boxes=6,
+                         t_max=50.0),
+    ],
+    ids=["decaying", "free-space-to-the-stop", "certain-detection"],
+)
+def test_ensemble_count_matches_first_detections_at_ties_and_edges(config, monkeypatch):
+    # thresholds v = 1 - u exactly at a survival value, one ulp either side
+    # of it, and the extremes u = 0 (v = 1) and u = 1 - 2**-53 (v = 2**-53):
+    # counting the v <= S[k] after one sort gives every step the count of
+    # first detections at or after it
+    excited, survival = _evolve(config)
+    live = np.unique(survival[1:][survival[1:] > 0.0])
+    v = np.concatenate([live, np.nextafter(live, 0.0), np.nextafter(live, 2.0)])
+    v = v[(v <= 1.0) & (1.0 - (1.0 - v) == v)]  # the thresholds some u gives exactly
+    ties = np.isin(v, survival[1:]).sum()
+    assert ties >= 1
+    u = np.concatenate([1.0 - v, [0.0, 1.0 - 2.0**-53]])
+    np.random.default_rng(5).shuffle(u)
+    monkeypatch.setattr(trajectory, "trajectory_rng", lambda seed, index: FixedUniforms(u))
+    n = len(u)
+    result = ensemble_average(dataclasses.replace(config, n_trajectories=n))
+    first = trajectory._first_detections(survival, u)
+    undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
+    assert np.array_equal(result.mean, excited * (undetected / n))
+    assert np.array_equal(
+        result.stderr, excited * np.sqrt(undetected * (n - undetected) / (n - 1)) / n
+    )
+    assert undetected[0] == n and undetected[-1] < n
+
+
+def test_no_jump_run_memory_is_a_few_floats_per_step():
+    # a trapped run never stops: its 96 000 steps keep |e|^2 (P_e after the
+    # run), the drop and S per step, and the last M emissions
+    config = config_for(phase=2 * math.pi, r_m=-1.0, boxes=25, t_max=2000.0)
+    assert config.n_steps == 96_000
+    tracemalloc.start()
+    try:
+        _, survival = _evolve(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert survival[-1] > 0.0
+    assert peak < 64 * config.n_steps
+
+
 def test_recurrence_matches_oracle_to_1e12_relative():
     # S is summed over e and every box in flight; taking it as one minus the
     # weight dropped so far puts P_e off by up to ~1e-6 relative here
