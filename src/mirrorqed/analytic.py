@@ -86,6 +86,13 @@ def _feedback_log(params: SystemParams) -> complex:
     return complex(log_mag, cmath.phase(-params.r_m) + params.omega_e * params.tau)
 
 
+def _round_trip_mirror(params: SystemParams) -> complex:
+    """rho = r_m exp(i omega_e tau), the mirror's factor on a photon at omega_e
+    after one round trip.  omega_e tau has no value at tau = inf; each caller
+    keeps its own rule there."""
+    return params.r_m * cmath.exp(1j * params.round_trip_phase)
+
+
 # Taylor coefficients mu_k of W(z) = sum_k mu_k p^k about the branch point
 # z = -1/e, p = sqrt(2 (1 + e z)): the recurrence of Corless et al., Adv.
 # Comput. Math. 5, 329 (1996), eqs. (4.23)-(4.24).  +p gives W_0, -p the
@@ -294,7 +301,8 @@ def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     res = None
     if log_a.real > -math.inf and x.size and x.max() >= _SWITCH_MIN:
         res = _residues(log_a, tau)
-    late = x >= (res.switch if res is not None else math.inf)
+    # without a plan every point takes the causal sum, an overflowing x too
+    late = x >= res.switch if res is not None else np.zeros(x.shape, dtype=bool)
     total[live[~late]] = _causal_sum(ul[~late], log_a, tau, envelope)
     if late.any():
         total[live[late]] = _residue_sum(ul[late], x[late], tau, envelope, res)
@@ -368,11 +376,9 @@ def _loop_count(n: int) -> int:
 
 
 def _returning_loop_weight(params: SystemParams) -> complex:
-    """r_m exp(i omega_e tau), the weight of a loop that returns after tau; 0 for
-    tau = inf, where no loop returns and omega_e tau has no value."""
-    if math.isinf(params.tau):
-        return 0j
-    return params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+    """rho, the weight of a loop that returns after tau; 0 for tau = inf, where
+    no loop returns and omega_e tau has no value."""
+    return 0j if math.isinf(params.tau) else _round_trip_mirror(params)
 
 
 def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
@@ -584,7 +590,7 @@ def _mirror_phase_factor(params: SystemParams) -> complex:
             "the Markovian limit needs a finite tau: the round-trip phase "
             "omega_e tau is undefined for tau = inf"
         )
-    return params.r_m * cmath.exp(1j * params.omega_e * params.tau)
+    return _round_trip_mirror(params)
 
 
 def excitation_probability_markovian(params: SystemParams, t):

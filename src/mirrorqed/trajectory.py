@@ -34,15 +34,18 @@ detection, one waiting time drawn per trajectory: the waiting-time form of
 quantum jumps (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  The squared
 norm S[k] of the unnormalized no-jump state is the chance that no detection
 came before step k, so one uniform per trajectory fixes its first detection.
-S[k] is the norm still in flight at the end of the run plus the weight each
-step from k on drops into the outputs, a sum of non-negative terms, so it
-never rises, and the undetected count at every step is one sort of the
-thresholds and one binary search.  The uniforms are multiples of 2**-53
-below 1, so every trajectory has been detected once S falls below 2**-53:
-the run stops where S leaves the normal double range, or where detection is
-certain, and is zero after that.  Averaging the trajectories reproduces the
-open-system dynamics and serves as an independent check of the exact
-analytic solution.
+A trajectory with uniform u is still undetected at step k exactly when its
+threshold v = 1 - u is at most S[k]; S[0] = 1, so every trajectory is at
+step 0.  This one rule gives a single trajectory's series and the
+ensemble's count of undetected trajectories, one sort of the thresholds
+and one binary search.  S[k] is the norm still in flight at the end of the
+run plus the weight each step from k on drops into the outputs, a sum of
+non-negative terms, so it never rises.  The uniforms are multiples of
+2**-53 below 1, so every trajectory has been detected once S falls below
+2**-53: the run stops where S leaves the normal double range, or where
+detection is certain, and is zero after that.  Averaging the trajectories
+reproduces the open-system dynamics and serves as an independent check of
+the exact analytic solution.
 """
 
 from __future__ import annotations
@@ -193,8 +196,8 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The run stops after the first step whose drop is at least the S before
     it, where no no-jump state is left, or that leaves S below the smallest
-    normal double, where every trajectory has been detected (see
-    `_first_detections`); later values are zero.  S never rises, so the loop
+    normal double, where every trajectory has been detected (every
+    threshold v = 1 - u is at least 2**-53); later values are zero.  S never rises, so the loop
     itself ends once the norm in flight is below that double, checked every
     max(M, 32) steps.  Returns P_e and the survival, n_steps + 1 values each.
     """
@@ -247,21 +250,13 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     return excited, survival
 
 
-def _first_detections(survival: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """First detection step of the trajectories drawing uniforms `u` (n_steps if none).
+def _undetected(survival: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of the trajectories drawing uniforms `u` still undetected at each step.
 
-    The threshold v = 1 - u lies in (0, 1].  S[k] is the chance that a
-    trajectory is still undetected at step k, so the trajectory is first
-    detected at the k with S[k+1] < v <= S[k], and not at all when
-    v <= S[n_steps]; its first detection is the number of steps k >= 1 with
-    S[k] >= v.  S from `_evolve` never rises; the running minimum keeps that
-    count a binary search for any other survival, such as one that rounding
-    lifts by an ulp.  `Generator.random` gives multiples of 2**-53 below 1,
-    so v >= 2**-53: every trajectory is detected before S leaves the normal
-    range, where `_evolve` stops.
+    A trajectory is undetected at step k exactly when its threshold
+    v = 1 - u is at most S[k], the chance that no detection came before k.
     """
-    v = 1.0 - u
-    return np.searchsorted(-np.minimum.accumulate(survival[1:]), -v, side="right")
+    return np.searchsorted(np.sort(1.0 - u), survival, side="right")
 
 
 def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarray:
@@ -274,8 +269,7 @@ def run_trajectory(config: TrajectoryConfig, trajectory_index: int) -> np.ndarra
     """
     excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, trajectory_index).random(1)
-    first = _first_detections(survival, u)
-    return np.where(np.arange(config.n_steps + 1) <= first, excited, 0.0)
+    return excited * _undetected(survival, u)
 
 
 def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
@@ -283,21 +277,18 @@ def ensemble_average(config: TrajectoryConfig) -> EnsembleResult:
 
     Trajectory i is the no-jump run cut at its first detection, fixed by
     uniform i of the master_seed stream, so at step k its P_e is P_e[k] or 0:
-    the ensemble reduces to the count c[k] of trajectories not yet detected.
-    That is every trajectory at step 0 and, from step 1 on, the number of
-    thresholds v = 1 - u with v <= S[k] (see `_first_detections`): one sort of
-    the thresholds and one binary search per step.  The mean is P_e (c / n)
-    and the standard error P_e sqrt(c (n - c) / (n - 1)) / n, the sample
-    formulas over the rows that run_trajectory returns, without building
-    them; where no trajectory is detected they give P_e and 0 exactly, and
-    where every trajectory is detected, 0 and 0.
+    the ensemble reduces to the count c[k] of trajectories not yet detected,
+    the number of thresholds v = 1 - u with v <= S[k] (see `_undetected`):
+    one sort of the thresholds and one binary search per step.  The mean is
+    P_e (c / n) and the standard error P_e sqrt(c (n - c) / (n - 1)) / n, the
+    sample formulas over the rows that run_trajectory returns, without
+    building them; where no trajectory is detected they give P_e and 0
+    exactly, and where every trajectory is detected, 0 and 0.
     """
     n_traj = config.n_trajectories
     excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(n_traj)
-    undetected = np.empty(config.n_steps + 1, dtype=np.intp)
-    undetected[0] = n_traj
-    undetected[1:] = np.searchsorted(np.sort(1.0 - u), survival[1:], side="right")
+    undetected = _undetected(survival, u)
     mean = excited * (undetected / n_traj)
     if n_traj > 1:
         stderr = excited * np.sqrt(undetected * (n_traj - undetected) / (n_traj - 1)) / n_traj

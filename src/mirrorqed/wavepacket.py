@@ -19,7 +19,6 @@ photon is never complete.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Direction, SystemParams
-from .analytic import _REAL_AXIS, excitation_probability_exact, round_trip_series
+from .analytic import (
+    _REAL_AXIS, _round_trip_mirror, excitation_probability_exact, round_trip_series,
+)
 
 _DECAYED_THRESHOLD = 1e-6
 
@@ -199,9 +200,8 @@ def _exactly_trapped(params: SystemParams) -> bool:
     phase omega_e tau is rounded to ~eps |omega_e tau|, hence the scaled
     tolerance.
     """
-    phase = params.round_trip_phase
-    mirror = abs(1.0 + params.r_m * cmath.exp(1j * phase))
-    return mirror <= _REAL_AXIS * max(1.0, abs(phase))
+    mirror = abs(1.0 + _round_trip_mirror(params))
+    return mirror <= _REAL_AXIS * max(1.0, abs(params.round_trip_phase))
 
 
 def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:

@@ -305,6 +305,15 @@ def test_amplitude_no_mirror_free_decay():
     assert abs(amp) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+def test_amplitude_no_mirror_where_u_over_tau_overflows():
+    # without a mirror there is no residue plan, so every point takes the
+    # causal sum, also where u / tau overflows to inf; that point read the
+    # missing plan and raised AttributeError
+    params = SystemParams(omega_e=1.0, tau=1e-300, r_m=0)
+    assert excitation_probability_exact(params, [1.0, 1e10]).tolist() == [math.exp(-1.0), 0.0]
+    assert excitation_probability_exact(params, 1e10) == 0.0
+
+
 def test_probability_free_before_round_trip():
     for r_m in (0, -0.5, -1):
         params = params_for(1.0, math.pi, r_m)

@@ -161,6 +161,21 @@ def test_excitation_infinite_delay_omits_markovian_column(tmp_path):
     assert np.allclose(data[:, 1], np.exp(-data[:, 0]), rtol=1e-14, atol=0)
 
 
+def test_excitation_without_mirror_where_t_over_tau_overflows(tmp_path, capsys):
+    # t / tau is inf at the later grid points; with no mirror they take the
+    # causal sum, which is the free decay
+    out = tmp_path / "exc.csv"
+    code = run([
+        "excitation", "--tau", "1e-300", "--omega-e", "1", "--rm", "0",
+        "--tmax", "1e10", "--grid", "3", "--out", str(out),
+    ])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, header, data = read_table(out)
+    assert header == ["t", "P_exact", "P_longtime", "P_markovian"]
+    assert data[:, 1].tolist() == [1.0, 0.0, 0.0]
+
+
 def test_dressed_sweep(tmp_path):
     out = tmp_path / "dressed.csv"
     code = run(["dressed", "--rm", "-1", "--phase-points", "201", "--out", str(out)])

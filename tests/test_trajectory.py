@@ -163,7 +163,7 @@ def test_config_rejects_a_step_count_beyond_the_double_range():
 
 
 def test_config_bounds_the_step_count():
-    # the run keeps ~150 bytes a step, so the count has a fixed ceiling;
+    # the run keeps ~26 bytes a step, so the count has a fixed ceiling;
     # only the constructor runs here, never a run of that length
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=-1.0)
     dt = TrajectoryConfig(params, boxes=25).dt
@@ -452,8 +452,8 @@ SURVIVAL_RUNS = [
 @pytest.mark.parametrize("config", SURVIVAL_RUNS)
 def test_survival_never_rises(config):
     # S is the norm in flight at the end plus a reverse sum of non-negative
-    # drops, so it never rises, from S[0] = 1 on, and the running minimum in
-    # `_first_detections` leaves it as it is
+    # drops, so it never rises, from S[0] = 1 on: a trajectory undetected at
+    # a step (v <= S[k]) is undetected at every step before it
     _, survival = _evolve(config)
     assert survival[0] == 1.0
     assert survival[1] <= 1.0
@@ -484,8 +484,7 @@ class FixedUniforms:
 def test_ensemble_count_matches_first_detections_at_ties_and_edges(config, monkeypatch):
     # thresholds v = 1 - u exactly at a survival value, one ulp either side
     # of it, and the extremes u = 0 (v = 1) and u = 1 - 2**-53 (v = 2**-53):
-    # counting the v <= S[k] after one sort gives every step the count of
-    # first detections at or after it
+    # the ensemble counts at every step the trajectories with v <= S[k]
     excited, survival = _evolve(config)
     live = np.unique(survival[1:][survival[1:] > 0.0])
     v = np.concatenate([live, np.nextafter(live, 0.0), np.nextafter(live, 2.0)])
@@ -497,8 +496,7 @@ def test_ensemble_count_matches_first_detections_at_ties_and_edges(config, monke
     monkeypatch.setattr(trajectory, "trajectory_rng", lambda seed, index: FixedUniforms(u))
     n = len(u)
     result = ensemble_average(dataclasses.replace(config, n_trajectories=n))
-    first = trajectory._first_detections(survival, u)
-    undetected = np.cumsum(np.bincount(first, minlength=config.n_steps + 1)[::-1])[::-1]
+    undetected = np.array([np.count_nonzero(1.0 - u <= s) for s in survival])
     assert np.array_equal(result.mean, excited * (undetected / n))
     assert np.array_equal(
         result.stderr, excited * np.sqrt(undetected * (n - undetected) / (n - 1)) / n
@@ -522,8 +520,9 @@ def test_no_jump_run_memory_is_a_few_floats_per_step():
 
 
 def test_recurrence_matches_oracle_to_1e12_relative():
-    # S is summed over e and every box in flight; taking it as one minus the
-    # weight dropped so far puts P_e off by up to ~1e-6 relative here
+    # S is the norm in flight at the end plus a reverse sum of the drops;
+    # taking it as one minus the weight dropped so far puts P_e off by up to
+    # ~1e-6 relative here
     config = config_for(phase=math.pi, r_m=-1.0, boxes=25, t_max=10.0)
     excited, survival = _evolve(config)
     oracle_excited, oracle_p = dense_no_jump_oracle(config, config.n_steps)
@@ -618,30 +617,35 @@ def test_trajectory_rng_starts_at_uniform_i_of_the_seed_stream():
 
 
 def test_run_trajectory_reads_the_ensembles_draw():
+    # trajectory i keeps P_e at the steps where its threshold v = 1 - u_i is
+    # at most S, u_i uniform i of the ensemble's draw, and is zero elsewhere
     config = config_for(r_m=-0.5, boxes=9, n_traj=8, t_max=4.0, seed=2**64 - 1)
     excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
-    steps = np.arange(config.n_steps + 1)
-    firsts = trajectory._first_detections(survival, u)
-    for index, first in enumerate(firsts):
-        row = run_trajectory(config, index)
-        assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
+    rows = [run_trajectory(config, index) for index in range(config.n_trajectories)]
+    for row, u_i in zip(rows, u):
+        assert np.array_equal(row, np.where(survival >= 1.0 - u_i, excited, 0.0))
     index = 2**32 + 3
-    u = np.array([positioned_uniform(config.master_seed, index)])
-    (first,) = trajectory._first_detections(survival, u)
+    u_i = positioned_uniform(config.master_seed, index)
     row = run_trajectory(config, index)
-    assert np.array_equal(row, np.where(steps <= first, excited, 0.0))
-    assert len(set(firsts)) > 3
+    assert np.array_equal(row, np.where(survival >= 1.0 - u_i, excited, 0.0))
+    lengths = {np.count_nonzero(survival >= 1.0 - u_i) for u_i in u}
+    assert len(lengths) > 3
 
 
 def test_first_detections_at_the_survival_values():
-    # v = 1 - u is detected at the step k with S[k+1] < v <= S[k]: a v equal
-    # to S[k] survives to step k, v = 1 goes at step 0 and v <= S[n_steps]
-    # never; a survival lifted by an ulp counts as its running minimum
-    survival = np.array([1.0, 0.75, 0.5, 0.5 + 2**-53, 0.25])
+    # v = 1 - u is undetected at the steps k with v <= S[k], so it is first
+    # detected at the step k with S[k+1] < v <= S[k]: a v equal to S[k]
+    # survives to step k, v = 1 goes at step 0 and v <= S[n_steps] never
+    survival = np.array([1.0, 0.75, 0.5, 0.25])
     v = np.array([1.0, 0.75, 0.5 + 2**-53, 0.5, 0.25, 2**-53])
-    first = trajectory._first_detections(survival, 1.0 - v)
-    assert first.tolist() == [0, 1, 1, 3, 4, 4]
+    u = 1.0 - v
+    assert np.array_equal(1.0 - u, v)
+    assert trajectory._undetected(survival, u).tolist() == [6, 5, 3, 2]
+    rows = [trajectory._undetected(survival, u[i : i + 1]) for i in range(len(u))]
+    assert [row.tolist() for row in rows] == [
+        [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 1],
+    ]
 
 
 def test_first_detections_follow_the_survival():
@@ -652,14 +656,16 @@ def test_first_detections_follow_the_survival():
     n = config.n_trajectories
     _, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(n)
-    first = trajectory._first_detections(survival, u)
-    counts = np.bincount(first, minlength=config.n_steps + 1)
+    undetected = trajectory._undetected(survival, u)
+    assert np.array_equal(undetected, [np.count_nonzero(1.0 - u <= s) for s in survival])
+    # first detected at step k: undetected at k and not at k + 1
+    counts = -np.diff(undetected, append=0)
     expected = n * -np.diff(survival, append=0.0)
     assert expected.min() > 5  # every bin is inside the chi-square regime
     statistic = np.sum((counts - expected) ** 2 / expected)
     assert chi2.sf(statistic, df=len(counts) - 1) > 1e-9
-    undetected = np.cumsum(counts[::-1])[::-1] / n
-    assert np.max(np.abs(undetected - survival)) <= math.sqrt(math.log(2 / 1e-9) / (2 * n))
+    gap = np.max(np.abs(undetected / n - survival))
+    assert gap <= math.sqrt(math.log(2 / 1e-9) / (2 * n))
 
 
 def test_trajectory_follows_no_jump_oracle_until_detection():
@@ -749,8 +755,7 @@ def test_ensemble_is_exact_where_no_trajectory_is_detected():
     result = ensemble_average(config)
     excited, survival = _evolve(config)
     u = trajectory_rng(config.master_seed, 0).random(config.n_trajectories)
-    first = trajectory._first_detections(survival, u)
-    none_yet = np.arange(config.n_steps + 1) <= first.min()
+    none_yet = survival >= np.max(1.0 - u)  # every threshold v = 1 - u is at most S
     assert np.count_nonzero(none_yet) > 1
     assert np.array_equal(result.mean[none_yet], excited[none_yet])
     assert np.all(result.stderr[none_yet] == 0.0)
