@@ -272,7 +272,6 @@ def run_spectrum(args) -> int:
             "spacing": args.t_final / args.samples,
         },
         "method": method,
-        "omega_e": params.omega_e,
     }
     _write_table(args.out, meta, ["omega", "spectral_density"], [frequencies, density])
     return 0
@@ -287,11 +286,9 @@ def _trajectory_config(args, params: SystemParams) -> TrajectoryConfig:
 
 
 def _trajectory_meta(config: TrajectoryConfig) -> dict:
-    # the system is written under "params"; a real r_m keeps its float form
+    # the ensemble settings; the system is written under "params"
     meta = asdict(config)
     del meta["params"]
-    if config.r_m.imag == 0:
-        meta["r_m"] = config.r_m.real
     return meta
 
 

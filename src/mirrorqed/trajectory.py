@@ -51,7 +51,7 @@ the exact analytic solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,8 @@ _MAX_STEPS = 2**21
 class TrajectoryConfig:
     """A system, its box discretization and the ensemble of a trajectory run.
 
-    Only `params` and the four ensemble settings are constructor arguments;
-    the rest is derived from them, as SystemParams derives t_m and gamma.
+    The system values (mirror, frequency, coupling) live in `params` alone;
+    the time grid follows from it and `boxes`.
 
     Attributes:
         params: The emitter-mirror system; any r_m with |r_m| <= 1 and tau > 0.
@@ -77,14 +77,6 @@ class TrajectoryConfig:
         t_max: End time of each trajectory, at most 2**21 steps of dt.
         master_seed: 64-bit seed; trajectory i reads uniform i of the Philox
             stream keyed by master_seed.
-        dt: Time step tau / (2 (N-1)), so dt (N-1) is the emitter-mirror
-            distance tau/2.
-        v_right: Coupling rate into the right-moving channel, Gamma/2.
-        v_left: Coupling rate into the left-moving channel, Gamma/2.
-        r_m: Mirror reflection coefficient of `params`.
-        t_m: Mirror transmission of `params`.
-        omega_e: Emitter transition frequency of `params` (lab frame; enters
-            as a phase on the excited amplitude).
     """
 
     params: SystemParams
@@ -92,12 +84,6 @@ class TrajectoryConfig:
     n_trajectories: int = 5000
     t_max: float = 10.0
     master_seed: int = 0
-    dt: float = field(init=False)
-    v_right: float = field(init=False)
-    v_left: float = field(init=False)
-    r_m: complex = field(init=False)
-    t_m: float = field(init=False)
-    omega_e: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.boxes < 2:  # checked before dt divides by boxes - 1
@@ -106,17 +92,18 @@ class TrajectoryConfig:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        params = self.params
-        dt = params.tau / (2.0 * (self.boxes - 1))
+        dt = self.dt
         if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt} from tau = {params.tau}")
+            raise ValueError(f"dt must be positive and finite, got {dt} "
+                             f"from tau = {self.params.tau}")
         if not self.t_max / dt <= _MAX_STEPS:
             raise ValueError(f"t_max / dt must be finite and at most {_MAX_STEPS} steps, "
                              f"got {self.t_max} / {dt}")
-        derived = {"dt": dt, "v_right": params.gamma / 2.0, "v_left": params.gamma / 2.0,
-                   "r_m": params.r_m, "t_m": params.t_m, "omega_e": params.omega_e}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+
+    @property
+    def dt(self) -> float:
+        """Time step tau / (2 (N-1)), so dt (N-1) is the emitter-mirror distance tau/2."""
+        return self.params.tau / (2.0 * (self.boxes - 1))
 
     @property
     def n_steps(self) -> int:
@@ -147,20 +134,14 @@ def build_propagator(config: TrajectoryConfig) -> np.ndarray:
 
     H_S + H_I acts as the identity outside span{excited, right box 0,
     left box 0}; on that subspace it is Hermitian with diagonal
-    (omega_e, 0, 0) and couplings sqrt(v/dt), exponentiated here via its
-    eigendecomposition.
+    (omega_e, 0, 0) and the coupling g = sqrt(Gamma / 2 / dt) to either
+    direction, exponentiated here via its eigendecomposition.
     """
-    g_right = math.sqrt(config.v_right / config.dt)
-    g_left = math.sqrt(config.v_left / config.dt)
-    block = np.array(
-        [
-            [config.omega_e, g_right, g_left],
-            [g_right, 0.0, 0.0],
-            [g_left, 0.0, 0.0],
-        ]
-    )
+    dt = config.dt
+    g = math.sqrt(config.params.gamma / 2.0 / dt)
+    block = np.array([[config.params.omega_e, g, g], [g, 0.0, 0.0], [g, 0.0, 0.0]])
     eigvals, eigvecs = np.linalg.eigh(block)
-    return (eigvecs * np.exp(-1j * eigvals * config.dt)) @ eigvecs.T
+    return (eigvecs * np.exp(-1j * eigvals * dt)) @ eigvecs.T
 
 
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -203,7 +184,7 @@ def _evolve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     (u00, _, u02), (u10, _, u12), (u20, _, u22) = build_propagator(config).tolist()
     n_steps = config.n_steps
-    r_m, t_m = config.r_m, config.t_m
+    r_m, t_m = config.params.r_m, config.params.t_m
     reflected, transmitted = (r_m * r_m.conjugate()).real, t_m * t_m
     delay = 2 * config.boxes - 3  # M: steps from an emission to its return at left box 0
     lag = config.boxes - 1  # steps from an emission to the right output

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Direction, SystemParams
 from .analytic import (
-    _REAL_AXIS, _round_trip_mirror, excitation_probability_exact, round_trip_series,
+    _NO_DELAY, _REAL_AXIS, _round_trip_mirror, excitation_probability_exact, round_trip_series,
 )
 
 _DECAYED_THRESHOLD = 1e-6
@@ -45,7 +45,9 @@ class SpatialProfile:
     interval each sample falls into: -c t + n d <= x < -c t + (n+1) d for
     left-movers and c t - (n+1) d < x <= c t - n d for right-movers, with
     d = c tau.  It is -1 outside the light cone: x < -c t for left-movers,
-    and x < 0 or x > c t for right-movers.
+    and x < 0 or x > c t for right-movers.  A delay below the smallest normal
+    double labels every sample inside 0, as tau = 0 does, and a count past
+    the int64 range saturates at np.iinfo(np.int64).max.
     """
 
     positions: np.ndarray
@@ -62,6 +64,8 @@ class Spectrum:
 
     `amplitudes` holds the unitary DFT output before peak normalization, so
     sum |amplitudes|^2 equals the summed |spatial samples|^2 (Parseval).
+    The other fields describe the window grid; the system, omega_e included,
+    is the SystemParams passed to `spectrum`.
     """
 
     frequencies: np.ndarray
@@ -70,7 +74,6 @@ class Spectrum:
     t_final: float
     sample_count: int
     spacing: float
-    omega_e: float
 
 
 def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
@@ -145,11 +148,15 @@ def spatial_profile(
     amplitudes = field_amplitude(params, positions, direction, t)
     emitted = positions + t if direction is Direction.LEFT else t - positions
     outside = (emitted < 0) | ((direction is Direction.RIGHT) & (positions < 0))
-    if params.tau > 0:
-        region = np.floor(emitted / params.tau).astype(int)
+    if params.tau >= _NO_DELAY:
+        with np.errstate(over="ignore"):  # s / tau past the double range is inf
+            trips = np.floor(emitted / params.tau)
     else:
-        region = np.zeros(positions.shape, dtype=int)
-    region = np.where(outside, -1, region)
+        trips = np.zeros(positions.shape)
+    saturated = trips >= 2.0**63
+    region = np.where(outside | saturated, 0.0, trips).astype(np.int64)
+    region[saturated] = np.iinfo(np.int64).max
+    region[outside] = -1
     return SpatialProfile(
         positions=positions,
         amplitudes=amplitudes,
@@ -277,7 +284,6 @@ def spectrum(
         t_final=t_final,
         sample_count=sample_count,
         spacing=spacing,
-        omega_e=params.omega_e,
     )
 
 
@@ -309,6 +315,10 @@ def _whole_photon_spectrum(
 # Gauss-Legendre order and longest panel of the photon-norm quadrature
 _GAUSS_ORDER = 32
 _PANEL_LEN = 0.5
+# Most round trips before t: each adds a lattice kink, so at least one panel,
+# per direction.  At this many (tau 5 / 2**14, t 5) `total_photon_norm` peaks
+# at 170 MB by tracemalloc and takes 0.16-0.29 s (one x86-64 core).
+_MAX_ROUND_TRIPS = 2**14
 
 
 @lru_cache(maxsize=8)
@@ -318,12 +328,13 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _smooth_breaks(params: SystemParams, t: float, direction: Direction) -> np.ndarray:
     """Breakpoints between which the density is smooth (lattice kinks, fronts)."""
-    half_d = params.tau / 2.0
+    tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in round_trip_series
+    half_d = tau / 2.0
     # k = 1.. past the last lattice kink inside [lo, hi] in either direction
-    count = math.ceil(t / params.tau) + 1 if 0 < params.tau < math.inf else 0
-    lattice = np.arange(1, count + 1) * params.tau
+    count = math.ceil(t / tau) + 1 if 0 < tau < math.inf else 0
+    lattice = np.arange(1, count + 1) * tau
     if direction is Direction.LEFT:
-        lo, hi = -t, half_d
+        lo, hi = -t, min(half_d, t)  # no left-mover lies beyond x = t
         points = np.concatenate([(lo, 0.0, hi), lattice - t])  # kinks of u = x + t
     else:
         lo, hi = 0.0, t
@@ -368,9 +379,16 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
     the density (round-trip lattice kinks, the fronts, and the mirror),
     every panel of one direction built in one array pass, and the density
     at all of that direction's nodes comes from one series evaluation.
+
+    Raises:
+        ValueError: Unless 0 < t < inf, or if more than 2**14 round trips
+            of a delay tau >= _NO_DELAY fit before t.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
+    if params.tau >= _NO_DELAY and not t <= _MAX_ROUND_TRIPS * params.tau:
+        raise ValueError(f"t / tau must be at most {_MAX_ROUND_TRIPS} round trips, "
+                         f"got {t} / {params.tau}")
     total = excitation_probability_exact(params, t)
     for direction in (Direction.LEFT, Direction.RIGHT):
         total += _integrate_density(params, t, direction)

@@ -299,6 +299,19 @@ def test_compare_splits_discretization_and_sampling_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("system", [
+    ["--tau", "1", "--phase", "1", "--rm", "-0.5", "--times", "1e300"],
+    ["--tau", "5e-324", "--omega-e", "1", "--rm", "-1", "--times", "1"],
+    ["--tau", "1e-300", "--omega-e", "1", "--rm", "0", "--times", "1e10"],
+], ids=["t-1e300", "tau-subnormal", "tau-1e-300"])
+def test_wavepacket_where_round_trips_leave_the_int64_range(system, tmp_path, capsys):
+    # the region count of spatial_profile saturates instead of warning
+    out = tmp_path / "wp.csv"
+    assert run(["wavepacket", *system, "--xpoints", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_table(out)[2].shape == (3, 2)
+
+
 def test_trajectory_and_compare_take_a_complex_mirror(tmp_path, capsys):
     # the paper's mirror of coupling J = c, r_m = -0.8i (mirror_coefficients(1))
     system = ["--tau", "1", "--phase", "0.3", "--rm", "0.8", "--rm-phase", str(-math.pi / 2),
@@ -307,9 +320,10 @@ def test_trajectory_and_compare_take_a_complex_mirror(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
     meta = read_table(tmp_path / "c.csv")[0]
     assert meta["summary"]["max_abs_deviation"] == pytest.approx(0.0045, abs=1e-4)
-    assert meta["trajectory"]["r_m"] == meta["params"]["r_m"] == {
-        "re": pytest.approx(0.0, abs=1e-16), "im": -0.8
-    }
+    assert meta["params"]["r_m"] == {"re": pytest.approx(0.0, abs=1e-16), "im": -0.8}
+    # the system sits under "params" alone; the trajectory block holds the settings
+    assert meta["trajectory"] == {"boxes": 49, "master_seed": 42, "n_trajectories": 5000,
+                                  "t_max": 10.0}
     assert run(["trajectory", *system, "--out", str(tmp_path / "t.csv")]) == 0
     _, header, data = read_table(tmp_path / "t.csv")
     assert header == ["t", "P_trajectory_mean", "stderr"]
@@ -694,8 +708,8 @@ def test_readme_python_example_runs(capsys):
 # sha256 of the whole output file, header line included; the box model and the
 # Philox draws fix every byte for a fixed seed
 README_DIGESTS = {
-    "trajectory": "56024496c8ef91fcc3601ff796fae8b7e5d2c78780862b3d558b0bd718af130e",
-    "compare": "58553f1580bf9ad39acb025e3d0357e001df25a2fd75237bbb0a79ba9df7411b",
+    "trajectory": "806b254d70c884fb420ccf46e1d54df766cb448b4bac0fa8ee27227d41283f7e",
+    "compare": "729ef8c152905ec52cb9875df4903faae5f422dc7aaf82833269d3c27e361fe8",
 }
 
 

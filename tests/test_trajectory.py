@@ -41,9 +41,9 @@ def dense_no_jump_oracle(config, n_steps):
     n = config.boxes
     dim = 2 * n + 2
     ham = np.zeros((dim, dim), dtype=complex)
-    ham[1, 1] = config.omega_e
-    ham[1, 2] = ham[2, 1] = math.sqrt(config.v_right / config.dt)
-    ham[1, 2 * n + 1] = ham[2 * n + 1, 1] = math.sqrt(config.v_left / config.dt)
+    ham[1, 1] = config.params.omega_e
+    ham[1, 2] = ham[2, 1] = math.sqrt(config.params.gamma / 2 / config.dt)
+    ham[1, 2 * n + 1] = ham[2 * n + 1, 1] = math.sqrt(config.params.gamma / 2 / config.dt)
     unitary = expm(-1j * ham * config.dt)
 
     def right_index(box):
@@ -66,8 +66,8 @@ def dense_no_jump_oracle(config, n_steps):
         shifted[1] = state[1]
         for box in range(1, n - 1):
             shifted[right_index(box)] = state[right_index(box - 1)]
-        shifted[right_index(n - 1)] = config.t_m * state[right_index(n - 2)]
-        shifted[left_index(n - 2)] = config.r_m * state[right_index(n - 2)]
+        shifted[right_index(n - 1)] = config.params.t_m * state[right_index(n - 2)]
+        shifted[left_index(n - 2)] = config.params.r_m * state[right_index(n - 2)]
         for box in range(0, n - 2):
             shifted[left_index(box)] = state[left_index(box + 1)]
         state = shifted / np.linalg.norm(shifted)
@@ -107,8 +107,8 @@ def advance(amps, config, u):
     out = np.zeros_like(amps)
     out[1] = amps[1]
     out[3 : n + 1] = amps[2:n]  # right-movers migrate; vacuum enters box 0
-    out[i_rout] = config.t_m * amps[n]  # transmitted behind the mirror
-    out[n + 3] = config.r_m * amps[n]  # reflected into left box N-2
+    out[i_rout] = config.params.t_m * amps[n]  # transmitted behind the mirror
+    out[n + 3] = config.params.r_m * amps[n]  # reflected into left box N-2
     out[n + 4 :] = amps[n + 3 : i_l0]  # left-movers migrate toward the emitter
     norm = np.sqrt(np.sum(np.abs(out) ** 2))
     if norm < NORM_FLOOR:
@@ -217,8 +217,8 @@ def test_config_from_params_geometry():
     assert config.dt == pytest.approx(1.0 / 48.0, rel=1e-15)
     # dt (N - 1) reproduces the emitter-mirror distance tau / 2
     assert config.dt * (config.boxes - 1) == pytest.approx(0.5, rel=1e-15)
-    assert config.v_right == config.v_left == 0.5
-    assert config.t_m == pytest.approx(0.0)
+    assert config.params.gamma / 2 == 0.5
+    assert config.params.t_m == pytest.approx(0.0)
     defaults = TrajectoryConfig(config.params)
     assert (defaults.boxes, defaults.n_trajectories, defaults.t_max, defaults.master_seed) == (
         25, 5000, 10.0, 0
@@ -226,19 +226,24 @@ def test_config_from_params_geometry():
 
 
 def test_config_transmission_and_couplings_are_not_settable():
-    # five settable values: the system and the four ensemble settings; the
-    # step, the couplings (Gamma/2 each), the mirror and the frequency follow
-    init = [f.name for f in dataclasses.fields(TrajectoryConfig) if f.init]
-    assert init == ["params", "boxes", "n_trajectories", "t_max", "master_seed"]
+    # five fields, all settable: the system and the four ensemble settings;
+    # the mirror, the frequency and the couplings (Gamma/2 each) live in
+    # params alone, and the step follows from tau and boxes
+    fields = [(f.name, f.init) for f in dataclasses.fields(TrajectoryConfig)]
+    assert fields == [("params", True), ("boxes", True), ("n_trajectories", True),
+                      ("t_max", True), ("master_seed", True)]
     config = config_for(r_m=-0.6)
-    assert (config.r_m, config.t_m) == (-0.6, 0.8)
+    assert (config.params.r_m, config.params.t_m) == (-0.6, 0.8)
     other = SystemParams(omega_e=2.0, tau=1.0, r_m=0.0)
-    assert dataclasses.replace(config, params=other).t_m == 1.0
+    assert dataclasses.replace(config, params=other).params.t_m == 1.0
     for derived in ("dt", "v_right", "v_left", "r_m", "t_m", "omega_e"):
         with pytest.raises(TypeError, match=derived):
             TrajectoryConfig(config.params, **{derived: 0.5})
-    assert not hasattr(TrajectoryConfig, "from_params")
-    assert not hasattr(config, "gamma")
+    for removed in ("v_right", "v_left", "r_m", "t_m", "omega_e", "gamma", "from_params"):
+        assert not hasattr(config, removed)
+        assert not hasattr(TrajectoryConfig, removed)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.dt = 0.5
 
 
 def test_config_grid():
@@ -874,3 +879,36 @@ def test_ensemble_converged_in_box_count():
         exact = excitation_probability_exact(params, result.times)
         bias.append(np.max(np.abs(result.limit - exact)))
     assert bias[1] / bias[0] <= 0.55
+
+
+# (tau, phase, r_m, t_max, max error of the extrapolation on (49, 97) boxes)
+RICHARDSON_CASES = [
+    (1.0, math.pi, -1.0, 10.0, 5.89e-5),
+    (1.0, 0.3, -0.8j, 100.0, 1.76e-5),
+    (2.0, 2.0, -0.7, 200.0, 7.49e-5),
+    (1.0, 1.0, -0.7j, 100.0, 2.61e-5),
+    (1.0, 2 * math.pi, -1.0, 100.0, 9.62e-3),  # trapped
+]
+
+
+@pytest.mark.parametrize("tau, phase, r_m, t_max, measured", RICHARDSON_CASES)
+def test_box_model_extrapolates_to_the_exact_curve_at_second_order(
+    tau, phase, r_m, t_max, measured
+):
+    # the box model's infinite-ensemble mean is first order in dt; with
+    # 2N - 1 boxes dt halves and every second fine time is a coarse time, so
+    # 2 limit(2N - 1) - limit(N) is second order: the error falls ~4x per halving
+    params = SystemParams.from_round_trip_phase(tau=tau, phase=phase, r_m=r_m)
+
+    def extrapolation_error(boxes):
+        coarse, fine = (
+            ensemble_average(TrajectoryConfig(params, boxes=n, n_trajectories=1, t_max=t_max))
+            for n in (boxes, 2 * boxes - 1)
+        )
+        assert np.array_equal(fine.times[::2], coarse.times)
+        extrapolated = 2 * fine.limit[::2] - coarse.limit
+        return np.max(np.abs(extrapolated - excitation_probability_exact(params, coarse.times)))
+
+    error = extrapolation_error(49)
+    assert extrapolation_error(25) / error >= 3
+    assert measured / 2 <= error <= 2 * measured

@@ -4,6 +4,7 @@ import cmath
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -279,7 +280,7 @@ def set_based_breaks(params, t, direction):
     half_d = params.tau / 2.0
     points = set()
     if direction is Direction.LEFT:
-        lo, hi = -t, half_d
+        lo, hi = -t, min(half_d, t)  # no left-mover lies beyond x = t
         points.update((lo, 0.0, hi))
         k = 1
         while params.tau > 0 and k * params.tau - t < hi:
@@ -459,6 +460,59 @@ def test_norm_rejects_nan_time():
     params = SystemParams(omega_e=5.0, tau=1.0, r_m=-0.5)
     with pytest.raises(ValueError, match="t must be positive and finite"):
         total_photon_norm(params, math.nan)
+
+
+def test_norm_at_an_infinite_delay_is_the_free_decay():
+    # no reflection ever returns; the left bound of the left-movers is x = t,
+    # not the mirror at x = inf
+    params = SystemParams(omega_e=1.0, tau=math.inf, r_m=-0.5)
+    assert total_photon_norm(params, 5.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norm_below_the_smallest_normal_delay_is_the_norm_at_no_delay():
+    # a subnormal tau acts as tau = 0, as in round_trip_series: no kinks
+    tiny, none = (SystemParams(omega_e=1.0, tau=tau, r_m=-0.5) for tau in (5e-324, 0.0))
+    for direction in Direction:
+        assert _smooth_breaks(tiny, 5.0, direction).tolist() == (
+            _smooth_breaks(none, 5.0, direction).tolist()
+        )
+    assert total_photon_norm(tiny, 5.0) == total_photon_norm(none, 5.0)
+    assert total_photon_norm(tiny, 5.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-6, math.nextafter(5.0 / 2**14, 0.0)])
+def test_norm_refuses_more_round_trips_than_the_cap_before_it_allocates(tau):
+    # one lattice kink, and at least one 32-node panel, per round trip: at
+    # tau 1e-6 and t 5 the kinks alone would take 5e6 entries per direction
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 16384 round trips, got 5.0 / "):
+            total_photon_norm(params, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_spatial_profile_counts_round_trips_past_the_double_range():
+    # s / tau past int64 saturates, past the double range it is inf; a
+    # subnormal tau labels every sample inside as tau = 0 does
+    top = np.iinfo(np.int64).max
+    phase_one = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-0.5)
+    subnormal = SystemParams(omega_e=1.0, tau=5e-324, r_m=-1.0)
+    tiny = SystemParams(omega_e=1.0, tau=1e-300, r_m=0.0)
+    cases = [
+        (phase_one, 1e300, Direction.LEFT, [-1e300, -5e299, 0.0], [0, top, top]),
+        (subnormal, 1.0, Direction.LEFT, [-2.0, -1.0, 0.0], [-1, 0, 0]),
+        (tiny, 1e10, Direction.LEFT, [-1e10 - 1.0, -5e9, 0.0], [-1, top, top]),
+        (tiny, 1e10, Direction.RIGHT, [-1.0, 0.0, 5e9], [-1, top, top]),
+    ]
+    for params, t, direction, positions, regions in cases:
+        profile = spatial_profile(params, t, positions, direction)
+        assert profile.region_index.dtype == np.int64
+        assert profile.region_index.tolist() == regions
+        assert np.array_equal(profile.density, photon_density(params, positions, direction, t))
 
 
 # ---------------------------------------------------------------------------
