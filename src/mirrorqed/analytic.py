@@ -225,6 +225,19 @@ def _residues(log_a: complex, tau: float) -> _Residues | None:
                      np.array([end for _, end in kept]), pair)
 
 
+def _exp(exponent):
+    """exp(exponent), keeping only the modulus where Im(exponent) is not finite.
+
+    An exponent rate * u whose phase product overflows has no digit of its
+    phase left (none is left past |Im| ~ 2**53 either), but exp(Re + i inf) is
+    nan, and a modulus exp(Re) of 0 does not clear it.  There the phase is
+    taken as 0; a finite exponent passes unchanged.  Callers form the exponent
+    with overflow warnings off.
+    """
+    finite = np.isfinite(exponent.imag)
+    return np.exp(exponent if finite.all() else np.where(finite, exponent, exponent.real))
+
+
 def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
                  res: _Residues) -> np.ndarray:
     """sum_j exp((s_j + envelope) u) / (1 + W_j), smallest terms first.
@@ -237,9 +250,14 @@ def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
     total = np.zeros(us.shape, dtype=complex)
     # W_0's infinite reach takes every point, also where x = u / tau is inf
     for w, end in zip(res.branches, np.searchsorted(xs, res.reach, side="right")):
-        total[:end] += np.exp((w / tau + envelope) * us[:end]) / (1.0 + w)
+        with np.errstate(over="ignore"):
+            exponent = (w / tau + envelope) * us[:end]
+        total[:end] += _exp(exponent) / (1.0 + w)
     if res.pair is not None:
-        total += _pair_sum(us, xs, envelope, res.pair)
+        # both poles have Re W < -1/2, so the pair is 0 in double precision long
+        # before x = u / tau overflows; points where it has skip it
+        finite = np.searchsorted(xs, math.inf)
+        total[:finite] += _pair_sum(us[:finite], xs[:finite], envelope, res.pair)
     out = np.empty_like(total)
     out[order] = total
     return out
@@ -265,9 +283,9 @@ def _pair_sum(u: np.ndarray, x: np.ndarray, envelope: complex, q: complex) -> np
     sinhc = np.where(y == 0, 1.0, -em1 / (2.0 * np.where(y == 0, 1.0, y)))  # exp(-y) sinh(y)/y
     cosh = 1.0 + em1 / 2.0  # exp(-y) cosh(y)
     scale = 2.0 / (h1 * h1 - q * c1 * c1)
-    return scale * np.exp(x * (q * c1 - 1.0) + envelope * u + y) * (
-        x * h1 * h1 * sinhc - c1 * cosh
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = x * (q * c1 - 1.0) + envelope * u + y
+    return scale * _exp(exponent) * (x * h1 * h1 * sinhc - c1 * cosh)
 
 
 def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) -> np.ndarray:
@@ -280,8 +298,10 @@ def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) ->
             log_mag = k * log_a.real + k * np.log(ul - k * tau) - math.lgamma(k + 1)
             total[live] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
     if envelope.imag:
+        with np.errstate(over="ignore"):
+            phase = 1j * envelope.imag * u
         # not in place, which rounds one-element arrays differently from longer ones
-        total = total * np.exp(1j * envelope.imag * u)
+        total = total * _exp(phase)
     return total
 
 
@@ -329,7 +349,9 @@ def round_trip_series(params: SystemParams, u):
     consts = derived_constants(params)
     envelope = -1j * consts.omega_complex
     if params.tau < _NO_DELAY:
-        out = np.where(u_arr >= 0, np.exp((envelope + consts.a) * u_arr), 0.0)
+        with np.errstate(over="ignore"):
+            exponent = (envelope + consts.a) * u_arr
+        out = np.where(u_arr >= 0, _exp(exponent), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
     return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
 

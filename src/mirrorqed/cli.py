@@ -5,6 +5,10 @@ Every subcommand writes one table per file: a strict-JSON metadata line after
 own header; non-finite values are the strings "inf", "-inf" and "nan")
 followed by a CSV header and rows formatted with 17 significant digits.
 Exit codes: 0 success, 1 configuration error, 2 validation FAIL in `compare`.
+`run` is the one place where input errors become exit code 1: any ValueError,
+from argparse, the flag checks here or an input check in the library, prints
+one `configuration error: <message>` line to stderr.  Every other exception is
+a program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ from .trajectory import TrajectoryConfig, ensemble_average
 from .wavepacket import _whole_photon_spectrum, spatial_profile, spectrum
 
 
-class ConfigError(ValueError):
-    """Invalid command-line configuration; maps to exit code 1."""
-
-
 # argparse reads an argument as a negative number, not a flag, only in the
 # forms -12 and -1.5; this also takes -1e-3, -inf and -nan
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):  # argparse defaults to exit code 2
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _json_safe(obj):
@@ -83,30 +83,31 @@ def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarra
 
 def _params_from_args(args) -> SystemParams:
     r_m = args.rm * np.exp(1j * args.rm_phase)
-    try:
-        if args.phase is not None:
-            return SystemParams.from_round_trip_phase(tau=args.tau, phase=args.phase, r_m=r_m)
-        return SystemParams(omega_e=args.omega_e, tau=args.tau, r_m=r_m)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    if args.phase is not None:
+        return SystemParams.from_round_trip_phase(tau=args.tau, phase=args.phase, r_m=r_m)
+    return SystemParams(omega_e=args.omega_e, tau=args.tau, r_m=r_m)
 
 
-def _params_meta(params: SystemParams) -> dict:
-    return {**asdict(params), "round_trip_phase": params.round_trip_phase}
+def _meta(args, params: SystemParams | None = None, **fields) -> dict:
+    """Table header: the subcommand, the version, the system if given, and `fields`."""
+    meta = {"scenario": args.command, "version": __version__, **fields}
+    if params is not None:
+        meta["params"] = {**asdict(params), "round_trip_phase": params.round_trip_phase}
+    return meta
 
 
 def _check_bounds(lo: float, hi: float, flags: str) -> None:
     # np.linspace over an infinite bound or span writes inf and nan with warnings;
     # hi - lo is finite only when both bounds and their span are
     if not math.isfinite(hi - lo):
-        raise ConfigError(f"{flags} must be finite with a finite span, got [{lo}, {hi}]")
+        raise ValueError(f"{flags} must be finite with a finite span, got [{lo}, {hi}]")
 
 
 def _time_grid(args) -> np.ndarray:
     if not 0 < args.tmax < math.inf:
-        raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
+        raise ValueError(f"--tmax must be positive and finite, got {args.tmax}")
     if args.grid < 2:
-        raise ConfigError(f"--grid must be at least 2 points, got {args.grid}")
+        raise ValueError(f"--grid must be at least 2 points, got {args.grid}")
     return np.linspace(0.0, args.tmax, args.grid)
 
 
@@ -115,12 +116,7 @@ def run_excitation(args) -> int:
     params = _params_from_args(args)
     times = _time_grid(args)
     curve = excitation_curve(params, times)
-    meta = {
-        "scenario": "excitation",
-        "version": __version__,
-        "params": _params_meta(params),
-        "grid": {"tmax": args.tmax, "points": args.grid},
-    }
+    meta = _meta(args, params, grid={"tmax": args.tmax, "points": args.grid})
     header = ["t", "P_exact"]
     columns = [times, curve.probabilities]
     try:
@@ -147,62 +143,32 @@ def run_markovian(args) -> int:
     """Markovian excitation curve with the dressed parameters in the metadata."""
     params = _params_from_args(args)
     times = _time_grid(args)
-    try:
-        dressed = dressed_params(params)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    meta = {
-        "scenario": "markovian",
-        "version": __version__,
-        "params": _params_meta(params),
-        "grid": {"tmax": args.tmax, "points": args.grid},
-        "dressed": asdict(dressed),
-    }
-    _write_table(
-        args.out,
-        meta,
-        ["t", "P_markovian"],
-        [times, excitation_probability_markovian(params, times)],
-    )
+    meta = _meta(args, params, grid={"tmax": args.tmax, "points": args.grid},
+                 dressed=asdict(dressed_params(params)))
+    _write_table(args.out, meta, ["t", "P_markovian"],
+                 [times, excitation_probability_markovian(params, times)])
     return 0
 
 
 def run_dressed(args) -> int:
     """Dressed frequency shift and decay rate swept over the round-trip phase."""
     if args.phase_points < 2:
-        raise ConfigError(f"--phase-points must be at least 2, got {args.phase_points}")
+        raise ValueError(f"--phase-points must be at least 2, got {args.phase_points}")
     _check_bounds(args.phase_min, args.phase_max, "--phase-min/--phase-max")
     if args.phase_min < 0:
-        raise ConfigError(f"--phase-min must be non-negative, got {args.phase_min}")
+        raise ValueError(f"--phase-min must be non-negative, got {args.phase_min}")
     phases = np.linspace(args.phase_min, args.phase_max, args.phase_points)
     if not np.all(np.diff(phases) > 0):
-        raise ConfigError("phase grid must be strictly increasing")
+        raise ValueError("phase grid must be strictly increasing")
     r_m = args.rm * np.exp(1j * args.rm_phase)
     deltas, gammas = [], []
     for phase in phases:
-        try:
-            params = SystemParams(omega_e=float(phase), tau=1.0, r_m=r_m)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        dressed = dressed_params(params)
+        dressed = dressed_params(SystemParams(omega_e=float(phase), tau=1.0, r_m=r_m))
         deltas.append(dressed.delta_eff)
         gammas.append(dressed.gamma_eff)
-    meta = {
-        "scenario": "dressed",
-        "version": __version__,
-        "r_m": r_m,
-        "grid": {
-            "phase_min": args.phase_min,
-            "phase_max": args.phase_max,
-            "points": args.phase_points,
-        },
-    }
-    _write_table(
-        args.out,
-        meta,
-        ["phase", "delta_eff", "gamma_eff"],
-        [phases, np.array(deltas), np.array(gammas)],
-    )
+    grid = {"phase_min": args.phase_min, "phase_max": args.phase_max, "points": args.phase_points}
+    _write_table(args.out, _meta(args, r_m=r_m, grid=grid), ["phase", "delta_eff", "gamma_eff"],
+                 [phases, np.array(deltas), np.array(gammas)])
     return 0
 
 
@@ -212,18 +178,18 @@ def run_wavepacket(args) -> int:
     try:
         snapshot_times = sorted(float(v) for v in args.times.split(","))
     except ValueError:
-        raise ConfigError(f"--times must be a comma list of floats, got {args.times!r}") from None
+        raise ValueError(f"--times must be a comma list of floats, got {args.times!r}") from None
     if not snapshot_times or not all(0 < v < math.inf for v in snapshot_times):
-        raise ConfigError("snapshot times must be positive and finite")
+        raise ValueError("snapshot times must be positive and finite")
     labels = [f"density_t{t_snap:g}" for t_snap in snapshot_times]
     if len(set(labels)) < len(labels):
-        raise ConfigError(f"snapshot times must have distinct column names, got {labels}")
+        raise ValueError(f"snapshot times must have distinct column names, got {labels}")
     if args.xpoints < 2:
-        raise ConfigError(f"--xpoints must be at least 2, got {args.xpoints}")
+        raise ValueError(f"--xpoints must be at least 2, got {args.xpoints}")
     xmin = args.xmin if args.xmin is not None else -(snapshot_times[-1] + 1.0)
     _check_bounds(xmin, args.xmax, "--xmin/--xmax")
     if not xmin < args.xmax:
-        raise ConfigError(f"--xmin must be below --xmax, got [{xmin}, {args.xmax}]")
+        raise ValueError(f"--xmin must be below --xmax, got [{xmin}, {args.xmax}]")
     positions = np.linspace(xmin, args.xmax, args.xpoints)
     columns = [positions]
     for t_snap in snapshot_times:
@@ -232,15 +198,8 @@ def run_wavepacket(args) -> int:
         if args.peak_normalize and density.max() > 0:
             density = density / density.max()
         columns.append(density)
-    meta = {
-        "scenario": "wavepacket",
-        "version": __version__,
-        "params": _params_meta(params),
-        "grid": {"xmin": xmin, "xmax": args.xmax, "points": args.xpoints},
-        "times": snapshot_times,
-        "direction": "left",
-        "peak_normalize": bool(args.peak_normalize),
-    }
+    meta = _meta(args, params, grid={"xmin": xmin, "xmax": args.xmax, "points": args.xpoints},
+                 times=snapshot_times, direction="left", peak_normalize=bool(args.peak_normalize))
     _write_table(args.out, meta, ["x", *labels], columns)
     return 0
 
@@ -252,97 +211,57 @@ def run_spectrum(args) -> int:
     the finite window elsewhere; the header names which under "method".
     """
     params = _params_from_args(args)
-    try:
-        closed = _whole_photon_spectrum(params, args.t_final, args.samples, args.allow_undecayed)
-        if closed is None:
-            result = spectrum(params, t_final=args.t_final, sample_count=args.samples,
-                              allow_undecayed=args.allow_undecayed)
-            method, frequencies, density = "fft", result.frequencies, result.spectral_density
-        else:
-            method, (frequencies, density) = "laplace", closed
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    meta = {
-        "scenario": "spectrum",
-        "version": __version__,
-        "params": _params_meta(params),
-        "grid": {
-            "t_final": args.t_final,
-            "sample_count": args.samples,
-            "spacing": args.t_final / args.samples,
-        },
-        "method": method,
-    }
+    closed = _whole_photon_spectrum(params, args.t_final, args.samples, args.allow_undecayed)
+    if closed is None:
+        result = spectrum(params, t_final=args.t_final, sample_count=args.samples,
+                          allow_undecayed=args.allow_undecayed)
+        method, frequencies, density = "fft", result.frequencies, result.spectral_density
+    else:
+        method, (frequencies, density) = "laplace", closed
+    grid = {"t_final": args.t_final, "sample_count": args.samples,
+            "spacing": args.t_final / args.samples}
+    meta = _meta(args, params, grid=grid, method=method)
     _write_table(args.out, meta, ["omega", "spectral_density"], [frequencies, density])
     return 0
 
 
-def _trajectory_config(args, params: SystemParams) -> TrajectoryConfig:
-    try:
-        return TrajectoryConfig(params, boxes=args.boxes, n_trajectories=args.trajectories,
-                                t_max=args.tmax, master_seed=args.seed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _trajectory_meta(config: TrajectoryConfig) -> dict:
-    # the ensemble settings; the system is written under "params"
-    meta = asdict(config)
-    del meta["params"]
-    return meta
+def _ensemble(args):
+    """The system, its trajectory ensemble average, and the header with the
+    ensemble settings under "trajectory"."""
+    params = _params_from_args(args)
+    settings = {"boxes": args.boxes, "n_trajectories": args.trajectories,
+                "t_max": args.tmax, "master_seed": args.seed}
+    result = ensemble_average(TrajectoryConfig(params, **settings))
+    return params, result, _meta(args, params, trajectory=settings)
 
 
 def run_trajectory_scenario(args) -> int:
     """Ensemble-averaged quantum-trajectory excitation probability."""
-    params = _params_from_args(args)
-    config = _trajectory_config(args, params)
-    result = ensemble_average(config)
-    meta = {
-        "scenario": "trajectory",
-        "version": __version__,
-        "params": _params_meta(params),
-        "trajectory": _trajectory_meta(config),
-    }
-    _write_table(
-        args.out,
-        meta,
-        ["t", "P_trajectory_mean", "stderr"],
-        [result.times, result.mean, result.stderr],
-    )
+    _, result, meta = _ensemble(args)
+    _write_table(args.out, meta, ["t", "P_trajectory_mean", "stderr"],
+                 [result.times, result.mean, result.stderr])
     return 0
 
 
 def run_compare(args) -> int:
     """Exact solution vs trajectory ensemble on the same grid; PASS/FAIL summary."""
     if not args.tolerance >= 0:
-        raise ConfigError(f"--tolerance must be a non-negative number, got {args.tolerance}")
-    params = _params_from_args(args)
-    config = _trajectory_config(args, params)
-    result = ensemble_average(config)
+        raise ValueError(f"--tolerance must be a non-negative number, got {args.tolerance}")
+    params, result, meta = _ensemble(args)
     exact = excitation_probability_exact(params, result.times)
     deviation = float(np.max(np.abs(result.mean - exact)))
     passed = deviation <= args.tolerance
-    meta = {
-        "scenario": "compare",
-        "version": __version__,
-        "params": _params_meta(params),
-        "trajectory": _trajectory_meta(config),
-        "summary": {
-            "max_abs_deviation": deviation,
-            # the box model's own error against the exact curve, and the
-            # Monte Carlo error against the box model's infinite ensemble
-            "discretization_error": float(np.max(np.abs(result.limit - exact))),
-            "sampling_error": float(np.max(np.abs(result.mean - result.limit))),
-            "tolerance": args.tolerance,
-            "result": "PASS" if passed else "FAIL",
-        },
+    meta["summary"] = {
+        "max_abs_deviation": deviation,
+        # the box model's own error against the exact curve, and the
+        # Monte Carlo error against the box model's infinite ensemble
+        "discretization_error": float(np.max(np.abs(result.limit - exact))),
+        "sampling_error": float(np.max(np.abs(result.mean - result.limit))),
+        "tolerance": args.tolerance,
+        "result": "PASS" if passed else "FAIL",
     }
-    _write_table(
-        args.out,
-        meta,
-        ["t", "P_exact", "P_trajectory_mean", "stderr"],
-        [result.times, exact, result.mean, result.stderr],
-    )
+    _write_table(args.out, meta, ["t", "P_exact", "P_trajectory_mean", "stderr"],
+                 [result.times, exact, result.mean, result.stderr])
     print(f"{'PASS' if passed else 'FAIL'}: max |P_trajectory - P_exact| = "
           f"{deviation:.6f} (tolerance {args.tolerance})")
     return 0 if passed else 2
@@ -431,10 +350,11 @@ _parser = functools.cache(build_parser)
 
 
 def run(argv=None) -> int:
+    """Parse argv, run the subcommand and return its exit code (see the module docstring)."""
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
+    except ValueError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
 

@@ -190,6 +190,12 @@ def _decay_residual(
         raise ValueError(f"sample_count must be a power of two, got {sample_count}")
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    # a normal spacing also keeps the largest |omega|, pi / spacing < 1.5e308, finite
+    if not t_final / sample_count >= np.finfo(float).tiny:
+        raise ValueError(
+            f"the grid spacing t_final / sample_count = {t_final} / {sample_count} must be "
+            "a normal double, so that the largest |omega| = pi sample_count / t_final is finite"
+        )
     residual = excitation_probability_exact(params, t_final)
     if residual > _DECAYED_THRESHOLD and not allow_undecayed:
         raise EmitterNotDecayed(
@@ -266,6 +272,8 @@ def spectrum(
     16384 samples.  Kinks of the field at the round-trip lattice alias too.
 
     Raises:
+        ValueError: Unless sample_count is a power of two, 0 < t_final < inf
+            and the spacing t_final / sample_count is a normal double.
         EmitterNotDecayed: If P_e(t_final) > 1e-6, unless `allow_undecayed`
             is set (trapping regimes never decay; their spectrum covers only
             the emitted part of the excitation).
@@ -319,6 +327,14 @@ _PANEL_LEN = 0.5
 # per direction.  At this many (tau 5 / 2**14, t 5) `total_photon_norm` peaks
 # at 170 MB by tracemalloc and takes 0.16-0.29 s (one x86-64 core).
 _MAX_ROUND_TRIPS = 2**14
+# Most Gauss panels over both directions, counted from t and tau before any
+# is built: each direction spans at most t + min(tau / 2, t), cut into pieces
+# of at most _PANEL_LEN and once more at each round-trip kink, so the count
+# also keeps the round trips within _MAX_ROUND_TRIPS.  At this many the norm
+# peaks at 187 MB by tracemalloc (tau 1e-3, t 16.35), and at 185 / 164 / 124
+# / 93 / 88 MB at tau 0.51 / 100 / 1 / 0.5 / 0 (t 4136 / 8126 / 5461 / 4096
+# / 8192).
+_MAX_PANELS = 2**15
 
 
 @lru_cache(maxsize=8)
@@ -382,13 +398,19 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
 
     Raises:
         ValueError: Unless 0 < t < inf, or if more than 2**14 round trips
-            of a delay tau >= _NO_DELAY fit before t.
+            of a delay tau >= _NO_DELAY fit before t, or if the quadrature
+            would take more than 2**15 panels (at tau 0, past t 8192).
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    if params.tau >= _NO_DELAY and not t <= _MAX_ROUND_TRIPS * params.tau:
+    tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in _smooth_breaks
+    if tau and not t <= _MAX_ROUND_TRIPS * tau:
         raise ValueError(f"t / tau must be at most {_MAX_ROUND_TRIPS} round trips, "
                          f"got {t} / {params.tau}")
+    panels = (2.0 * t + min(tau / 2.0, t)) / _PANEL_LEN + (2.0 * t / tau if tau else 0.0)
+    if not panels <= _MAX_PANELS:
+        raise ValueError(f"the quadrature must take at most {_MAX_PANELS} panels, got "
+                         f"{panels:.6g} for t = {t} at tau = {params.tau}")
     total = excitation_probability_exact(params, t)
     for direction in (Direction.LEFT, Direction.RIGHT):
         total += _integrate_density(params, t, direction)

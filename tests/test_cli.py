@@ -17,6 +17,7 @@ from scipy.special import lambertw
 
 import mirrorqed
 from mirrorqed import SystemParams, derived_constants, excitation_probability_exact
+from mirrorqed import cli
 from mirrorqed.cli import _json_safe, _write_table, run
 
 
@@ -252,6 +253,20 @@ def test_spectrum_bad_sample_count_is_config_error(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_final, samples",
+                         [("5e-324", "2"), ("1e-310", "4"), ("1e-305", "16384")])
+def test_spectrum_grid_spacing_below_the_normal_range_is_config_error(t_final, samples, capsys):
+    code = run(["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "0", "--t-final", t_final,
+                "--samples", samples, "--allow-undecayed"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: the grid spacing t_final / sample_count = {float(t_final)} / "
+        f"{samples} must be a normal double, so that the largest |omega| = pi sample_count / "
+        "t_final is finite\n")
+
+
 def test_trajectory_subcommand(tmp_path):
     out = tmp_path / "traj.csv"
     code = run([
@@ -458,6 +473,31 @@ def test_missing_required_flag_is_config_error(capsys):
     capsys.readouterr()
 
 
+def test_value_error_inside_a_runner_is_one_config_error_line(tmp_path, capsys):
+    # numpy refuses a 2**62-point grid before it allocates: the ValueError
+    # comes from the library call inside the runner, not from a flag check
+    out = tmp_path / "x.csv"
+    code = run(["excitation", "--tau", "1", "--phase", "1", "--rm", "0",
+                "--grid", "4611686018427387904", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: array is too big")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_program_fault_inside_a_runner_propagates(monkeypatch, tmp_path):
+    # only a ValueError is an input error; a floating-point fault keeps its traceback
+    def fault(*args, **kwargs):
+        raise FloatingPointError("overflow in the series")
+
+    monkeypatch.setattr(cli, "excitation_curve", fault)
+    with pytest.raises(FloatingPointError, match="overflow in the series"):
+        run(["excitation", "--tau", "1", "--phase", "1", "--rm", "0",
+             "--out", str(tmp_path / "x.csv")])
+
+
 def test_stdout_output(capsys):
     code = run([
         "excitation", "--tau", "1.0", "--phase", "1.0", "--rm", "0",
@@ -496,6 +536,25 @@ def test_module_entry_point():
     )
     assert no_boxes.returncode == 1
     assert no_boxes.stderr == "configuration error: boxes must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "excitation --tau 1 --phase 6.283185307179586 --rm -1 --tmax 1e308 --grid 5",
+    "excitation --tau 0 --omega-e 5 --rm -0.5 --tmax 1e308 --grid 3",
+    "wavepacket --tau 1 --omega-e 5 --rm -0.5 --times 1e308 --xpoints 3",
+])
+def test_no_nan_where_the_phase_product_overflows_with_warnings_as_errors(argv):
+    # |Omega| t past the double range wrote nan with RuntimeWarnings
+    package_root = os.path.dirname(os.path.dirname(mirrorqed.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mirrorqed", *argv.split()],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = np.array([row.split(",") for row in proc.stdout.splitlines()[2:]], dtype=float)
+    assert np.isfinite(rows).all()
+    if argv.startswith("excitation --tau 1"):
+        assert rows[1:, 1].tolist() == [4.0 / 9.0] * 4  # the trapped plateau
 
 
 # --- the CSV writer -------------------------------------------------------

@@ -159,6 +159,25 @@ def test_infinite_delay_is_free_decay():
     assert np.allclose(excitation_probability_exact(params, t), np.exp(-t), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("params, expected", [
+    (SystemParams.from_round_trip_phase(1.0, 2 * math.pi, -1.0), 4.0 / 9.0),  # trapped
+    (SystemParams(omega_e=5.0, tau=1.0, r_m=0.0), 0.0),  # decayed
+    (SystemParams(omega_e=5.0, tau=0.0, r_m=-0.5), 0.0),  # no delay
+    # a tau = -1/e: W_0 and W_-1 summed as a pair
+    (SystemParams.from_round_trip_phase(1.0, 2 * math.pi, 2 * math.exp(-1.5)), 0.0),
+    # the pair again, where x = u / tau overflows at u = 1e308
+    (SystemParams(omega_e=0.0, tau=0.52, r_m=1.0), 0.0),
+])
+def test_probability_where_the_phase_product_overflows(params, expected):
+    # |Omega| t leaves the double range, so a phase Im(rate) u overflows to
+    # inf; exp(Re + i inf) was nan even where its modulus is 0
+    times = [5e307, 1e308]
+    assert excitation_probability_exact(params, times).tolist() == pytest.approx(
+        [expected] * 2, abs=1e-15)
+    assert [excitation_probability_exact(params, t) for t in times] == pytest.approx(
+        [expected] * 2, abs=1e-15)
+
+
 def random_cases(count, seed):
     rng = np.random.default_rng(seed)
     for _ in range(count):

@@ -444,6 +444,15 @@ def test_spectrum_validates_sample_count():
         spectrum(params, sample_count=1000)
 
 
+@pytest.mark.parametrize("t_final, samples", [(5e-324, 2), (1e-310, 4), (1e-305, 16384)])
+def test_spectrum_refuses_a_grid_spacing_below_the_normal_range(t_final, samples):
+    # the spacing rounded to 0 (a ZeroDivisionError in fftfreq) or was
+    # subnormal, so the largest |omega| overflowed to inf
+    params = SystemParams(omega_e=5.0, tau=1.0, r_m=0)
+    with pytest.raises(ValueError, match=f"t_final / sample_count = {t_final} / {samples} must"):
+        spectrum(params, t_final=t_final, sample_count=samples, allow_undecayed=True)
+
+
 def test_infinite_times_are_rejected():
     # an infinite time used to overflow a term count or give a table of zeros
     params = SystemParams(omega_e=5.0, tau=1.0, r_m=-0.5)
@@ -493,6 +502,27 @@ def test_norm_refuses_more_round_trips_than_the_cap_before_it_allocates(tau):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-320, 100.0, math.inf])
+def test_norm_refuses_more_panels_than_the_cap_before_it_allocates(tau):
+    # 32 nodes per panel of at most 0.5 in each direction: at t 1e6 the
+    # panels would take ~8 GB whatever tau is
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 32768 panels, got "):
+            total_photon_norm(params, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_norm_without_delay_takes_t_8000():
+    # 32 000 panels, just inside the panel cap
+    params = SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5)
+    assert total_photon_norm(params, 8000.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spatial_profile_counts_round_trips_past_the_double_range():
