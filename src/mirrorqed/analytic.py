@@ -605,29 +605,18 @@ def excitation_probability_longtime(
 # ---------------------------------------------------------------------------
 
 
-def _mirror_phase_factor(params: SystemParams) -> complex:
-    """r_m exp(i omega_e tau), the mirror as the emitter sees it in the Markovian limit."""
-    if math.isinf(params.tau):
-        raise ValueError(
-            "the Markovian limit needs a finite tau: the round-trip phase "
-            "omega_e tau is undefined for tau = inf"
-        )
-    return _round_trip_mirror(params)
-
-
 def excitation_probability_markovian(params: SystemParams, t):
-    """Markovian P_e(t) = exp(-Gamma t [1 + Re(r_m e^{i omega_e tau})]).
+    """Markovian P_e(t) = exp(-Gamma_eff t) at the dressed rate of `dressed_params`.
 
     The round-trip propagation time is neglected but the round-trip phase is
     kept.  For real r_m this is exp(-Gamma t [1 + r_m cos(omega_e tau)]); a
     complex r_m only shifts the phase.
 
     Raises:
-        ValueError: If tau is infinite, where omega_e tau has no value.
+        ValueError: If tau is infinite (see dressed_params).
     """
     t_arr = np.asarray(t, dtype=float)
-    rho = _mirror_phase_factor(params)
-    result = np.exp(-params.gamma * t_arr * (1.0 + rho.real))
+    result = np.exp(-dressed_params(params).gamma_eff * t_arr)
     return float(result[()]) if t_arr.ndim == 0 else result
 
 
@@ -640,9 +629,12 @@ def dressed_params(params: SystemParams) -> DressedParams:
     Gamma [1 + r_m cos(omega_e tau)].
 
     Raises:
-        ValueError: If tau is infinite (see excitation_probability_markovian).
+        ValueError: If tau is infinite, where omega_e tau has no value.
     """
-    rho = _mirror_phase_factor(params)
+    if math.isinf(params.tau):
+        raise ValueError("the Markovian limit needs a finite tau: the round-trip phase "
+                         "omega_e tau is undefined for tau = inf")
+    rho = _round_trip_mirror(params)
     return DressedParams(
         delta_eff=params.gamma / 2.0 * rho.imag,
         gamma_eff=params.gamma * (1.0 + rho.real),

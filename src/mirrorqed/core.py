@@ -49,15 +49,22 @@ class SystemParams:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         if not 0 <= self.omega_e < math.inf:
             raise ValueError(f"omega_e must be finite and non-negative, got {self.omega_e}")
+        if self.tau < math.inf and not math.isfinite(float(self.omega_e) * float(self.tau)):
+            raise ValueError(f"omega_e tau must be finite at a finite tau, got omega_e = "
+                             f"{self.omega_e} and tau = {self.tau}")
         if not abs(self.r_m) <= 1 + UNITARITY_TOL:
             raise ValueError(f"|r_m| must not exceed 1, got {abs(self.r_m)}")
         object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - abs(self.r_m) ** 2)))
 
     @classmethod
     def from_round_trip_phase(cls, tau: float, phase: float, r_m: complex) -> "SystemParams":
-        """Build params from the round-trip phase omega_e * tau instead of omega_e."""
-        if tau <= 0:
-            raise ValueError("from_round_trip_phase requires tau > 0; pass omega_e directly")
+        """Build params from the round-trip phase omega_e * tau instead of omega_e.
+
+        Needs 0 < tau < inf: omega_e = phase / tau keeps no phase at tau = 0 or inf.
+        """
+        if not 0 < tau < math.inf:
+            raise ValueError(f"from_round_trip_phase requires 0 < tau < inf, got {tau}; "
+                             "pass omega_e directly")
         return cls(omega_e=phase / tau, tau=tau, r_m=r_m)
 
     @property

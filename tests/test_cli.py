@@ -487,6 +487,44 @@ def test_value_error_inside_a_runner_is_one_config_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+PHASE_OVERFLOW = "omega_e tau must be finite at a finite tau, got omega_e = 1e+308 and tau = 10.0"
+REFUSALS = [
+    # flag checks of the runners
+    ("excitation --tau 1 --phase 1 --rm -1 --grid 1", "--grid must be at least 2 points, got 1"),
+    ("dressed --rm -1 --phase-points 1", "--phase-points must be at least 2, got 1"),
+    ("dressed --rm -1 --phase-min -1", "--phase-min must be non-negative, got -1.0"),
+    ("dressed --rm -1 --phase-min 1 --phase-max 1", "phase grid must be strictly increasing"),
+    ("wavepacket --tau 1 --phase 1 --rm -1 --times 2,x",
+     "--times must be a comma list of floats, got '2,x'"),
+    ("wavepacket --tau 1 --phase 1 --rm -1 --xpoints 1", "--xpoints must be at least 2, got 1"),
+    ("wavepacket --tau 1 --phase 1 --rm -1 --xmin 0 --xmax 0",
+     "--xmin must be below --xmax, got [0.0, 0.0]"),
+    # a round-trip phase with no value: these wrote nan, failed in cmath with
+    # "math domain error", or dropped the given phase at tau = inf
+    ("markovian --tau 10 --omega-e 1e308 --rm -0.5 --tmax 1 --grid 3", PHASE_OVERFLOW),
+    ("excitation --tau 10 --omega-e 1e308 --rm 0 --tmax 1 --grid 3", PHASE_OVERFLOW),
+    ("excitation --tau 10 --omega-e 1e308 --rm -0.5", PHASE_OVERFLOW),
+    ("wavepacket --tau 10 --omega-e 1e308 --rm -0.5", PHASE_OVERFLOW),
+    ("spectrum --tau 10 --omega-e 1e308 --rm -0.5", PHASE_OVERFLOW),
+    ("excitation --tau inf --phase 1 --rm -0.5",
+     "from_round_trip_phase requires 0 < tau < inf, got inf; pass omega_e directly"),
+    # a ring of 2 N - 3 emissions whose round trip the step cap never reaches
+    ("trajectory --tau 1 --phase 1 --rm -1 --boxes 1048578 --tmax 0.001",
+     "one round trip of 2 (boxes - 1) steps must fit in 2097152 steps, got boxes = 1048578"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[argv for argv, _ in REFUSALS])
+def test_refusal_is_one_config_error_line_with_warnings_as_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv.split(), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"configuration error: {message}\n")
+    assert not out.exists()
+
+
 def test_program_fault_inside_a_runner_propagates(monkeypatch, tmp_path):
     # only a ValueError is an input error; a floating-point fault keeps its traceback
     def fault(*args, **kwargs):

@@ -3,6 +3,7 @@ the public surface."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ def test_params_reject_infinite_frequency():
         SystemParams(omega_e=math.inf, tau=1.0, r_m=-0.5)
     with pytest.raises(ValueError, match="omega_e must be finite"):
         SystemParams.from_round_trip_phase(tau=1.0, phase=math.inf, r_m=-0.5)
+
+
+@pytest.mark.parametrize("omega_e, tau", [(1e308, 10.0), (2.0, 1e308), (np.float64(1e308), 10.0)])
+def test_params_refuse_a_round_trip_phase_past_the_double_range(omega_e, tau):
+    # r_m exp(i omega_e tau) was nan: the Markovian curve wrote nan and the
+    # exact constants failed in cmath with "math domain error".  A numpy
+    # frequency is refused the same way, not by an overflow warning.
+    message = f"omega_e tau must be finite at a finite tau, got omega_e = {omega_e} and tau = {tau}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemParams(omega_e=omega_e, tau=tau, r_m=-0.5)
+
+
+def test_params_accept_the_largest_finite_round_trip_phase():
+    params = SystemParams(omega_e=1.0, tau=1.7976931348623157e308, r_m=-0.5)
+    assert params.round_trip_phase == 1.7976931348623157e308
+    # and any frequency at tau = inf, where no reflection ever returns
+    assert SystemParams(omega_e=1e308, tau=math.inf, r_m=-0.5).round_trip_phase == math.inf
+
+
+@pytest.mark.parametrize("tau", [math.inf, 0.0, -1.0, math.nan])
+def test_params_from_a_phase_need_a_finite_positive_delay(tau):
+    # at tau = inf, omega_e = phase / tau = 0 used to drop the given phase
+    message = f"from_round_trip_phase requires 0 < tau < inf, got {tau}; pass omega_e directly"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemParams.from_round_trip_phase(tau=tau, phase=1.0, r_m=-0.5)
 
 
 def test_params_accept_infinite_delay():

@@ -93,6 +93,9 @@ REGRESSION_CASES = {
     "branch-point-above-t20": (CRITICAL_TAU * (1 + 1e-6), math.pi, -1.0, 20.0),
     "branch-point-below-t20": (CRITICAL_TAU * (1 - 1e-6), math.pi, -1.0, 20.0),
     "late-phase-3.4": (1.0, 3.4, -1.0, 39.65574070683025),
+    # |a| tau ~ e^750 leaves the double range: no residue plan, causal terms only
+    "causal-only-t16.5tau": (1500.0, math.pi, -1.0, 16.5 * 1500.0),
+    "causal-only-t60.5tau": (1500.0, math.pi, -1.0, 60.5 * 1500.0),
 }
 
 
@@ -103,6 +106,12 @@ def test_probability_matches_high_precision_causal_sum(case):
     got = excitation_probability_exact(params, t)
     expected = probability_reference(tau, phase, r_m, t)
     assert got == pytest.approx(expected, rel=1e-8, abs=0)
+
+
+def test_causal_only_cases_have_no_residue_plan():
+    tau, phase, r_m, _ = REGRESSION_CASES["causal-only-t16.5tau"]
+    params = SystemParams.from_round_trip_phase(tau, phase, r_m)
+    assert _residues(_feedback_log(params), tau) is None
 
 
 def test_known_values_of_the_regression_cases():

@@ -173,6 +173,27 @@ def test_config_bounds_the_step_count():
             TrajectoryConfig(params, boxes=25, t_max=t_max)
 
 
+@pytest.mark.parametrize("boxes", [2**20 + 2, 10**8, 2**80])
+def test_config_refuses_more_boxes_than_a_round_trip_in_the_step_cap_before_it_allocates(boxes):
+    # the run keeps a ring of 2 N - 3 emissions, ~64 bytes a box, however few
+    # steps it takes: N 1e8 at t_max 1e-5 (2000 steps) would need ~6 GB
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"must fit in 2097152 steps, got boxes = {boxes}$"):
+            ensemble_average(TrajectoryConfig(params, boxes=boxes, t_max=1e-5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_config_takes_the_most_boxes_whose_round_trip_fits_the_step_cap():
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-1.0)
+    config = TrajectoryConfig(params, boxes=2**20 + 1, t_max=1.0)
+    assert 2 * (config.boxes - 1) == config.n_steps == 2**21
+
+
 def config_with(tau=1.0, omega_e=1.0, r_m=0.0, t_max=1.0):
     return TrajectoryConfig(
         SystemParams(omega_e=omega_e, tau=tau, r_m=r_m), boxes=4, n_trajectories=1, t_max=t_max

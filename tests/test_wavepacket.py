@@ -489,30 +489,22 @@ def test_norm_below_the_smallest_normal_delay_is_the_norm_at_no_delay():
     assert total_photon_norm(tiny, 5.0) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau", [1e-300, 1e-6, math.nextafter(5.0 / 2**14, 0.0)])
-def test_norm_refuses_more_round_trips_than_the_cap_before_it_allocates(tau):
-    # one lattice kink, and at least one 32-node panel, per round trip: at
-    # tau 1e-6 and t 5 the kinks alone would take 5e6 entries per direction
-    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="at most 16384 round trips, got 5.0 / "):
-            total_photon_norm(params, 5.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+# 32 nodes per panel of at most 0.5 in each direction: at t 1e6 the panels
+# would take ~8 GB whatever tau is.  At t 5 the short delays fit more than
+# 2**14 round trips, each with one lattice kink, and so at least one panel,
+# per direction: at tau 1e-6 the kinks alone would take 5e6 entries per
+# direction.
+PANEL_CAP_CASES = [(0.0, 1e6), (1e-320, 1e6), (100.0, 1e6), (math.inf, 1e6),
+                   (1e-300, 5.0), (1e-6, 5.0), (math.nextafter(5.0 / 2**14, 0.0), 5.0)]
 
 
-@pytest.mark.parametrize("tau", [0.0, 1e-320, 100.0, math.inf])
-def test_norm_refuses_more_panels_than_the_cap_before_it_allocates(tau):
-    # 32 nodes per panel of at most 0.5 in each direction: at t 1e6 the
-    # panels would take ~8 GB whatever tau is
+@pytest.mark.parametrize("tau, t", PANEL_CAP_CASES, ids=[str(tau) for tau, _ in PANEL_CAP_CASES])
+def test_norm_refuses_more_panels_than_the_cap_before_it_allocates(tau, t):
     params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="at most 32768 panels, got "):
-            total_photon_norm(params, 1e6)
+            total_photon_norm(params, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
