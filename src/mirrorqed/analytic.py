@@ -88,9 +88,8 @@ def _feedback_log(params: SystemParams) -> complex:
 
 def _round_trip_mirror(params: SystemParams) -> complex:
     """rho = r_m exp(i omega_e tau), the mirror's factor on a photon at omega_e
-    after one round trip.  omega_e tau has no value at tau = inf; each caller
-    keeps its own rule there."""
-    return params.r_m * cmath.exp(1j * params.round_trip_phase)
+    after one round trip; 0 at tau = inf, where no reflection returns."""
+    return 0j if math.isinf(params.tau) else params.r_m * cmath.exp(1j * params.round_trip_phase)
 
 
 # Taylor coefficients mu_k of W(z) = sum_k mu_k p^k about the branch point
@@ -365,26 +364,6 @@ _NO_DELAY = np.finfo(float).tiny
 _REAL_AXIS = 16.0 * np.finfo(float).eps
 
 
-def _principal_w(a: complex, tau: float) -> complex:
-    """W_0(a tau) = xi tau, where xi is the pole of 1 / (s - a exp(-s tau))
-    with the largest real part.
-
-    Raises:
-        NoLongtimeSolution: If a tau is not finite, or if it is real (to
-            _REAL_AXIS) and at or below -1/e, where W_0 and a second branch
-            share the largest real part.
-    """
-    z = a * tau
-    if not cmath.isfinite(z):
-        raise NoLongtimeSolution("a tau exceeds the double range")
-    if math.e * z.real <= -1.0 and abs(z.imag) <= _REAL_AXIS * abs(z):
-        raise NoLongtimeSolution(
-            f"a tau = {z.real:.6g} is real and at or below -1/e: two poles share "
-            "the slowest decay, so no single exponential dominates"
-        )
-    return _lambert_w(z, 0)
-
-
 # ---------------------------------------------------------------------------
 # Dyson coefficients of the even (excited-emitter) sector
 # ---------------------------------------------------------------------------
@@ -395,12 +374,6 @@ def _loop_count(n: int) -> int:
     if n % 2 != 0 or n < 0:
         raise ValueError(f"n must be an even non-negative integer, got {n}")
     return n // 2
-
-
-def _returning_loop_weight(params: SystemParams) -> complex:
-    """rho, the weight of a loop that returns after tau; 0 for tau = inf, where
-    no loop returns and omega_e tau has no value."""
-    return 0j if math.isinf(params.tau) else _round_trip_mirror(params)
 
 
 def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
@@ -416,7 +389,7 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
     neither m! nor (t - k tau)^m has to fit a double: only c_n(t) itself.
     """
     m = _loop_count(n)
-    rho = _returning_loop_weight(params)
+    rho = _round_trip_mirror(params)
     top = math.frexp(params.gamma / 2.0 * t)[1]
     factorial = math.factorial(m)
     bits = factorial.bit_length()  # m! = (factorial / 2^bits) 2^bits
@@ -462,7 +435,7 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     m = _loop_count(n)
     tau = params.tau
     rows = m + 1 if 0 < tau < math.inf else 1
-    rho = _returning_loop_weight(params)
+    rho = _round_trip_mirror(params)
     degrees = np.arange(1.0, m + 1)
     table = np.zeros((rows, m + 1), dtype=complex)
     table[:, 0] = 1.0
@@ -508,6 +481,16 @@ class DressedParams:
     gamma_eff: float
 
 
+def _times(t) -> np.ndarray:
+    """t as a float array; the P_e curves refuse a negative or non-finite t."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("t must be non-negative")
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("times must be finite")
+    return t_arr
+
+
 def excitation_amplitude_exact(params: SystemParams, t):
     """Exact excited-state amplitude <e,0|psi(t)> = exp(-i Omega t) f(t).
 
@@ -517,10 +500,7 @@ def excitation_amplitude_exact(params: SystemParams, t):
     Raises:
         ValueError: If any t is negative or not finite.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be non-negative")
-    return round_trip_series(params, t_arr)
+    return round_trip_series(params, _times(t))
 
 
 def excitation_probability_exact(params: SystemParams, t):
@@ -544,26 +524,48 @@ def excitation_curve(params: SystemParams, times) -> ExcitationCurve:
 # ---------------------------------------------------------------------------
 
 
+def _longtime_pole(params: SystemParams) -> tuple[complex, complex]:
+    """(xi, xi0) = (W_0(a tau) / tau, 1 / (1 + W_0(a tau))), the pole of
+    1 / (s - a exp(-s tau)) with the largest real part and its residue; (a, 1)
+    without a lattice (tau < _NO_DELAY) or a mirror (a = 0).
+
+    Raises:
+        NoLongtimeSolution: If a tau is not finite, or real (to _REAL_AXIS)
+            and at or below -1/e: W_0 and a second branch share the largest
+            real part.
+    """
+    a, tau = derived_constants(params).a, params.tau
+    if tau < _NO_DELAY or a == 0:
+        return a, 1.0 + 0j
+    z = a * tau
+    if not cmath.isfinite(z):
+        raise NoLongtimeSolution("a tau exceeds the double range")
+    if math.e * z.real <= -1.0 and abs(z.imag) <= _REAL_AXIS * abs(z):
+        raise NoLongtimeSolution(
+            f"a tau = {z.real:.6g} is real and at or below -1/e: two poles share "
+            "the slowest decay, so no single exponential dominates"
+        )
+    w0 = _lambert_w(z, 0)
+    return w0 / tau, 1.0 / (1.0 + w0)
+
+
 def solve_xi(params: SystemParams) -> complex:
     """Long-time decay constant xi = W_0(a tau) / tau, the root of
-    xi exp(xi tau) = a with the largest real part.
+    xi exp(xi tau) = a with the largest real part: the pole of `_longtime_pole`.
 
     Raises:
         NoLongtimeSolution: If a tau is not finite, or real and at or below
             -1/e (see NoLongtimeSolution).
     """
-    a, tau = derived_constants(params).a, params.tau
-    if tau < _NO_DELAY or a == 0:
-        return a
-    return _principal_w(a, tau) / tau
+    return _longtime_pole(params)[0]
 
 
 def solve_longtime(params: SystemParams) -> DerivedConstants:
     """Populate xi and xi0 of the long-time solution xi0 exp(-i Omega t + xi t).
 
-    xi = W_0(a tau) / tau and xi0 = 1 / (1 + W_0(a tau)), the pole of the
-    Laplace transform 1 / (s - a exp(-s tau)) with the largest real part and
-    its residue.
+    xi = W_0(a tau) / tau and xi0 = 1 / (1 + W_0(a tau)), the dominant pole
+    of 1 / (s - a exp(-s tau)) and its residue (`_longtime_pole`); only the
+    radius of the prefactor series is added here, checked after the pole.
 
     Raises:
         NoLongtimeSolution: If no single pole dominates (see NoLongtimeSolution).
@@ -571,30 +573,25 @@ def solve_longtime(params: SystemParams) -> DerivedConstants:
             series; solve_xi still returns xi there.
     """
     consts = derived_constants(params)
-    a, tau = consts.a, params.tau
-    if tau < _NO_DELAY or a == 0:
-        return replace(consts, xi=a, xi0=1.0 + 0j)
-    w0 = _principal_w(a, tau)
-    ratio = math.e * abs(a) * tau  # radius of the all-orders series
+    xi, xi0 = _longtime_pole(params)
+    # radius of the all-orders series; 0 * inf is nan at tau = inf without a mirror
+    ratio = math.e * abs(consts.a) * params.tau if consts.a else 0.0
     if not ratio < 1.0:
         raise Xi0Diverges(
             f"e |a| tau = {ratio:.6g} >= 1: the prefactor series "
             "sum_k (-k)^k (a tau)^k / k! diverges"
         )
-    return replace(consts, xi=w0 / tau, xi0=1.0 / (1.0 + w0))
+    return replace(consts, xi=xi, xi0=xi0)
 
 
-def excitation_probability_longtime(
-    params: SystemParams, t, constants: DerivedConstants | None = None
-):
+def excitation_probability_longtime(params: SystemParams, t):
     """Long-time exponential P_e(t) = |xi0|^2 exp(-(Gamma - 2 Re xi) t).
 
-    Valid for t >> tau.  Propagates NoLongtimeSolution / Xi0Diverges when the
-    constants do not exist; pass `constants` to reuse a previous solve.
+    Valid for t >> tau.  Solves its own constants, so it raises what
+    solve_longtime raises, and ValueError for a negative or non-finite t.
     """
-    if constants is None or constants.xi is None or constants.xi0 is None:
-        constants = solve_longtime(params)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _times(t)
+    constants = solve_longtime(params)
     rate = params.gamma - 2.0 * constants.xi.real
     result = abs(constants.xi0) ** 2 * np.exp(-rate * t_arr)
     return float(result[()]) if t_arr.ndim == 0 else result
@@ -613,9 +610,9 @@ def excitation_probability_markovian(params: SystemParams, t):
     complex r_m only shifts the phase.
 
     Raises:
-        ValueError: If tau is infinite (see dressed_params).
+        ValueError: If any t is negative or not finite, or tau is infinite.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _times(t)
     result = np.exp(-dressed_params(params).gamma_eff * t_arr)
     return float(result[()]) if t_arr.ndim == 0 else result
 

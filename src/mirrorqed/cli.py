@@ -122,7 +122,7 @@ def run_excitation(args) -> int:
     try:
         constants = solve_longtime(params)
         header.append("P_longtime")
-        columns.append(excitation_probability_longtime(params, times, constants))
+        columns.append(excitation_probability_longtime(params, times))
         meta["longtime"] = {
             "xi": constants.xi,
             "xi0": constants.xi0,

@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import Direction, SystemParams
 from .analytic import (
-    _NO_DELAY, _REAL_AXIS, _round_trip_mirror, excitation_probability_exact, round_trip_series,
+    _NO_DELAY, _REAL_AXIS, _exp, _round_trip_mirror, excitation_probability_exact,
+    round_trip_series,
 )
 
 _DECAYED_THRESHOLD = 1e-6
@@ -117,10 +118,12 @@ def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
     """Total single-photon amplitude at position(s) x for one direction.
 
     Vectorized over x; returns 0 outside the light cone and outside each
-    component's support.
+    component's support, x = +-inf included, and refuses a nan x (ValueError).
     """
     x_in = np.asarray(x, dtype=float)
     x_arr = np.atleast_1d(x_in)
+    if np.isnan(x_arr).any():
+        raise ValueError("positions must not be nan")
     amp = np.zeros(x_arr.shape, dtype=complex)
     for support, values in _components(params, x_arr, direction, t):
         amp[support] += values
@@ -143,7 +146,7 @@ def photon_density(params: SystemParams, x, direction: Direction, t: float):
 def spatial_profile(
     params: SystemParams, t: float, positions, direction: Direction
 ) -> SpatialProfile:
-    """Sample the wave packet of one direction on a position grid."""
+    """Sample the wave packet of one direction on a position grid; refuses a nan position."""
     positions = np.asarray(positions, dtype=float)
     amplitudes = field_amplitude(params, positions, direction, t)
     emitted = positions + t if direction is Direction.LEFT else t - positions
@@ -229,12 +232,14 @@ def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:
         A = (1 + rho) / ((Gamma/2) (1 + rho) + i (omega_e - omega)),
 
     exact at every frequency and free of the feedback constant a, which
-    leaves the double range past Gamma tau ~ 1418.  The density is not
+    leaves the double range past Gamma tau ~ 1418.  Where tau omega overflows,
+    rho keeps only its modulus |r_m| (see analytic._exp).  The density is not
     normalized; `mirrorqed spectrum` divides it by its peak on the grid.
 
     Raises:
-        ValueError: If omega_e tau is not finite, which SystemParams allows
-            only at tau = inf: no reflection ever returns, and rho has no value.
+        ValueError: If a frequency is not finite, or if omega_e tau is not
+            finite, which SystemParams allows only at tau = inf: no reflection
+            ever returns, and rho has no value.
         EmitterNotDecayed: If the emitter is exactly trapped, so that part of
             the excitation never leaves (r_m exp(i omega_e tau) = -1).
     """
@@ -245,7 +250,11 @@ def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:
             "r_m exp(i omega_e tau) = -1: a bound state keeps part of the excitation"
         )
     omega = np.asarray(frequencies, dtype=float)
-    rho = params.r_m * np.exp(1j * params.tau * omega)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("frequencies must be finite")
+    with np.errstate(over="ignore"):
+        phase = 1j * params.tau * omega
+    rho = params.r_m * _exp(phase)
     amplitude = (1.0 + rho) / (0.5 * params.gamma * (1.0 + rho) + 1j * (params.omega_e - omega))
     return np.abs(amplitude) ** 2
 

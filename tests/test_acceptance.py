@@ -29,7 +29,7 @@ from mirrorqed import (
     spectrum,
     total_photon_norm,
 )
-from mirrorqed.analytic import _principal_w
+from mirrorqed.analytic import _lambert_w
 
 DEFAULT_GRID = np.linspace(0.0, 10.0, 2001)
 
@@ -265,7 +265,7 @@ def test_criterion_11_delay_equation_residual():
     h = 1e-5
     worst = 0.0
     for a in (-0.3, 0.3, 0.2 - 0.2j):
-        w0 = _principal_w(a, tau)
+        w0 = _lambert_w(a * tau, 0)
 
         def series(u):
             return cmath.exp(w0 * u / tau) / (1.0 + w0)

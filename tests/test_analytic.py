@@ -27,7 +27,7 @@ from mirrorqed import (
     solve_longtime,
     solve_xi,
 )
-from mirrorqed.analytic import _feedback_log, _principal_w, _round_trip_sum
+from mirrorqed.analytic import _feedback_log, _lambert_w, _round_trip_sum
 
 
 def params_for(tau, phase, r_m):
@@ -46,7 +46,7 @@ def series_at(u, a, tau):
 
 def residue_at(u, a, tau):
     """The all-orders series exp(W_0 u / tau) / (1 + W_0), W_0 = W_0(a tau)."""
-    w0 = _principal_w(a, tau)
+    w0 = _lambert_w(a * tau, 0)
     return cmath.exp(w0 * u / tau) / (1.0 + w0)
 
 
@@ -371,6 +371,30 @@ def test_amplitude_rejects_non_finite_time(tau, r_m, t):
         excitation_probability_exact(params, t)
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [excitation_probability_exact, excitation_probability_longtime,
+     excitation_probability_markovian],
+)
+@pytest.mark.parametrize(
+    "params, t, message",
+    [
+        (params_for(0.05, 3.3, -1), [-1.0, math.nan], "t must be non-negative"),
+        (params_for(0.05, 3.3, -1), -math.inf, "t must be non-negative"),
+        (params_for(0.05, 3.3, -1), [1.0, math.nan], "times must be finite"),
+        (SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5), -1.0, "t must be non-negative"),
+        (SystemParams(omega_e=0.0, tau=0.0, r_m=-0.5), math.inf, "times must be finite"),
+        # the trapping point (Gamma_eff = 0): the time rule comes before Xi0Diverges
+        (params_for(1.0, 2 * math.pi, -1), math.inf, "times must be finite"),
+    ],
+    ids=["negative-then-nan", "minus-inf", "nan", "markovian-negative", "inf-without-delay",
+         "inf-at-trapping"],
+)
+def test_the_three_curves_share_one_time_rule(curve, params, t, message):
+    with pytest.raises(ValueError, match=message):
+        curve(params, t)
+
+
 def test_amplitude_collapsed_lattice_matches_markovian():
     params = SystemParams(omega_e=3.0, tau=0.0, r_m=-0.7)
     t = np.linspace(0.0, 4.0, 41)
@@ -518,6 +542,35 @@ def test_longtime_without_feedback_at_infinite_delay():
     assert consts.xi == 0 and consts.xi0 == 1
 
 
+@pytest.mark.parametrize(
+    "params, refusal",
+    [
+        (SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5), None),
+        (SystemParams(omega_e=1.0, tau=1e-310, r_m=-0.5), None),  # below _NO_DELAY
+        (SystemParams(omega_e=1.0, tau=math.inf, r_m=0), None),
+        (SystemParams(omega_e=1.0, tau=math.inf, r_m=-1), NoLongtimeSolution),
+        # real a tau < -1/e, also far outside the series radius: the pole wins
+        (params_for(4.0, math.pi, -1), NoLongtimeSolution),
+        (params_for(1.0, 2 * math.pi, -1), Xi0Diverges),  # the trapping point
+        (params_for(0.05, math.pi, -1), None),  # inside the series radius
+    ],
+    ids=["tau-0", "tau-subnormal", "tau-inf-no-mirror", "tau-inf-mirror", "real-past-branch",
+         "trapping", "inside-radius"],
+)
+def test_solve_xi_and_solve_longtime_share_one_pole(params, refusal):
+    if refusal is NoLongtimeSolution:
+        for solve in (solve_xi, solve_longtime):
+            with pytest.raises(NoLongtimeSolution):
+                solve(params)
+        return
+    xi = solve_xi(params)
+    if refusal is Xi0Diverges:
+        with pytest.raises(Xi0Diverges):
+            solve_longtime(params)
+    else:
+        assert solve_longtime(params).xi == xi
+
+
 def test_solve_longtime_small_delay():
     params = params_for(0.01, math.pi, -1)
     consts = solve_longtime(params)
@@ -576,10 +629,9 @@ def test_longtime_probability_effective_rate():
 
 def test_longtime_matches_exact_at_late_times():
     params = params_for(0.05, math.pi, -1)
-    consts = solve_longtime(params)
     t = np.linspace(20 * params.tau, 3.0, 40)
     exact = excitation_probability_exact(params, t)
-    approx = excitation_probability_longtime(params, t, consts)
+    approx = excitation_probability_longtime(params, t)
     assert np.max(np.abs(approx / exact - 1.0)) < 0.01
 
 

@@ -517,6 +517,30 @@ def test_norm_without_delay_takes_t_8000():
     assert total_photon_norm(params, 8000.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("evaluate", [
+    field_amplitude, photon_density, lambda params, x, d, t: spatial_profile(params, t, x, d),
+], ids=["field_amplitude", "photon_density", "spatial_profile"])
+def test_nan_positions_are_refused(evaluate, direction):
+    params = params_for(1.0, 1.0, -0.5)
+    for x in (math.nan, [math.nan, 0.5]):
+        with pytest.raises(ValueError, match="positions must not be nan"):
+            evaluate(params, x, direction, 2.0)
+
+
+def test_infinite_positions_hold_no_photon():
+    # both directions are 0 at x = +-inf; left-movers count round trips up
+    # from x = -c t, so +inf saturates that count like any x past int64
+    params = params_for(1.0, 1.0, -0.5)
+    positions = [-math.inf, math.inf]
+    for direction, regions in ((Direction.LEFT, [-1, np.iinfo(np.int64).max]),
+                               (Direction.RIGHT, [-1, -1])):
+        profile = spatial_profile(params, 2.0, positions, direction)
+        assert profile.amplitudes.tolist() == [0j, 0j]
+        assert profile.region_index.tolist() == regions
+        assert photon_density(params, math.inf, direction, 2.0) == 0.0
+
+
 def test_spatial_profile_counts_round_trips_past_the_double_range():
     # s / tau past int64 saturates, past the double range it is inf; a
     # subnormal tau labels every sample inside as tau = 0 does
@@ -631,6 +655,22 @@ def test_laplace_spectrum_rejects_trapping_and_an_infinite_delay():
         laplace_spectrum(SystemParams(omega_e=1.0, tau=0.0, r_m=-1.0), [1.0])
     with pytest.raises(ValueError, match="omega_e tau must be finite"):
         laplace_spectrum(SystemParams(omega_e=5.0, tau=math.inf, r_m=-0.5), [1.0])
+
+
+def test_laplace_spectrum_where_tau_omega_overflows():
+    # tau omega past the double range keeps only |rho| = |r_m|, and the
+    # Lorentzian denominator makes those far frequencies 0
+    params = SystemParams(omega_e=5.0, tau=10.0, r_m=-0.5)
+    density = laplace_spectrum(params, [1e307, 1e308, 1.7e308, -1e308, 5.0, 0.0])
+    assert np.all(np.isfinite(density)) and np.all(density >= 0)
+    assert density[:4].tolist() == [0.0] * 4
+    assert np.all(density[4:] > 0)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_laplace_spectrum_rejects_a_non_finite_frequency(omega):
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        laplace_spectrum(SystemParams(omega_e=5.0, tau=10.0, r_m=-0.5), [5.0, omega])
 
 
 def run_spectrum(tmp_path, *argv):
