@@ -241,25 +241,23 @@ def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
                  res: _Residues) -> np.ndarray:
     """sum_j exp((s_j + envelope) u) / (1 + W_j), smallest terms first.
 
-    Points are visited in increasing u, so each branch only touches the
-    prefix of points before its reach.
+    The caller passes u and x = u / tau ascending (`_round_trip_sum` sorts
+    them), so each branch only touches the prefix of points before its reach.
     """
-    order = np.argsort(u)
-    us, xs = u[order], x[order]
-    total = np.zeros(us.shape, dtype=complex)
+    total = np.zeros(u.shape, dtype=complex)
     # W_0's infinite reach takes every point, also where x = u / tau is inf
-    for w, end in zip(res.branches, np.searchsorted(xs, res.reach, side="right")):
+    for w, end in zip(res.branches, np.searchsorted(x, res.reach, side="right")):
         with np.errstate(over="ignore"):
-            exponent = (w / tau + envelope) * us[:end]
-        total[:end] += _exp(exponent) / (1.0 + w)
+            term = (w / tau + envelope) * u[:end]
+        term = _exp(term)
+        term /= 1.0 + w
+        total[:end] += term
     if res.pair is not None:
         # both poles have Re W < -1/2, so the pair is 0 in double precision long
         # before x = u / tau overflows; points where it has skip it
-        finite = np.searchsorted(xs, math.inf)
-        total[:finite] += _pair_sum(us[:finite], xs[:finite], envelope, res.pair)
-    out = np.empty_like(total)
-    out[order] = total
-    return out
+        finite = np.searchsorted(x, math.inf)
+        total[:finite] += _pair_sum(u[:finite], x[:finite], envelope, res.pair)
+    return total
 
 
 def _pair_sum(u: np.ndarray, x: np.ndarray, envelope: complex, q: complex) -> np.ndarray:
@@ -288,14 +286,18 @@ def _pair_sum(u: np.ndarray, x: np.ndarray, envelope: complex, q: complex) -> np
 
 
 def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) -> np.ndarray:
-    """sum_{k <= u/tau} a^k (u - k tau)^k / k! * exp(envelope u), term by term in log space."""
+    """sum_{k <= u/tau} a^k (u - k tau)^k / k! * exp(envelope u), term by term in log space.
+
+    The caller passes u ascending (`_round_trip_sum` sorts it), so round trip
+    k reaches the suffix u > k tau.
+    """
     total = np.exp(envelope.real * u).astype(complex)
     if log_a.real > -math.inf and u.size:
-        for k in range(1, int(u.max() // tau) + 1):
-            live = u > k * tau
-            ul = u[live]
+        for k in range(1, int(u[-1] // tau) + 1):
+            start = u.searchsorted(k * tau, side="right")
+            ul = u[start:]
             log_mag = k * log_a.real + k * np.log(ul - k * tau) - math.lgamma(k + 1)
-            total[live] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
+            total[start:] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
     if envelope.imag:
         with np.errstate(over="ignore"):
             phase = 1j * envelope.imag * u
@@ -307,24 +309,30 @@ def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) ->
 def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     """f(u) exp(envelope u) with f the causal round-trip sum; 0 where u < 0.
 
-    The feedback constant enters as log a.  Points with fewer lattice terms
-    than the switch take the causal sum, the rest the residue sum.
+    The feedback constant enters as log a.  The points u >= 0 are put in
+    ascending order once, here (one stable argsort, skipped when they already
+    are), so that those with fewer lattice terms than the switch form a prefix,
+    which takes the causal sum, and the rest a suffix, which takes the residue
+    sum.  A point's terms do not depend on the other points of the call.
     """
     u_in = np.asarray(u, dtype=float)
     flat = np.atleast_1d(u_in).ravel()
     total = np.zeros(flat.shape, dtype=complex)
     live = np.flatnonzero(flat >= 0)
     ul = flat[live]
+    if np.any(ul[1:] < ul[:-1]):
+        order = np.argsort(ul, kind="stable")
+        live, ul = live[order], ul[order]
     with np.errstate(over="ignore"):  # an overflowing x is past every switch
         x = ul / tau  # floor(x) >= switch exactly where x >= switch
     res = None
-    if log_a.real > -math.inf and x.size and x.max() >= _SWITCH_MIN:
+    if log_a.real > -math.inf and x.size and x[-1] >= _SWITCH_MIN:
         res = _residues(log_a, tau)
     # without a plan every point takes the causal sum, an overflowing x too
-    late = x >= res.switch if res is not None else np.zeros(x.shape, dtype=bool)
-    total[live[~late]] = _causal_sum(ul[~late], log_a, tau, envelope)
-    if late.any():
-        total[live[late]] = _residue_sum(ul[late], x[late], tau, envelope, res)
+    split = int(np.searchsorted(x, res.switch)) if res is not None else x.size
+    total[live[:split]] = _causal_sum(ul[:split], log_a, tau, envelope)
+    if split < x.size:
+        total[live[split:]] = _residue_sum(ul[split:], x[split:], tau, envelope, res)
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
@@ -439,16 +447,17 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     degrees = np.arange(1.0, m + 1)
     table = np.zeros((rows, m + 1), dtype=complex)
     table[:, 0] = 1.0
+    # built in place; anti[0, 0] and the first row of delayed stay 0
+    anti = np.zeros_like(table)
+    # tau = 0: the loop returns at once; tau = inf: rho = 0
+    delayed = np.zeros_like(table) if rows > 1 else anti
     with np.errstate(over="ignore", invalid="ignore"):
         powers = tau**degrees  # integral over one interval: sum_i C[k, i] tau^i
         for _ in range(m):
-            anti = np.zeros_like(table)
-            anti[:, 1:] = table[:, :-1] / degrees
+            np.divide(table[:, :-1], degrees, out=anti[:, 1:])
             if rows > 1:
                 anti[1:, 0] = np.cumsum(anti[:-1, 1:] @ powers)
-                delayed = np.vstack([np.zeros(m + 1), anti[:-1]])
-            else:  # tau = 0: the loop returns at once; tau = inf: rho = 0
-                delayed = anti
+                delayed[1:] = anti[:-1]
             table = -(params.gamma / 2.0) * (anti + rho * delayed)
     breakpoints = (0.0,) + tuple(k * tau for k in range(1, rows))
     if not np.all(np.isfinite(table)):  # also when k tau overflows: then tau^2 does

@@ -214,8 +214,12 @@ def _exactly_trapped(params: SystemParams) -> bool:
     Then a bound state at omega_e keeps part of the excitation for good, and
     the closed-form amplitude of `laplace_spectrum` is 0/0 at omega_e.  The
     phase omega_e tau is rounded to ~eps |omega_e tau|, hence the scaled
-    tolerance.
+    tolerance.  The rounding moves the phase of rho = r_m exp(i omega_e tau),
+    not its modulus, and |1 + rho| >= 1 - |r_m|: so only |r_m| = 1 (to
+    _REAL_AXIS) can trap, at any omega_e tau.
     """
+    if 1.0 - abs(params.r_m) > _REAL_AXIS:
+        return False
     mirror = abs(1.0 + _round_trip_mirror(params))
     return mirror <= _REAL_AXIS * max(1.0, abs(params.round_trip_phase))
 
@@ -233,8 +237,9 @@ def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:
 
     exact at every frequency and free of the feedback constant a, which
     leaves the double range past Gamma tau ~ 1418.  Where tau omega overflows,
-    rho keeps only its modulus |r_m| (see analytic._exp).  The density is not
-    normalized; `mirrorqed spectrum` divides it by its peak on the grid.
+    rho keeps only its modulus |r_m| (see analytic._exp); where omega_e - omega
+    overflows, the density is 0.  The density is not normalized; `mirrorqed
+    spectrum` divides it by its peak on the grid.
 
     Raises:
         ValueError: If a frequency is not finite, or if omega_e tau is not
@@ -254,8 +259,14 @@ def laplace_spectrum(params: SystemParams, frequencies) -> np.ndarray:
         raise ValueError("frequencies must be finite")
     with np.errstate(over="ignore"):
         phase = 1j * params.tau * omega
+        detuning = params.omega_e - omega
+    far = np.isinf(detuning)
+    # A is 0 there, but 1j * inf has a nan real part; omega_e stands in for
+    # those frequencies, where 1 + rho is not 0 unless the emitter is trapped
+    if far.any():
+        return np.where(far, 0.0, laplace_spectrum(params, np.where(far, params.omega_e, omega)))
     rho = params.r_m * _exp(phase)
-    amplitude = (1.0 + rho) / (0.5 * params.gamma * (1.0 + rho) + 1j * (params.omega_e - omega))
+    amplitude = (1.0 + rho) / (0.5 * params.gamma * (1.0 + rho) + 1j * detuning)
     return np.abs(amplitude) ** 2
 
 

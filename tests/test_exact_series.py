@@ -251,6 +251,51 @@ def test_each_point_of_a_batch_equals_its_own_scalar_call():
     check(params, np.linspace(0.0, 60 * params.tau, 2001), stride=37)
 
 
+@pytest.mark.parametrize("params", [
+    SystemParams.from_round_trip_phase(1.0, 3.5, -1.0),  # eight branches
+    SystemParams.from_round_trip_phase(0.02, 2 * math.pi, -1.0),  # W_0 alone
+    SystemParams.from_round_trip_phase(CRITICAL_TAU * (1 - 1e-6), math.pi, -1.0),  # merging pair
+    SystemParams.from_round_trip_phase(0.5, 1.3, 0.8 * cmath.exp(-0.4j)),  # complex r_m
+    SystemParams(omega_e=1.0, tau=1e-300, r_m=-1.0),  # u / tau overflows to inf
+    SystemParams(omega_e=1.0, tau=1e-310, r_m=-1.0),  # below _NO_DELAY: no lattice
+    SystemParams(omega_e=3.0, tau=0.3, r_m=0.0),  # no mirror: causal sum only
+])
+def test_series_commutes_with_a_permutation_of_its_points(params):
+    # f(u[p]) == f(u)[p] bit for bit: the order of a call's points must not
+    # change any point's value, on either side of the switch
+    tau = params.tau
+    planned = params.r_m != 0 and tau >= np.finfo(float).tiny
+    switch = (_residues(_feedback_log(params), tau).switch if planned else 16) * tau
+    rng = np.random.default_rng(5)
+    lattice = np.arange(0, 40) * tau
+    u = np.concatenate([
+        [-1.0, -tau, -0.0, 0.0, 1e10],
+        lattice, lattice[::3],  # the lattice points, some twice
+        [switch, np.nextafter(switch, 0), np.nextafter(switch, math.inf), switch],
+        rng.uniform(0, 40 * tau, 60), rng.uniform(-tau, 0, 5),
+    ])
+    if tau < 1e-200:
+        u = np.concatenate([u, rng.uniform(0, 50, 40), [50.0, 50.0]])
+    if tau == 1e-300:
+        assert u.max() > tau * np.finfo(float).max  # u / tau is inf
+    expected = round_trip_series(params, u)
+    for _ in range(5):
+        p = rng.permutation(u.size)
+        assert round_trip_series(params, u[p]).tobytes() == expected[p].tobytes()
+    assert round_trip_series(params, np.sort(u)).tobytes() == expected[np.argsort(u)].tobytes()
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_field_amplitude_does_not_depend_on_the_order_of_positions(direction):
+    params = SystemParams.from_round_trip_phase(0.25, 3.5, -0.8)
+    t = 7.0
+    x = np.concatenate([np.linspace(-t - 1, t + 1, 1501), np.arange(-28, 29) * params.tau])
+    x = np.sort(x)
+    ascending = field_amplitude(params, x, direction, t)
+    p = np.random.default_rng(2).permutation(x.size)
+    assert field_amplitude(params, x[p], direction, t).tobytes() == ascending[p].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Lambert W
 # ---------------------------------------------------------------------------

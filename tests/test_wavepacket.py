@@ -667,6 +667,30 @@ def test_laplace_spectrum_where_tau_omega_overflows():
     assert np.all(density[4:] > 0)
 
 
+@pytest.mark.parametrize("tau, r_m", [(1e-300, 0.0), (1e-300, -1.0), (1.5, 0.0), (1.5, -0.5)])
+def test_laplace_spectrum_where_the_detuning_overflows(tau, r_m):
+    # omega_e - omega past the double range: the density is 0 there, without a
+    # warning; at tau 1.5 tau omega overflows at -1.7e308 as well
+    params = SystemParams(omega_e=1e308, tau=tau, r_m=r_m)
+    omega = np.array([-1.7e308, -1e308, 0.0, 1e308])
+    density = laplace_spectrum(params, omega)
+    assert density[:3].tolist() == [0.0, 0.0, 0.0]
+    assert 0 < density[3] < math.inf
+    assert laplace_spectrum(params, omega[2:]).tobytes() == density[2:].tobytes()
+
+
+def test_only_a_full_mirror_traps_at_a_large_round_trip_phase():
+    # past |omega_e tau| ~ 5.6e14 the rounding tolerance 16 eps |omega_e tau|
+    # exceeds 2, the largest |1 + rho|; but |1 + rho| >= 1 - |r_m|
+    assert laplace_spectrum(SystemParams(omega_e=1.0, tau=1e15, r_m=0), [1.0]).tolist() == [4.0]
+    assert np.all(laplace_spectrum(SystemParams(omega_e=1.0, tau=1e15, r_m=-0.5), [1.0]) > 0)
+    with pytest.raises(EmitterNotDecayed, match="bound state"):
+        laplace_spectrum(SystemParams(omega_e=1.0, tau=1e15, r_m=-1.0), [1.0])
+    whole = wavepacket._whole_photon_spectrum(
+        SystemParams(omega_e=1e3, tau=1e12, r_m=0), 2e12, 16, False)
+    assert whole is not None and np.all(np.isfinite(whole[1]))
+
+
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
 def test_laplace_spectrum_rejects_a_non_finite_frequency(omega):
     with pytest.raises(ValueError, match="frequencies must be finite"):
