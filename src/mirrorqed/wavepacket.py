@@ -340,17 +340,22 @@ def _whole_photon_spectrum(
 # ---------------------------------------------------------------------------
 
 
-# Gauss-Legendre order and longest panel of the photon-norm quadrature
-_GAUSS_ORDER = 32
+# Gauss-Legendre order and longest panel of the photon-norm quadrature.  With
+# Gamma = 1 the density's n-th derivative grows at most like 2**n, and
+# exp(-i omega_e s) cancels in |amplitude|^2, so on a panel of 0.5 where the
+# density is C^16 the 8-point error term is ~1e-28 max|f^(16)| (Davis &
+# Rabinowitz, Methods of Numerical Integration, 1984).
+_GAUSS_ORDER = 8
 _PANEL_LEN = 0.5
 # Most Gauss panels over both directions, counted from t and tau before any
 # is built: each direction spans at most t + min(tau / 2, t), cut into pieces
-# of at most _PANEL_LEN and once more at each round-trip kink.  Every round
-# trip takes at least one panel per direction, so the cap also bounds the
-# round trips before t to 2**14 (t / tau <= 2**14).  At this many the norm
-# peaks at 187 MB by tracemalloc (tau 1e-3, t 16.35), and at 185 / 164 / 124
-# / 93 / 88 MB at tau 0.51 / 100 / 1 / 0.5 / 0 (t 4136 / 8126 / 5461 / 4096
-# / 8192).
+# of at most _PANEL_LEN, plus one panel per round trip.  The count charges
+# every round trip, though only the first 2 * _GAUSS_ORDER + 2 kinks are
+# breaks, so the cap also bounds the round trips before t to 2**14
+# (t / tau <= 2**14).  At this many the norm peaks at 33 MB by tracemalloc
+# at tau 100 (t 8126), and at 24 / 23 / 19 / 1.8 MB at tau 1 / 0 / 0.5 /
+# 1e-3 (t 5461 / 8192 / 4096 / 16.35); the largest peak found, over tau up to
+# 1e6, is 35 MB at tau 30-1000.
 _MAX_PANELS = 2**15
 
 
@@ -360,11 +365,21 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smooth_breaks(params: SystemParams, t: float, direction: Direction) -> np.ndarray:
-    """Breakpoints between which the density is smooth (lattice kinks, fronts)."""
+    """Breakpoints between which the density is smooth enough for the Gauss rule.
+
+    Smooth means C^(2m) for the m-point rule (m = _GAUSS_ORDER), whose error
+    term takes the 2m-th derivative.  The fronts and the mirror break the
+    density outright.  Lattice point k of the emission time carries a kink of
+    order k (the term (s - k tau)^k / k! starts there), and the reflected
+    left-mover one of order k - 1, so past the first 2m + 2 lattice points the
+    density is C^(2m) and only those points are breaks.  Their count, and so
+    the cost of the norm past them, no longer grows with t / tau.
+    """
     tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in round_trip_series
     half_d = tau / 2.0
-    # k = 1.. past the last lattice kink inside [lo, hi] in either direction
-    count = math.ceil(t / tau) + 1 if 0 < tau < math.inf else 0
+    # k = 1.. past the last lattice kink inside [lo, hi] in either direction,
+    # but no further than the last kink the rule must break at
+    count = min(math.ceil(t / tau) + 1, 2 * _GAUSS_ORDER + 2) if 0 < tau < math.inf else 0
     lattice = np.arange(1, count + 1) * tau
     if direction is Direction.LEFT:
         lo, hi = -t, min(half_d, t)  # no left-mover lies beyond x = t
@@ -406,10 +421,12 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
     """P_e(t) plus the photon probability integrated over both directions.
 
     Unitarity demands this equals 1 at every time.  The integrals use
-    fixed-order Gauss-Legendre panels between the smoothness breakpoints of
-    the density (round-trip lattice kinks, the fronts, and the mirror),
-    every panel of one direction built in one array pass, and the density
-    at all of that direction's nodes comes from one series evaluation.
+    8-point Gauss-Legendre panels of at most 0.5 between the breakpoints of
+    `_smooth_breaks` (the fronts, the mirror and the first 18 round-trip
+    lattice kinks), so past the 18th kink the work stops growing with
+    t / tau.  Every panel of one direction is built in one array pass, and
+    the density at all of that direction's nodes comes from one series
+    evaluation.
 
     Raises:
         ValueError: Unless 0 < t < inf, or if the quadrature would take more

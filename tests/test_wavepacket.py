@@ -275,15 +275,19 @@ def test_norm_gauss_panels_match_adaptive_quadrature():
     assert nodes_based == pytest.approx(both_adaptive, abs=1e-9)
 
 
-def set_based_breaks(params, t, direction):
-    """The smoothness breakpoints gathered one lattice kink at a time into a set."""
+def set_based_breaks(params, t, direction, kinks=18):
+    """The smoothness breakpoints gathered one lattice kink at a time into a set.
+
+    Only the first `kinks` lattice points of each direction are breaks: past
+    the 18th the density is smooth enough for the 8-point rule.
+    """
     half_d = params.tau / 2.0
     points = set()
     if direction is Direction.LEFT:
         lo, hi = -t, min(half_d, t)  # no left-mover lies beyond x = t
         points.update((lo, 0.0, hi))
         k = 1
-        while params.tau > 0 and k * params.tau - t < hi:
+        while params.tau > 0 and k <= kinks and k * params.tau - t < hi:
             points.add(k * params.tau - t)
             k += 1
     else:
@@ -292,7 +296,7 @@ def set_based_breaks(params, t, direction):
         if half_d < t:
             points.add(half_d)
         k = 1
-        while params.tau > 0 and t - k * params.tau > lo:
+        while params.tau > 0 and k <= kinks and t - k * params.tau > lo:
             points.add(t - k * params.tau)
             k += 1
     return np.array(sorted(p for p in points if lo <= p <= hi))
@@ -316,7 +320,7 @@ PANEL_CASES = [
     # k * step + lo falls short of hi, so it must be hi itself
     (SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5), 7.38),
     (params_for(2.9, 1.1, -0.8), 5.37),  # intervals longer than max_len, same rounding
-    (params_for(0.02, 2.0, -1.0), 5.0),  # hundreds of lattice kinks
+    (params_for(0.02, 2.0, -1.0), 5.0),  # 250 round trips, the first 18 breaks
     (params_for(0.37, 4.0, 0.6 * cmath.exp(0.4j)), 0.2),  # front short of the mirror
 ]
 
@@ -331,8 +335,8 @@ def test_array_built_panels_match_the_linspace_loop_bit_for_bit(params, t, direc
         ref_xs, ref_ws = linspace_panels(breaks, order, max_len)
         assert xs.tobytes() == ref_xs.tobytes()
         assert ws.tobytes() == ref_ws.tobytes()
-    # the norm's own rule: 32 points on panels of at most 0.5
-    ref_xs, ref_ws = linspace_panels(breaks, 32, 0.5)
+    # the norm's own rule: 8 points on panels of at most 0.5
+    ref_xs, ref_ws = linspace_panels(breaks, 8, 0.5)
     ref = float(np.dot(ref_ws, photon_density(params, ref_xs, direction, t)))
     assert _integrate_density(params, t, direction) == ref
 
@@ -344,6 +348,68 @@ def test_lattice_breaks_match_the_set_based_loop(tau, t):
     for direction in (Direction.LEFT, Direction.RIGHT):
         breaks = _smooth_breaks(params, t, direction)
         assert breaks.tobytes() == set_based_breaks(params, t, direction).tobytes()
+
+
+def every_kink_norm(params, t):
+    """P_e(t) plus both directions' density on 64-point panels of at most 0.5
+    that break at every lattice kink (none below the smallest normal delay)."""
+    kinks = math.inf if params.tau >= np.finfo(float).tiny else 0
+    total = excitation_probability_exact(params, t)
+    for direction in Direction:
+        xs, ws = linspace_panels(set_based_breaks(params, t, direction, kinks), 64, 0.5)
+        total += float(np.dot(ws, photon_density(params, xs, direction, t)))
+    return total
+
+
+def norm_sweep_systems():
+    """40 seeded systems over every kind of delay, complex and trapping
+    mirrors, omega_e up to 1e3 and t up to 300; a finite delay fits at most
+    400 round trips before t, so that the every-kink reference stays cheap."""
+    rng = np.random.default_rng(2028)
+    taus = [0.0, 1e-310, math.inf] * 2 + list(10.0 ** rng.uniform(-3, 2, 34))
+    systems = []
+    for i, tau in enumerate(taus):
+        t = 10.0 ** rng.uniform(-1, math.log10(300.0))
+        if np.finfo(float).tiny <= tau < math.inf:
+            t = min(t, 400.0 * tau)
+        if i % 8 == 7:  # a finite delay, trapped: a bound state keeps part
+            params = params_for(tau, 2 * math.pi, -1.0)
+        else:
+            r_m = rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            params = SystemParams(omega_e=10.0 ** rng.uniform(-2, 3), tau=tau, r_m=r_m)
+        systems.append((params, t))
+    return systems
+
+
+def test_norm_matches_the_every_kink_rule_across_a_seeded_sweep():
+    # past the 18th lattice kink the density is C^16, so 8-point panels that
+    # skip those kinks give the 64-point every-kink integral to rounding
+    worst = max(abs(total_photon_norm(params, t) - every_kink_norm(params, t))
+                for params, t in norm_sweep_systems())
+    assert worst < 1e-12
+
+
+def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch):
+    # the cap's worst accepted round-trip case: 2**14 round trips before t,
+    # which took 1 046 592 positions and ~136 MB with a break at every kink
+    params = SystemParams(omega_e=1.0, tau=5.0 / 2**14, r_m=-0.5)
+    amplitude = wavepacket.field_amplitude
+    positions = []
+
+    def counted(params, x, direction, t):
+        positions.append(np.size(x))
+        return amplitude(params, x, direction, t)
+
+    monkeypatch.setattr(wavepacket, "field_amplitude", counted)
+    tracemalloc.start()
+    try:
+        norm = total_photon_norm(params, 4.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(positions) < 2000
+    assert peak < 1_000_000
+    assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
