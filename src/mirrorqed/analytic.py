@@ -30,8 +30,12 @@ a switch of 16 (lowered, down to 8, where the estimated cancellation
 sum |term| / |f| ~ exp((W_0(|a| tau) - Re W_0(a tau)) t / tau) would pass
 1e4), and the residue sum beyond.  Each call plans that sum afresh, one W_j
 per branch |j| <= J (J set by |W_0| and the switch), each kept only where it
-exceeds 1e-17 of the W_0 term.  The envelope exp(-i Omega t) enters every
-exponent, so growing terms never overflow while the amplitude stays bounded.
+exceeds 1e-17 of the W_0 term; it and the long-time pole share one z = a tau.
+The envelope exp(-i Omega t) enters every exponent, so growing terms never
+overflow while the amplitude stays bounded.  Causal term k takes it in local
+time v = t - k tau, as b^k v^k / k! exp(-i Omega v) with the bounded
+b = a exp(-i Omega tau) = -r_m Gamma / 2, so the exp(Gamma tau / 2) that a
+carries is never formed.
 Near the branch point a tau = -1/e, W_0 and the branch it merges with
 approach -1 together and both residues diverge; there the pair is summed in
 a closed form that is analytic in q = 2 (1 + e a tau) and finite at q = 0.
@@ -71,19 +75,11 @@ class Xi0Diverges(Exception):
     """
 
 
-def _feedback_log(params: SystemParams) -> complex:
-    """log a = log |a| + i arg a of the feedback constant, overflow-free.
-
-    |a| = (Gamma/2) |r_m| exp(Gamma tau / 2) can exceed the double range for
-    large Gamma tau even though it never enters the dynamics before the first
-    round trip; keeping its logarithm defers any overflow to the terms that
-    actually need it.  Without a mirror the real part is -inf.
-    """
-    magnitude = abs(params.r_m)
-    if magnitude == 0:
-        return complex(-math.inf, 0.0)
-    log_mag = math.log(params.gamma / 2.0 * magnitude) + params.gamma * params.tau / 2.0
-    return complex(log_mag, cmath.phase(-params.r_m) + params.omega_e * params.tau)
+def _pole_argument(b: complex, tau: float, envelope: complex) -> complex:
+    """z = a tau, a = b exp(-envelope tau), for every W_j(z) of the residue plan
+    and the long-time pole; complex infinity where a leaves the double range."""
+    exponent = -envelope * tau
+    return b * cmath.exp(exponent) * tau if exponent.real <= 709.0 else complex(math.inf, math.inf)
 
 
 def _round_trip_mirror(params: SystemParams) -> complex:
@@ -120,17 +116,17 @@ def _pair_parts(q):
     return c1, h1
 
 
-def _lambert_w(z: complex, k: int, log_z: complex | None = None) -> complex:
+def _lambert_w(z: complex, k: int) -> complex:
     """Branch k of the Lambert W function, w exp(w) = z, at one point.
 
     Branch cuts follow Corless et al. (and scipy.special.lambertw).  Close to
     the branch point W_0 and the branch it merges with (W_{-1} from Im z >= 0,
     W_1 below) come straight from the series in p; the rest is polished by
     Halley's iteration from a series, Pade or asymptotic first guess.  k != 0
-    runs on log z (`log_z`, principal, if given), exact where z underflows.
+    runs on the principal log z and needs z != 0.
     """
     z = complex(z)
-    log_z = cmath.log(z) if k and log_z is None else log_z
+    log_z = cmath.log(z) if z else None
     merging = -1 if z.imag >= 0 else 1
     if k in (0, merging) and abs(z + 1.0 / math.e) < 0.3:
         q = 2.0 * (1.0 + math.e * z)
@@ -143,7 +139,7 @@ def _lambert_w(z: complex, k: int, log_z: complex | None = None) -> complex:
         # region scipy.special.lambertw uses for the same purpose
         w = z * (60.0 + z * (114.0 + 17.0 * z)) / (60.0 + z * (174.0 + 101.0 * z))
     else:
-        log_k = (cmath.log(z) if log_z is None else log_z) + 2j * math.pi * k
+        log_k = log_z + 2j * math.pi * k
         log_log = cmath.log(log_k)
         w = log_k - log_log + log_log / log_k
     for _ in range(_HALLEY_ITERATIONS):
@@ -186,14 +182,10 @@ class _Residues:
     pair: complex | None
 
 
-def _residues(log_a: complex, tau: float) -> _Residues | None:
-    """Residue plan for a = exp(log_a), or None when a tau exceeds the double range."""
-    log_z = log_a + math.log(tau)
-    if log_z.real > 700.0:
+def _residues(z: complex) -> _Residues | None:
+    """Residue plan at z = a tau (`_pole_argument`), or None where |z| > e^700."""
+    if not abs(z) <= math.exp(700.0):
         return None
-    z = cmath.exp(log_z)
-    # branch j counts from the principal log z; log_a carries any phase
-    log_z = cmath.log(z) if z else complex(log_z.real, math.remainder(log_z.imag, 2 * math.pi))
     w0 = _lambert_w(z, 0)
     # sum |causal terms| is the series at |a|, ~ exp(W_0(|a| tau) x), while
     # the sum itself is ~ exp(W_0(a tau) x)
@@ -203,7 +195,8 @@ def _residues(log_a: complex, tau: float) -> _Residues | None:
         switch = max(_SWITCH_MIN, int(math.log(_CANCELLATION_MAX) / gap))
     # |exp(W_j x)| = (|z| / |W_j|)^x with |W_j| ~ 2 pi |j|, so past `count`
     # branches every term is below 1e-17 of the W_0 term at all x >= switch
-    count = math.ceil(abs(w0) * 10.0 ** (17.0 / switch) / (2.0 * math.pi)) + 1
+    # (a z that underflowed to 0 keeps W_0 = 0 alone: every other Re W_j < -744)
+    count = math.ceil(abs(w0) * 10.0 ** (17.0 / switch) / (2.0 * math.pi)) + 1 if z else 0
     q = 2.0 * (1.0 + math.e * z)
     pair = q if abs(q) < _PAIR_Q else None
     merging = -1 if z.imag >= 0 else 1
@@ -212,7 +205,7 @@ def _residues(log_a: complex, tau: float) -> _Residues | None:
     for j in range(-count, count + 1):
         if j == 0 or (j == merging and pair is not None):
             continue
-        w = _lambert_w(z, j, log_z)
+        w = _lambert_w(z, j)
         drop = w0.real - w.real
         end = (lead - math.log(abs(1.0 + w))) / drop if drop > 0 else math.inf
         if end > switch:
@@ -285,19 +278,22 @@ def _pair_sum(u: np.ndarray, x: np.ndarray, envelope: complex, q: complex) -> np
     return scale * _exp(exponent) * (x * h1 * h1 * sinhc - c1 * cosh)
 
 
-def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) -> np.ndarray:
-    """sum_{k <= u/tau} a^k (u - k tau)^k / k! * exp(envelope u), term by term in log space.
+def _causal_sum(u: np.ndarray, b: complex, tau: float, envelope: complex) -> np.ndarray:
+    """sum_{k <= u/tau} a^k (u - k tau)^k / k! * exp(envelope u), term by term in local time.
 
-    The caller passes u ascending (`_round_trip_sum` sorts it), so round trip
-    k reaches the suffix u > k tau.
+    Term k is b^k v^k / k! exp(envelope v) at v = u - k tau: its modulus is
+    exp(k log|b| + k log v - log k! + Re(envelope) v), its phase k arg a plus,
+    once per point, Im(envelope) u.  The caller passes u ascending (as
+    `_round_trip_sum` sorts it), so round trip k reaches the suffix u > k tau.
     """
     total = np.exp(envelope.real * u).astype(complex)
-    if log_a.real > -math.inf and u.size:
+    if b and u.size:
+        log_b, arg_a = math.log(abs(b)), cmath.phase(b) - envelope.imag * tau
         for k in range(1, int(u[-1] // tau) + 1):
             start = u.searchsorted(k * tau, side="right")
-            ul = u[start:]
-            log_mag = k * log_a.real + k * np.log(ul - k * tau) - math.lgamma(k + 1)
-            total[start:] += np.exp(log_mag + envelope.real * ul) * cmath.exp(1j * k * log_a.imag)
+            v = u[start:] - k * tau
+            log_mag = k * log_b + k * np.log(v) - math.lgamma(k + 1) + envelope.real * v
+            total[start:] += np.exp(log_mag) * cmath.exp(1j * k * arg_a)
     if envelope.imag:
         with np.errstate(over="ignore"):
             phase = 1j * envelope.imag * u
@@ -306,14 +302,15 @@ def _causal_sum(u: np.ndarray, log_a: complex, tau: float, envelope: complex) ->
     return total
 
 
-def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
+def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
     """f(u) exp(envelope u) with f the causal round-trip sum; 0 where u < 0.
 
-    The feedback constant enters as log a.  The points u >= 0 are put in
-    ascending order once, here (one stable argsort, skipped when they already
-    are), so that those with fewer lattice terms than the switch form a prefix,
-    which takes the causal sum, and the rest a suffix, which takes the residue
-    sum.  A point's terms do not depend on the other points of the call.
+    a = b exp(-envelope tau) enters as b, one round trip's bounded factor in
+    local time.  The points u >= 0 are put in ascending order once, here (one
+    stable argsort, skipped when they already are), so that those with fewer
+    lattice terms than the switch form a prefix, which takes the causal sum,
+    and the rest a suffix, which takes the residue sum.  A point's terms do
+    not depend on the other points of the call.
     """
     u_in = np.asarray(u, dtype=float)
     flat = np.atleast_1d(u_in).ravel()
@@ -326,11 +323,11 @@ def _round_trip_sum(u, log_a: complex, tau: float, envelope: complex = 0j):
     with np.errstate(over="ignore"):  # an overflowing x is past every switch
         x = ul / tau  # floor(x) >= switch exactly where x >= switch
     res = None
-    if log_a.real > -math.inf and x.size and x[-1] >= _SWITCH_MIN:
-        res = _residues(log_a, tau)
+    if b and x.size and x[-1] >= _SWITCH_MIN:
+        res = _residues(_pole_argument(b, tau, envelope))
     # without a plan every point takes the causal sum, an overflowing x too
     split = int(np.searchsorted(x, res.switch)) if res is not None else x.size
-    total[live[:split]] = _causal_sum(ul[:split], log_a, tau, envelope)
+    total[live[:split]] = _causal_sum(ul[:split], b, tau, envelope)
     if split < x.size:
         total[live[split:]] = _residue_sum(ul[split:], x[split:], tau, envelope, res)
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
@@ -360,7 +357,7 @@ def round_trip_series(params: SystemParams, u):
             exponent = (envelope + consts.a) * u_arr
         out = np.where(u_arr >= 0, _exp(exponent), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
-    return _round_trip_sum(u_arr, _feedback_log(params), params.tau, envelope)
+    return _round_trip_sum(u_arr, -params.r_m * params.gamma / 2.0, params.tau, envelope)
 
 
 # A delay below the smallest normal double acts as none: |a tau| < 2.2e-308 there, so
@@ -536,17 +533,17 @@ def excitation_curve(params: SystemParams, times) -> ExcitationCurve:
 def _longtime_pole(params: SystemParams) -> tuple[complex, complex]:
     """(xi, xi0) = (W_0(a tau) / tau, 1 / (1 + W_0(a tau))), the pole of
     1 / (s - a exp(-s tau)) with the largest real part and its residue; (a, 1)
-    without a lattice (tau < _NO_DELAY) or a mirror (a = 0).
+    without a lattice (tau < _NO_DELAY) or a mirror (a = 0); W_0 is the plan's.
 
     Raises:
         NoLongtimeSolution: If a tau is not finite, or real (to _REAL_AXIS)
             and at or below -1/e: W_0 and a second branch share the largest
             real part.
     """
-    a, tau = derived_constants(params).a, params.tau
-    if tau < _NO_DELAY or a == 0:
-        return a, 1.0 + 0j
-    z = a * tau
+    consts, tau = derived_constants(params), params.tau
+    if tau < _NO_DELAY or consts.a == 0:
+        return consts.a, 1.0 + 0j
+    z = _pole_argument(-params.r_m * params.gamma / 2.0, tau, -1j * consts.omega_complex)
     if not cmath.isfinite(z):
         raise NoLongtimeSolution("a tau exceeds the double range")
     if math.e * z.real <= -1.0 and abs(z.imag) <= _REAL_AXIS * abs(z):

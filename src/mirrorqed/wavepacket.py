@@ -299,6 +299,11 @@ def spectrum(
             the emitted part of the excitation).
     """
     _decay_residual(params, t_final, sample_count, allow_undecayed)
+    return _window_spectrum(params, t_final, sample_count)
+
+
+def _window_spectrum(params: SystemParams, t_final: float, sample_count: int) -> Spectrum:
+    """The window FFT of `spectrum` on a grid that `_decay_residual` has passed."""
     spacing = t_final / sample_count  # in the time variable x/c
     x_grid = -t_final + spacing * np.arange(sample_count)
     samples = field_amplitude(params, x_grid, Direction.LEFT, t_final)
@@ -317,22 +322,23 @@ def spectrum(
 
 def _whole_photon_spectrum(
     params: SystemParams, t_final: float, sample_count: int, allow_undecayed: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The peak-normalized closed form on the frequency grid of `spectrum`,
-    or None where the window FFT of `spectrum` stays.
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """(frequencies, peak-normalized density, method) on the grid of `spectrum`
+    after one decay guard, as `mirrorqed spectrum` writes them.
 
-    The closed form is taken where it is the spectrum of the whole emitted
-    photon: the emitter passes the decay guard of `spectrum`, reflected light
-    has reached the window (tau < t_final; at tau >= t_final the grid spacing
-    2 pi / t_final cannot resolve the mirror's period 2 pi / tau either), and
-    no bound state holds part of the excitation.  Raises what `spectrum`
-    raises.
+    Method "laplace", the closed form, where it is the spectrum of the whole
+    photon: the emitter passes the decay guard, reflected light has reached
+    the window (tau < t_final; at tau >= t_final the spacing 2 pi / t_final
+    cannot resolve the mirror's period 2 pi / tau either), and no bound state
+    holds part of the excitation; else "fft", the window FFT of `spectrum`.
+    Raises what `spectrum` raises.
     """
     residual = _decay_residual(params, t_final, sample_count, allow_undecayed)
     if residual > _DECAYED_THRESHOLD or not params.tau < t_final or _exactly_trapped(params):
-        return None
+        window = _window_spectrum(params, t_final, sample_count)
+        return window.frequencies, window.spectral_density, "fft"
     frequencies = _frequency_grid(t_final, sample_count)
-    return frequencies, _peak_normalized(laplace_spectrum(params, frequencies))
+    return frequencies, _peak_normalized(laplace_spectrum(params, frequencies)), "laplace"
 
 
 # ---------------------------------------------------------------------------

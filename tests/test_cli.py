@@ -595,6 +595,21 @@ def test_no_nan_where_the_phase_product_overflows_with_warnings_as_errors(argv):
         assert rows[1:, 1].tolist() == [4.0 / 9.0] * 4  # the trapped plateau
 
 
+def test_probability_at_a_tiny_delay_is_at_most_one_with_warnings_as_errors():
+    # the residue plan's W_0 came from exp(log a + log tau), which wrote
+    # P_exact 1.00039 at t 5e9 and 1.00079 at t 1e10
+    package_root = os.path.dirname(os.path.dirname(mirrorqed.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    argv = "excitation --tau 1e-300 --omega-e 1 --rm -1 --tmax 1e10 --grid 3".split()
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mirrorqed", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = np.array([row.split(",") for row in proc.stdout.splitlines()[2:]], dtype=float)
+    assert rows[:, 0].tolist() == [0.0, 5e9, 1e10]
+    assert np.all(rows[:, 1] <= 1.0)
+
+
 # --- the CSV writer -------------------------------------------------------
 
 
@@ -806,7 +821,7 @@ def test_readme_python_example_runs(capsys):
 # Philox draws fix every byte for a fixed seed
 README_DIGESTS = {
     "trajectory": "806b254d70c884fb420ccf46e1d54df766cb448b4bac0fa8ee27227d41283f7e",
-    "compare": "729ef8c152905ec52cb9875df4903faae5f422dc7aaf82833269d3c27e361fe8",
+    "compare": "af93d59ebef20e9272e1208c9e72e8b3cdc4a6ffbbe8fca18e5767d259997f8e",
 }
 
 

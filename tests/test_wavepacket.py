@@ -812,6 +812,25 @@ def test_cli_keeps_the_window_fft_where_the_closed_form_does_not_apply(
     assert np.array_equal(density, fft.spectral_density)
 
 
+@pytest.mark.parametrize("argv, method", [
+    # the benchmark's trapped spectrum: the window FFT
+    (["--tau", "1", "--phase", "6.283185307179586", "--rm", "-1", "--allow-undecayed"], "fft"),
+    # a window that ends before the emitter decays: the window FFT
+    (["--tau", "1", "--phase", "2", "--rm", "-0.5", "--t-final", "5", "--allow-undecayed"], "fft"),
+    (["--tau", "1", "--phase", "2", "--rm", "-0.5"], "laplace"),
+])
+def test_cli_spectrum_evaluates_p_e_once(tmp_path, monkeypatch, argv, method):
+    # the decay guard's P_e(t_final) serves the choice of method and the
+    # window FFT; the FFT path used to evaluate it a second time
+    calls = []
+    exact = wavepacket.excitation_probability_exact
+    monkeypatch.setattr(wavepacket, "excitation_probability_exact",
+                        lambda *args: calls.append(args) or exact(*args))
+    meta, _, _ = run_spectrum(tmp_path, *argv, "--samples", "256")
+    assert meta["method"] == method
+    assert len(calls) == 1
+
+
 def test_exact_trapping_passes_the_decay_guard_with_omega_e_on_the_grid():
     # where the closed form's 0/0 would land on a grid point: the plain
     # formula gives 2 there, the limit is tau / (1 + Gamma tau / 2)
