@@ -325,6 +325,11 @@ def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
     res = None
     if b and x.size and x[-1] >= _SWITCH_MIN:
         res = _residues(_pole_argument(b, tau, envelope))
+        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s, and
+        # above the 2**14 + 1/2 round trips that the norm's panel cap admits
+        if res is None and not x[-1] <= 2**15:
+            raise ValueError(f"the exact series at tau = {tau} has no residue plan (|a tau| > "
+                             f"e^700), and u / tau = {x[-1]:.6g} round trips exceed 2**15")
     # without a plan every point takes the causal sum, an overflowing x too
     split = int(np.searchsorted(x, res.switch)) if res is not None else x.size
     total[live[:split]] = _causal_sum(ul[:split], b, tau, envelope)
@@ -345,7 +350,8 @@ def round_trip_series(params: SystemParams, u):
     reason.  Returns a complex scalar or an array shaped like u.
 
     Raises:
-        ValueError: Unless every u is finite.
+        ValueError: Unless every u is finite, or where no residue plan exists
+            (|a tau| > e^700, tau > ~1387) for a u past 2**15 round trips.
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):

@@ -38,7 +38,9 @@ from .analytic import (
 from .core import Direction, SystemParams
 from .trajectory import TrajectoryConfig, ensemble_average
 # `spectrum` is unused here; the benchmark's tracer (bench/spans.py) rebinds it in this module.
-from .wavepacket import _whole_photon_spectrum, spatial_profile, spectrum  # noqa: F401
+from .wavepacket import (  # noqa: F401
+    _peak_normalized, _whole_photon_spectrum, spatial_profile, spectrum,
+)
 
 
 # argparse reads an argument as a negative number, not a flag, only in the
@@ -194,11 +196,8 @@ def run_wavepacket(args) -> int:
     positions = np.linspace(xmin, args.xmax, args.xpoints)
     columns = [positions]
     for t_snap in snapshot_times:
-        profile = spatial_profile(params, t_snap, positions, Direction.LEFT)
-        density = profile.density
-        if args.peak_normalize and density.max() > 0:
-            density = density / density.max()
-        columns.append(density)
+        density = spatial_profile(params, t_snap, positions, Direction.LEFT).density
+        columns.append(_peak_normalized(density) if args.peak_normalize else density)
     meta = _meta(args, params, grid={"xmin": xmin, "xmax": args.xmax, "points": args.xpoints},
                  times=snapshot_times, direction="left", peak_normalize=bool(args.peak_normalize))
     _write_table(args.out, meta, ["x", *labels], columns)

@@ -77,41 +77,49 @@ class Spectrum:
     spacing: float
 
 
-def _components(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
-    """Region table of the field at positions x: yields (support, amplitude on it).
+def _components(params: SystemParams, x: np.ndarray, s: np.ndarray, direction: Direction):
+    """Region table at positions x with emission times s: rows (support, delay, weight).
 
-    Each row is (support mask, emission time s, weight), and the component
-    carries -i (g/c) weight exp(-i Omega s) f(s): the emitter amplitude at
-    the retarded emission time s.  Left-movers are the direct part (weight 1)
-    and the part reflected one round trip later (r_m).  Right-movers share
-    one emission time, so they form one row whose weight is 1 before the
-    mirror and t_m behind it.  The supported emission times of all rows go
-    through one series evaluation, so one residue plan serves every row.
+    On its support a row is weight F(s - delay), F(s) = exp(-i Omega s) f(s)
+    the emitter amplitude at the retarded emission time, and the weight
+    carries -i g / c: left-movers take delay 0 (direct) or tau (reflected,
+    r_m), right-movers delay 0, weight 1 before the mirror and t_m behind it.
+    The caller forms s from x (x + t, or t - x for right-movers) or x from s.
     Boundary points use the convention Theta(0) = 1, except that the mirror
     position x = d/2 belongs to the transmitted region for right-movers and
     to the reflected region for left-movers (no double counting).
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
     half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
     if direction is Direction.LEFT:
-        s = x + t
-        rows = [
-            ((x <= 0) & (s >= 0), s, 1.0),
-            ((x <= half_d) & (s >= params.tau), s - params.tau, params.r_m),
-        ]
+        rows = [((x <= 0) & (s >= 0), 0.0, 1.0),
+                ((x <= half_d) & (s >= params.tau), params.tau, params.r_m)]
     else:
-        s = t - x
-        rows = [((x >= 0) & (s >= 0), s, np.where(x >= half_d, params.t_m, 1.0))]
-    series = round_trip_series(params, np.concatenate([s[support] for support, s, _ in rows]))
+        behind = x >= half_d
+        rows = [(~behind & (x >= 0) & (s >= 0), 0.0, 1.0), (behind & (s >= 0), 0.0, params.t_m)]
     pre = -1j * params.coupling
-    start = 0
-    for support, _, weight in rows:
-        count = np.count_nonzero(support)
-        if count:
-            weight = weight[support] if np.ndim(weight) else weight
-            yield support, pre * weight * series[start : start + count]
-        start += count
+    return [(support, delay, pre * weight) for support, delay, weight in rows]
+
+
+def _amplitudes(params: SystemParams, s: np.ndarray, tables):
+    """Yield the amplitude of each table of `_components` rows at emission times s.
+
+    Rows of one delay share one evaluation over the union of their supports,
+    and all share one series call: each emission time is evaluated once.
+    """
+    covers = {}
+    for support, delay, _ in (row for rows in tables for row in rows):
+        covers[delay] = covers[delay] | support if delay in covers else support
+    series = round_trip_series(params, np.concatenate(
+        [s[cover] - delay if delay else s[cover] for delay, cover in covers.items()]))
+    counts = [np.count_nonzero(cover) for cover in covers.values()]
+    ends = np.cumsum(counts)
+    values = {delay: series[end - n : end] for delay, n, end in zip(covers, counts, ends)}
+    for rows in tables:
+        amp = np.zeros(s.shape, dtype=complex)
+        for support, delay, weight in rows:
+            f, cover = values[delay], covers[delay]
+            amp[support] += weight * (f if support is cover else f[support[cover]])
+        yield amp
 
 
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
@@ -124,9 +132,10 @@ def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
     x_arr = np.atleast_1d(x_in)
     if np.isnan(x_arr).any():
         raise ValueError("positions must not be nan")
-    amp = np.zeros(x_arr.shape, dtype=complex)
-    for support, values in _components(params, x_arr, direction, t):
-        amp[support] += values
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    s = x_arr + t if direction is Direction.LEFT else t - x_arr
+    (amp,) = _amplitudes(params, s, [_components(params, x_arr, s, direction)])
     return amp if x_in.ndim else complex(amp[0])
 
 
@@ -353,15 +362,14 @@ def _whole_photon_spectrum(
 # Rabinowitz, Methods of Numerical Integration, 1984).
 _GAUSS_ORDER = 8
 _PANEL_LEN = 0.5
-# Most Gauss panels over both directions, counted from t and tau before any
-# is built: each direction spans at most t + min(tau / 2, t), cut into pieces
-# of at most _PANEL_LEN, plus one panel per round trip.  The count charges
-# every round trip, though only the first 2 * _GAUSS_ORDER + 2 kinks are
-# breaks, so the cap also bounds the round trips before t to 2**14
-# (t / tau <= 2**14).  At this many the norm peaks at 33 MB by tracemalloc
-# at tau 100 (t 8126), and at 24 / 23 / 19 / 1.8 MB at tau 1 / 0 / 0.5 /
-# 1e-3 (t 5461 / 8192 / 4096 / 16.35); the largest peak found, over tau up to
-# 1e6, is 35 MB at tau 30-1000.
+# Most Gauss panels the norm's domain rule admits, counted from t and tau
+# before any is built: the left-movers span t + min(tau / 2, t) and the
+# right-movers t, in pieces of at most _PANEL_LEN, plus one panel per round
+# trip each, which bounds the round trips before t to 2**14.  The norm builds
+# about half that many.  At the cap it peaks at 29 MB by tracemalloc at tau
+# 100 (t 8126; omega_e 1, r_m -0.5), and at 20 / 15 / 15 / 0.1 MB at tau 1 /
+# 0 / 0.5 / 1e-3 (t 5461 / 8192 / 4096 / 16.35); the largest peak found, over
+# tau up to 1e6, is 31 MB at tau 500-700.
 _MAX_PANELS = 2**15
 
 
@@ -370,31 +378,23 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _smooth_breaks(params: SystemParams, t: float, direction: Direction) -> np.ndarray:
-    """Breakpoints between which the density is smooth enough for the Gauss rule.
+def _smooth_breaks(params: SystemParams, t: float) -> np.ndarray:
+    """Emission times between which the density is smooth enough for the Gauss rule.
 
-    Smooth means C^(2m) for the m-point rule (m = _GAUSS_ORDER), whose error
-    term takes the 2m-th derivative.  The fronts and the mirror break the
-    density outright.  Lattice point k of the emission time carries a kink of
-    order k (the term (s - k tau)^k / k! starts there), and the reflected
-    left-mover one of order k - 1, so past the first 2m + 2 lattice points the
-    density is C^(2m) and only those points are breaks.  Their count, and so
-    the cost of the norm past them, no longer grows with t / tau.
+    Both directions are integrated over s = x + t (left) or t - x (right) on
+    [0, t + min(tau / 2, t)], and broken at the same doubles: the fronts
+    (s = 0), the emitter (t) and the mirror (t -+ tau / 2), where the density
+    jumps, and lattice point k tau, where the term (s - k tau)^k / k! starts
+    a kink of order k (k - 1 for the reflected left-mover).  Smooth means
+    C^(2m) for the m-point rule (m = _GAUSS_ORDER), so past the first 2m + 2
+    lattice points nothing breaks, and the cost stops growing with t / tau.
     """
     tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in round_trip_series
-    half_d = tau / 2.0
-    # k = 1.. past the last lattice kink inside [lo, hi] in either direction,
-    # but no further than the last kink the rule must break at
+    hi = t + min(tau / 2.0, t)  # no left-mover lies beyond x = t
     count = min(math.ceil(t / tau) + 1, 2 * _GAUSS_ORDER + 2) if 0 < tau < math.inf else 0
     lattice = np.arange(1, count + 1) * tau
-    if direction is Direction.LEFT:
-        lo, hi = -t, min(half_d, t)  # no left-mover lies beyond x = t
-        points = np.concatenate([(lo, 0.0, hi), lattice - t])  # kinks of u = x + t
-    else:
-        lo, hi = 0.0, t
-        points = np.concatenate([(lo, hi, half_d), t - lattice])  # kinks of v = t - x
-    points = np.unique(points)
-    return points[(lo <= points) & (points <= hi)]
+    points = np.unique(np.concatenate([(0.0, t - tau / 2.0, t, hi), lattice]))
+    return points[(0.0 <= points) & (points <= hi)]
 
 
 def _gauss_panels(breaks: np.ndarray, order: int, max_len: float):
@@ -416,23 +416,12 @@ def _gauss_panels(breaks: np.ndarray, order: int, max_len: float):
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
-def _integrate_density(params: SystemParams, t: float, direction: Direction) -> float:
-    breaks = _smooth_breaks(params, t, direction)
-    xs, ws = _gauss_panels(breaks, _GAUSS_ORDER, _PANEL_LEN)
-    dens = photon_density(params, xs, direction, t)
-    return float(np.dot(ws, dens))
-
-
 def total_photon_norm(params: SystemParams, t: float) -> float:
     """P_e(t) plus the photon probability integrated over both directions.
 
-    Unitarity demands this equals 1 at every time.  The integrals use
-    8-point Gauss-Legendre panels of at most 0.5 between the breakpoints of
-    `_smooth_breaks` (the fronts, the mirror and the first 18 round-trip
-    lattice kinks), so past the 18th kink the work stops growing with
-    t / tau.  Every panel of one direction is built in one array pass, and
-    the density at all of that direction's nodes comes from one series
-    evaluation.
+    Unitarity demands this equals 1 at every time.  Both directions share
+    8-point Gauss-Legendre panels of at most 0.5 in emission time between the
+    breaks of `_smooth_breaks`, and one series call gives them and P_e(t).
 
     Raises:
         ValueError: Unless 0 < t < inf, or if the quadrature would take more
@@ -446,7 +435,11 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
     if not panels <= _MAX_PANELS:
         raise ValueError(f"the quadrature must take at most {_MAX_PANELS} panels, got "
                          f"{panels:.6g} for t = {t} at tau = {params.tau}")
-    total = excitation_probability_exact(params, t)
-    for direction in (Direction.LEFT, Direction.RIGHT):
-        total += _integrate_density(params, t, direction)
-    return total
+    s, weights = _gauss_panels(_smooth_breaks(params, t), _GAUSS_ORDER, _PANEL_LEN)
+    s = np.append(s, t)  # the emitter's own amplitude, for P_e(t)
+    left, right, excited = _amplitudes(params, s, [
+        _components(params, s - t, s, Direction.LEFT),
+        _components(params, t - s, s, Direction.RIGHT),
+        [(np.arange(s.size) == s.size - 1, 0.0, 1.0)]])
+    density = np.abs(left[:-1]) ** 2 + np.abs(right[:-1]) ** 2
+    return float(abs(excited[-1]) ** 2 + np.dot(weights, density))

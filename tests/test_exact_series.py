@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -126,6 +127,21 @@ def test_causal_sum_at_a_large_delay_to_working_precision(tau, phase, r_m, round
     t = round_trips * tau
     got = excitation_probability_exact(params, t)
     assert got == pytest.approx(probability_reference(tau, phase, r_m, t), rel=1e-12, abs=0)
+
+
+def test_series_without_a_residue_plan_refuses_points_past_its_causal_limit():
+    # past |a tau| = e^700 every point takes the causal sum, ~12 us a round
+    # trip: 1e8 round trips ran for minutes, 5e304 would never end
+    params = SystemParams(omega_e=0.0, tau=1e300, r_m=-1.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"tau = 1e\+300 .* u / tau = 1e\+08 round trips"):
+        excitation_probability_exact(params, [0.0, 1e308])
+    assert time.perf_counter() - start < 1.0
+    # the limit sits above the 2**14 + 1/2 round trips the norm's cap admits
+    params = SystemParams.from_round_trip_phase(1500.0, math.pi, -1.0)
+    assert excitation_probability_exact(params, (2**14 + 0.5) * 1500.0) >= 0.0
+    with pytest.raises(ValueError, match="round trips exceed 2\\*\\*15"):
+        round_trip_series(params, (2**15 + 1) * 1500.0)
 
 
 # At phase pi, r_m -1 and 200 <= tau <= 1385 the switch weighs only the causal

@@ -27,7 +27,7 @@ from mirrorqed import (
 )
 from mirrorqed import wavepacket
 from mirrorqed.cli import run
-from mirrorqed.wavepacket import _components, _gauss_panels, _integrate_density, _smooth_breaks
+from mirrorqed.wavepacket import _amplitudes, _components, _gauss_panels, _smooth_breaks
 
 
 def params_for(tau, phase, r_m):
@@ -36,7 +36,11 @@ def params_for(tau, phase, r_m):
 
 def field_components(params, x, direction, t):
     """Amplitudes of the region-table rows that cover the single point x."""
-    return [complex(amp[0]) for _, amp in _components(params, np.array([x], float), direction, t)]
+    x = np.array([x], float)
+    s = x + t if direction is Direction.LEFT else t - x
+    rows = _components(params, x, s, direction)
+    amplitudes = _amplitudes(params, s, [[row] for row in rows])
+    return [complex(amp[0]) for (support, _, _), amp in zip(rows, amplitudes) if support[0]]
 
 
 def oracle_left_amplitude(params, x, t):
@@ -257,7 +261,7 @@ def test_norm_gauss_panels_match_adaptive_quadrature():
     params = params_for(1.0, math.pi, -1)
     t = 2.7
     for direction in (Direction.LEFT, Direction.RIGHT):
-        breaks = _smooth_breaks(params, t, direction)
+        breaks = set_based_breaks(params, t, direction)
         adaptive = 0.0
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             val, err = quad(
@@ -302,6 +306,31 @@ def set_based_breaks(params, t, direction, kinks=18):
     return np.array(sorted(p for p in points if lo <= p <= hi))
 
 
+def set_based_emission_breaks(params, t, kinks=18):
+    """The norm's breakpoints in emission time, gathered one lattice point at a
+    time into a set: the fronts, the emitter, the mirror and the first `kinks`
+    lattice points, on [0, t + min(tau / 2, t)] for both directions."""
+    tau = params.tau
+    hi = t + min(tau / 2.0, t)
+    points = {0.0, t - tau / 2.0, t, hi}
+    k = 1
+    while 0 < tau < math.inf and k <= kinks and k * tau <= hi:
+        points.add(k * tau)
+        k += 1
+    return np.array(sorted(p for p in points if 0.0 <= p <= hi))
+
+
+def emission_norm(params, t, s, ws):
+    """P_e(t) plus both directions' density at the emission times s with
+    weights ws, one direction per series call."""
+    density = 0.0
+    for direction, x in ((Direction.LEFT, s - t), (Direction.RIGHT, t - s)):
+        (amp,) = _amplitudes(params, s, [_components(params, x, s, direction)])
+        density = density + np.abs(amp) ** 2
+    return float(abs(wavepacket.round_trip_series(params, np.array([t]))[0]) ** 2
+                 + np.dot(ws, density))
+
+
 def linspace_panels(breaks, order, max_len):
     """Gauss-Legendre nodes and weights built one np.linspace panel at a time."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -328,26 +357,30 @@ PANEL_CASES = [
 @pytest.mark.parametrize("params, t", PANEL_CASES)
 @pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
 def test_array_built_panels_match_the_linspace_loop_bit_for_bit(params, t, direction):
-    breaks = _smooth_breaks(params, t, direction)
-    assert breaks.tobytes() == set_based_breaks(params, t, direction).tobytes()
+    breaks = _smooth_breaks(params, t)
+    assert breaks.tobytes() == set_based_emission_breaks(params, t).tobytes()
     for order, max_len in ((32, 0.5), (7, 0.3)):
-        xs, ws = _gauss_panels(breaks, order, max_len)
-        ref_xs, ref_ws = linspace_panels(breaks, order, max_len)
-        assert xs.tobytes() == ref_xs.tobytes()
+        ss, ws = _gauss_panels(breaks, order, max_len)
+        ref_ss, ref_ws = linspace_panels(breaks, order, max_len)
+        assert ss.tobytes() == ref_ss.tobytes()
         assert ws.tobytes() == ref_ws.tobytes()
-    # the norm's own rule: 8 points on panels of at most 0.5
-    ref_xs, ref_ws = linspace_panels(breaks, 8, 0.5)
-    ref = float(np.dot(ref_ws, photon_density(params, ref_xs, direction, t)))
-    assert _integrate_density(params, t, direction) == ref
+    # the norm's own rule: 8 points on panels of at most 0.5, where this
+    # direction's amplitudes from the norm's one series call are its own
+    ref_ss, ref_ws = linspace_panels(breaks, 8, 0.5)
+    x = ref_ss - t if direction is Direction.LEFT else t - ref_ss
+    own = _components(params, x, ref_ss, direction)
+    other = _components(params, -x, ref_ss, Direction(-direction))
+    shared, _ = _amplitudes(params, ref_ss, [own, other])
+    assert shared.tobytes() == next(_amplitudes(params, ref_ss, [own])).tobytes()
+    assert total_photon_norm(params, t) == emission_norm(params, t, ref_ss, ref_ws)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-3, 0.1, 1.0, 3.0, 0.75, 1 / 3, math.inf])
 @pytest.mark.parametrize("t", [0.1, 0.75, 1.0, 2.0, 7.3, 12.0])
 def test_lattice_breaks_match_the_set_based_loop(tau, t):
     params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
-    for direction in (Direction.LEFT, Direction.RIGHT):
-        breaks = _smooth_breaks(params, t, direction)
-        assert breaks.tobytes() == set_based_breaks(params, t, direction).tobytes()
+    breaks = _smooth_breaks(params, t)
+    assert breaks.tobytes() == set_based_emission_breaks(params, t).tobytes()
 
 
 def every_kink_norm(params, t):
@@ -393,14 +426,14 @@ def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch):
     # the cap's worst accepted round-trip case: 2**14 round trips before t,
     # which took 1 046 592 positions and ~136 MB with a break at every kink
     params = SystemParams(omega_e=1.0, tau=5.0 / 2**14, r_m=-0.5)
-    amplitude = wavepacket.field_amplitude
+    series = wavepacket.round_trip_series
     positions = []
 
-    def counted(params, x, direction, t):
-        positions.append(np.size(x))
-        return amplitude(params, x, direction, t)
+    def counted(params, u):
+        positions.append(np.size(u))
+        return series(params, u)
 
-    monkeypatch.setattr(wavepacket, "field_amplitude", counted)
+    monkeypatch.setattr(wavepacket, "round_trip_series", counted)
     tracemalloc.start()
     try:
         norm = total_photon_norm(params, 4.99)
@@ -412,14 +445,51 @@ def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch):
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("params, t", [
+    (params_for(1.0, math.pi, -0.7), 5.0),
+    (params_for(0.02, 2.0, -1.0), 5.0),  # 250 round trips, the first 18 breaks
+    (params_for(3.0, 2.0, -0.8j), 1.0),  # front short of the mirror
+    (SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5), 2.0),
+    (SystemParams(omega_e=1.0, tau=math.inf, r_m=-0.5), 2.0),
+])
+def test_norm_takes_both_directions_from_one_series_call(monkeypatch, params, t):
+    # the direct left-mover and the right-mover share each emission time
+    # s <= t of the nodes and of t itself, which gives P_e(t), and the
+    # reflected left-mover adds s - tau wherever it reaches (all of them at
+    # tau 0, where its delay is 0 too): no emission time is evaluated twice
+    s = np.append(_gauss_panels(_smooth_breaks(params, t), 8, 0.5)[0], t)
+    reflected = (s >= params.tau) & (s - t <= params.tau / 2) if params.tau else False
+    expected = np.count_nonzero(s <= t) + np.count_nonzero(reflected)
+    series = wavepacket.round_trip_series
+    calls = []
+
+    def counted(params, u):
+        calls.append(np.size(u))
+        return series(params, u)
+
+    monkeypatch.setattr(wavepacket, "round_trip_series", counted)
+    norm = total_photon_norm(params, t)
+    assert calls == [expected]
+    assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [2e4, math.inf])
+def test_norm_at_a_panel_edge_off_the_double_grid_of_t(tau):
+    # nodes placed in x rounded s = x + t to ~ulp(t), which put the norm
+    # 1e-13 above 1 at t 5461.24; nodes in s keep it to working precision
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    assert abs(total_photon_norm(params, 5461.24) - 1.0) < 1e-15
+
+
 @pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
 def test_field_amplitude_evaluates_the_series_once(monkeypatch, direction):
     # the direct and reflected rows (or both right-moving parts) share one
     # series evaluation, so one residue plan serves them all
     params = params_for(1.0, math.pi, -0.7)
     x = np.linspace(-6.0, 6.0, 241)
-    supported = sum(np.count_nonzero(support) for support, _ in
-                    _components(params, x, direction, 5.0))
+    s = x + 5.0 if direction is Direction.LEFT else 5.0 - x
+    supported = sum(np.count_nonzero(support) for support, _, _ in
+                    _components(params, x, s, direction))
     series = wavepacket.round_trip_series
     calls = []
 
@@ -433,6 +503,13 @@ def test_field_amplitude_evaluates_the_series_once(monkeypatch, direction):
     assert np.count_nonzero(amp) > 0
 
 
+def left_norm(params, t):
+    """The left-moving photon probability on the norm's panels in emission time."""
+    s, ws = _gauss_panels(_smooth_breaks(params, t), 8, 0.5)
+    (left,) = _amplitudes(params, s, [_components(params, s - t, s, Direction.LEFT)])
+    return float(np.dot(ws, np.abs(left) ** 2))
+
+
 def test_left_norm_reduced_by_destructive_interference():
     # at the field node (phase 2 pi) the reflected wave cancels the direct one,
     # so a perfect mirror pushes less probability to the left than no mirror
@@ -440,9 +517,9 @@ def test_left_norm_reduced_by_destructive_interference():
     free = params_for(1.0, 2 * math.pi, 0)
     mirrored = params_for(1.0, 2 * math.pi, -1)
     norm_free = total_photon_norm(free, t) - excitation_probability_exact(free, t)
-    # reuse the direction integrals directly
-    left_free = _integrate_density(free, t, Direction.LEFT)
-    left_mirrored = _integrate_density(mirrored, t, Direction.LEFT)
+    # the left-moving share on the norm's own panels
+    left_free = left_norm(free, t)
+    left_mirrored = left_norm(mirrored, t)
     assert left_mirrored < left_free
     assert norm_free == pytest.approx(1.0 - excitation_probability_exact(free, t), abs=1e-7)
 
@@ -547,10 +624,7 @@ def test_norm_at_an_infinite_delay_is_the_free_decay():
 def test_norm_below_the_smallest_normal_delay_is_the_norm_at_no_delay():
     # a subnormal tau acts as tau = 0, as in round_trip_series: no kinks
     tiny, none = (SystemParams(omega_e=1.0, tau=tau, r_m=-0.5) for tau in (5e-324, 0.0))
-    for direction in Direction:
-        assert _smooth_breaks(tiny, 5.0, direction).tolist() == (
-            _smooth_breaks(none, 5.0, direction).tolist()
-        )
+    assert _smooth_breaks(tiny, 5.0).tolist() == _smooth_breaks(none, 5.0).tolist()
     assert total_photon_norm(tiny, 5.0) == total_photon_norm(none, 5.0)
     assert total_photon_norm(tiny, 5.0) == pytest.approx(1.0, abs=1e-12)
 
