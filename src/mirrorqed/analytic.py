@@ -643,8 +643,10 @@ def dressed_params(params: SystemParams) -> DressedParams:
     if math.isinf(params.tau):
         raise ValueError("the Markovian limit needs a finite tau: the round-trip phase "
                          "omega_e tau is undefined for tau = inf")
-    rho = _round_trip_mirror(params)
-    return DressedParams(
-        delta_eff=params.gamma / 2.0 * rho.imag,
-        gamma_eff=params.gamma * (1.0 + rho.real),
-    )
+    return DressedParams(*_dressed_rates(params.r_m, params.round_trip_phase, params.gamma))
+
+
+def _dressed_rates(r_m: complex, phase: float, gamma: float) -> tuple[float, float]:
+    """Delta_eff and Gamma_eff of `dressed_params` at the round-trip phase `phase`."""
+    rho = r_m * cmath.exp(1j * phase)
+    return gamma / 2.0 * rho.imag, gamma * (1.0 + rho.real)

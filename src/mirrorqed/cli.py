@@ -28,6 +28,7 @@ from ._table import format_rows
 from .analytic import (
     NoLongtimeSolution,
     Xi0Diverges,
+    _dressed_rates,
     dressed_params,
     excitation_curve,
     excitation_probability_exact,
@@ -74,14 +75,15 @@ def _json_safe(obj):
 
 
 def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarray]) -> None:
-    text = "# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False) + "\n"
-    text += ",".join(header) + "\n"
-    text += format_rows([np.asarray(col, dtype=float) for col in np.broadcast_arrays(*columns)])
+    head = "# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False) + "\n"
+    head += ",".join(header) + "\n"
+    rows = format_rows([np.asarray(col, dtype=float) for col in np.broadcast_arrays(*columns)])
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(head + rows.decode("ascii"))
     else:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(head.encode("ascii"))
+            fh.write(rows)
 
 
 def _params_from_args(args) -> SystemParams:
@@ -164,14 +166,11 @@ def run_dressed(args) -> int:
     if not np.all(np.diff(phases) > 0):
         raise ValueError("phase grid must be strictly increasing")
     r_m = args.rm * np.exp(1j * args.rm_phase)
-    deltas, gammas = [], []
-    for phase in phases:
-        dressed = dressed_params(SystemParams(omega_e=float(phase), tau=1.0, r_m=r_m))
-        deltas.append(dressed.delta_eff)
-        gammas.append(dressed.gamma_eff)
+    system = SystemParams(omega_e=0.0, tau=1.0, r_m=r_m)  # checks r_m for every phase
+    rates = [_dressed_rates(system.r_m, phase, system.gamma) for phase in phases.tolist()]
     grid = {"phase_min": args.phase_min, "phase_max": args.phase_max, "points": args.phase_points}
     _write_table(args.out, _meta(args, r_m=r_m, grid=grid), ["phase", "delta_eff", "gamma_eff"],
-                 [phases, np.array(deltas), np.array(gammas)])
+                 [phases, *np.array(rates).T])
     return 0
 
 

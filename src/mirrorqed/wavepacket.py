@@ -77,6 +77,11 @@ class Spectrum:
     spacing: float
 
 
+def _light_cone(x: np.ndarray, s: np.ndarray, direction: Direction) -> np.ndarray:
+    """Where a photon emitted at time s can be: s >= 0, and x >= 0 for right-movers."""
+    return (s >= 0) if direction is Direction.LEFT else (x >= 0) & (s >= 0)
+
+
 def _components(params: SystemParams, x: np.ndarray, s: np.ndarray, direction: Direction):
     """Region table at positions x with emission times s: rows (support, delay, weight).
 
@@ -90,12 +95,13 @@ def _components(params: SystemParams, x: np.ndarray, s: np.ndarray, direction: D
     to the reflected region for left-movers (no double counting).
     """
     half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
+    cone = _light_cone(x, s, direction)
     if direction is Direction.LEFT:
-        rows = [((x <= 0) & (s >= 0), 0.0, 1.0),
+        rows = [((x <= 0) & cone, 0.0, 1.0),
                 ((x <= half_d) & (s >= params.tau), params.tau, params.r_m)]
     else:
         behind = x >= half_d
-        rows = [(~behind & (x >= 0) & (s >= 0), 0.0, 1.0), (behind & (s >= 0), 0.0, params.t_m)]
+        rows = [(~behind & cone, 0.0, 1.0), (behind & cone, 0.0, params.t_m)]
     pre = -1j * params.coupling
     return [(support, delay, pre * weight) for support, delay, weight in rows]
 
@@ -122,21 +128,25 @@ def _amplitudes(params: SystemParams, s: np.ndarray, tables):
         yield amp
 
 
+def _field(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
+    """Emission times, light cone and total amplitude of one direction at positions x."""
+    if np.isnan(x).any():
+        raise ValueError("positions must not be nan")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    s = x + t if direction is Direction.LEFT else t - x
+    (amp,) = _amplitudes(params, s, [_components(params, x, s, direction)])
+    return s, _light_cone(x, s, direction), amp
+
+
 def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
     """Total single-photon amplitude at position(s) x for one direction.
 
     Vectorized over x; returns 0 outside the light cone and outside each
     component's support, x = +-inf included, and refuses a nan x (ValueError).
     """
-    x_in = np.asarray(x, dtype=float)
-    x_arr = np.atleast_1d(x_in)
-    if np.isnan(x_arr).any():
-        raise ValueError("positions must not be nan")
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    s = x_arr + t if direction is Direction.LEFT else t - x_arr
-    (amp,) = _amplitudes(params, s, [_components(params, x_arr, s, direction)])
-    return amp if x_in.ndim else complex(amp[0])
+    *_, amp = _field(params, np.asarray(x, dtype=float), direction, t)
+    return amp if amp.ndim else complex(amp)
 
 
 def photon_density(params: SystemParams, x, direction: Direction, t: float):
@@ -157,18 +167,16 @@ def spatial_profile(
 ) -> SpatialProfile:
     """Sample the wave packet of one direction on a position grid; refuses a nan position."""
     positions = np.asarray(positions, dtype=float)
-    amplitudes = field_amplitude(params, positions, direction, t)
-    emitted = positions + t if direction is Direction.LEFT else t - positions
-    outside = (emitted < 0) | ((direction is Direction.RIGHT) & (positions < 0))
+    emitted, cone, amplitudes = _field(params, positions, direction, t)
     if params.tau >= _NO_DELAY:
         with np.errstate(over="ignore"):  # s / tau past the double range is inf
             trips = np.floor(emitted / params.tau)
     else:
         trips = np.zeros(positions.shape)
     saturated = trips >= 2.0**63
-    region = np.where(outside | saturated, 0.0, trips).astype(np.int64)
+    region = np.where(cone & ~saturated, trips, 0.0).astype(np.int64)
     region[saturated] = np.iinfo(np.int64).max
-    region[outside] = -1
+    region[~cone] = -1
     return SpatialProfile(
         positions=positions,
         amplitudes=amplitudes,

@@ -1,5 +1,6 @@
 """Tests for the command-line scenario runner and its CSV output contract."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from scipy.special import lambertw
 
 import mirrorqed
-from mirrorqed import SystemParams, derived_constants, excitation_probability_exact
+from mirrorqed import SystemParams, derived_constants, dressed_params, excitation_probability_exact
 from mirrorqed import cli
 from mirrorqed.cli import _json_safe, _write_table, run
 
@@ -186,6 +187,21 @@ def test_dressed_sweep(tmp_path):
     assert data[:, 1].max() == pytest.approx(0.5, abs=1e-2)
     assert data[:, 2].min() == pytest.approx(0.0, abs=1e-2)
     assert data[:, 2].max() == pytest.approx(2.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("r_m", [-1.0, -0.5, 0.3 - 0.7j, -0.8j])
+def test_dressed_sweep_is_dressed_params_bit_for_bit(r_m, tmp_path):
+    rm, rm_phase = (abs(r_m), cmath.phase(r_m)) if isinstance(r_m, complex) else (r_m, 0.0)
+    out = tmp_path / "dressed.csv"
+    assert run(["dressed", "--rm", repr(rm), "--rm-phase", repr(rm_phase),
+                "--phase-points", "401", "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    # the system as the CLI builds it, one per phase
+    mirror = rm * np.exp(1j * rm_phase)
+    expected = [dressed_params(SystemParams(omega_e=phase, tau=1.0, r_m=mirror))
+                for phase in data[:, 0].tolist()]
+    assert data[:, 1].tolist() == [d.delta_eff for d in expected]
+    assert data[:, 2].tolist() == [d.gamma_eff for d in expected]
 
 
 def test_wavepacket_snapshots(tmp_path):
@@ -655,25 +671,36 @@ def test_write_table_stdout_and_file_bytes_agree(tmp_path, capsys):
     assert out.read_bytes() == capsys.readouterr().out.encode("ascii")
 
 
-@pytest.mark.parametrize(
-    ("argv", "rows"),
-    [
-        (["excitation", "--tau", "1", "--phase", "3.1", "--rm", "-1", "--tmax", "4",
-          "--grid", "21"], 21),
-        (["markovian", "--tau", "0.5", "--phase", "1", "--rm", "-0.5", "--tmax", "4",
-          "--grid", "21"], 21),
-        (["dressed", "--rm", "-1", "--phase-points", "17"], 17),
-        (["wavepacket", "--tau", "1", "--phase", "6.2", "--rm", "-1", "--times", "2,3",
-          "--xpoints", "33"], 33),
-        (["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "-0.5", "--samples", "256",
-          "--allow-undecayed"], 256),
-        (["trajectory", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
-          "--boxes", "5", "--trajectories", "20"], 17),
-        (["compare", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
-          "--boxes", "5", "--trajectories", "20", "--tolerance", "1"], 17),
-    ],
-    ids=lambda v: v[0] if isinstance(v, list) else None,
-)
+# one small run per subcommand and its row count: the spectrum table (512
+# values) takes the numpy pass of the writer, the others one '%' over the table
+SUBCOMMAND_RUNS = [
+    (["excitation", "--tau", "1", "--phase", "3.1", "--rm", "-1", "--tmax", "4",
+      "--grid", "21"], 21),
+    (["markovian", "--tau", "0.5", "--phase", "1", "--rm", "-0.5", "--tmax", "4",
+      "--grid", "21"], 21),
+    (["dressed", "--rm", "-1", "--phase-points", "17"], 17),
+    (["wavepacket", "--tau", "1", "--phase", "6.2", "--rm", "-1", "--times", "2,3",
+      "--xpoints", "33"], 33),
+    (["spectrum", "--tau", "1", "--omega-e", "5", "--rm", "-0.5", "--samples", "256",
+      "--allow-undecayed"], 256),
+    (["trajectory", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
+      "--boxes", "5", "--trajectories", "20"], 17),
+    (["compare", "--tau", "1", "--phase", "1", "--rm", "-1", "--tmax", "2",
+      "--boxes", "5", "--trajectories", "20", "--tolerance", "1"], 17),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMAND_RUNS], ids=lambda v: v[0])
+def test_stdout_and_out_file_bytes_agree(argv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    summary = capsys.readouterr().out  # the PASS line of compare, empty for the others
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("ascii") + summary
+
+
+@pytest.mark.parametrize(("argv", "rows"), SUBCOMMAND_RUNS,
+                         ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_every_field_is_canonical_and_rows_match_grid(argv, rows, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run([*argv, "--out", str(out)]) == 0

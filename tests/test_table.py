@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mirrorqed
 from mirrorqed import _table
-from mirrorqed._table import BLOCK_ROWS, SMALL_TABLE, format_rows
+from mirrorqed._table import BLOCK_VALUES, SMALL_TABLE, format_rows
 
 
 def per_value(table):
@@ -22,7 +22,7 @@ def per_value(table):
 
 def assert_rows_match(table):
     table = np.asarray(table, dtype=float)
-    got = format_rows([table[:, j] for j in range(table.shape[1])])
+    got = format_rows([table[:, j] for j in range(table.shape[1])]).decode("ascii")
     assert got.split("\n") == per_value(table).split("\n")
 
 
@@ -102,19 +102,32 @@ def mixed_table(rows, ncols, seed=0):
     return values.reshape(rows, ncols)
 
 
+# nan, -inf, a value outside the fast range and an exact tie: each goes to
+# '%.17g' in place, also in the first and the last slot of a block
+SLOW_VALUES = [math.nan, -math.inf, 1e300, (2**53 - 1) / 4]
+
+
 @pytest.mark.parametrize(
     ("rows", "ncols"),
     [
         (SMALL_TABLE - 1, 1), (SMALL_TABLE, 1), (SMALL_TABLE + 1, 1),
-        (BLOCK_ROWS - 1, 5), (BLOCK_ROWS, 5), (BLOCK_ROWS + 1, 5), (2 * BLOCK_ROWS + 1, 5),
+        (BLOCK_VALUES - 1, 1), (BLOCK_VALUES, 1), (BLOCK_VALUES + 1, 1),
+        (2 * BLOCK_VALUES + 1, 1),
+        # blocks that end inside a row
+        (BLOCK_VALUES // 5 + 1, 5), (2 * BLOCK_VALUES // 3 + 1, 3),
     ],
 )
 def test_tables_at_the_crossover_and_block_edges(rows, ncols, monkeypatch):
     blocks = []
     format_block = _table._format_block
     monkeypatch.setattr(_table, "_format_block", lambda *a: blocks.append(a) or format_block(*a))
-    assert_rows_match(mixed_table(rows, ncols))
-    expected = 0 if rows * ncols < SMALL_TABLE else -(-rows // BLOCK_ROWS)
+    table = mixed_table(rows, ncols)
+    size = table.size
+    edges = [k for start in range(0, size, BLOCK_VALUES)
+             for k in (start, min(start + BLOCK_VALUES, size) - 1)]
+    table.ravel()[edges] = np.resize(SLOW_VALUES, len(edges))
+    assert_rows_match(table)
+    expected = 0 if size < SMALL_TABLE else -(-size // BLOCK_VALUES)
     assert len(blocks) == expected
 
 
