@@ -22,8 +22,8 @@ import functools
 
 import numpy as np
 
-# Below this many values one '%' over the table is faster than the numpy pass:
-# in process the two cross at 290-330 values, on 2- to 4-column tables.
+# Below this many values one '%' over the table is faster than the numpy pass: in
+# a CLI run the two cross at ~300-390 values (in a hot loop at 180-204 values).
 SMALL_TABLE = 320
 # Values per numpy pass: each pass pays ~0.1 ms for its ~100 numpy calls, and
 # its work arrays peak at ~180 bytes a value.  In process the README tables

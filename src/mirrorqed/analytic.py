@@ -325,8 +325,8 @@ def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
     res = None
     if b and x.size and x[-1] >= _SWITCH_MIN:
         res = _residues(_pole_argument(b, tau, envelope))
-        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s, and
-        # above the 2**14 + 1/2 round trips that the norm's panel cap admits
+        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s.  The
+        # norm's panel cap meets no plan only at t <= ~7850: under 6 round trips
         if res is None and not x[-1] <= 2**15:
             raise ValueError(f"the exact series at tau = {tau} has no residue plan (|a tau| > "
                              f"e^700), and u / tau = {x[-1]:.6g} round trips exceed 2**15")

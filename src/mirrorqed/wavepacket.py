@@ -370,14 +370,13 @@ def _whole_photon_spectrum(
 # Rabinowitz, Methods of Numerical Integration, 1984).
 _GAUSS_ORDER = 8
 _PANEL_LEN = 0.5
-# Most Gauss panels the norm's domain rule admits, counted from t and tau
-# before any is built: the left-movers span t + min(tau / 2, t) and the
-# right-movers t, in pieces of at most _PANEL_LEN, plus one panel per round
-# trip each, which bounds the round trips before t to 2**14.  The norm builds
-# about half that many.  At the cap it peaks at 29 MB by tracemalloc at tau
-# 100 (t 8126; omega_e 1, r_m -0.5), and at 20 / 15 / 15 / 0.1 MB at tau 1 /
-# 0 / 0.5 / 1e-3 (t 5461 / 8192 / 4096 / 16.35); the largest peak found, over
-# tau up to 1e6, is 31 MB at tau 500-700.
+# Most Gauss panels the norm admits, counted from the breaks before any node is
+# placed: t for the right-movers plus the span t + min(tau / 2, t) of the breaks,
+# over _PANEL_LEN.  While tau < 2t the count, 4t + tau, is about the series
+# positions over 8 (4t - tau); at tau 0 it is twice them and at tau >= 2t three
+# times, so t reaches 8192 - tau / 4, 8192 and 32768 / 6.  Just inside the edge
+# (omega_e 1, r_m -0.5) it peaks by tracemalloc at 14.2 / 30.4 / 30.4 / 27.8 / 30.9
+# / 30.3 / 28.1 / 14.5 / 14.0 MB at tau 0 / 0.02 / 1 / 100 / 500 / 700 / 1500 / 1e4 / inf.
 _MAX_PANELS = 2**15
 
 
@@ -399,7 +398,7 @@ def _smooth_breaks(params: SystemParams, t: float) -> np.ndarray:
     """
     tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in round_trip_series
     hi = t + min(tau / 2.0, t)  # no left-mover lies beyond x = t
-    count = min(math.ceil(t / tau) + 1, 2 * _GAUSS_ORDER + 2) if 0 < tau < math.inf else 0
+    count = math.ceil(min(t / tau, 2 * _GAUSS_ORDER + 1)) + 1 if 0 < tau < math.inf else 0
     lattice = np.arange(1, count + 1) * tau
     points = np.unique(np.concatenate([(0.0, t - tau / 2.0, t, hi), lattice]))
     return points[(0.0 <= points) & (points <= hi)]
@@ -433,17 +432,17 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
 
     Raises:
         ValueError: Unless 0 < t < inf, or if the quadrature would take more
-            than 2**15 panels: at tau 0 past t 8192, and at any tau >= _NO_DELAY
-            wherever more than 2**14 round trips fit before t.
+            than 2**15 panels: past t 8192 at tau 0, past t 8192 - tau / 4
+            while tau < 2t, and past t 32768 / 6 from tau >= 2t on.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in _smooth_breaks
-    panels = (2.0 * t + min(tau / 2.0, t)) / _PANEL_LEN + (2.0 * t / tau if tau else 0.0)
+    breaks = _smooth_breaks(params, t)
+    panels = (t + breaks[-1]) / _PANEL_LEN  # both directions, before any node is placed
     if not panels <= _MAX_PANELS:
         raise ValueError(f"the quadrature must take at most {_MAX_PANELS} panels, got "
-                         f"{panels:.6g} for t = {t} at tau = {params.tau}")
-    s, weights = _gauss_panels(_smooth_breaks(params, t), _GAUSS_ORDER, _PANEL_LEN)
+                         f"{panels:.6g} for t = {t} and emission times up to {breaks[-1]:.6g}")
+    s, weights = _gauss_panels(breaks, _GAUSS_ORDER, _PANEL_LEN)
     s = np.append(s, t)  # the emitter's own amplitude, for P_e(t)
     left, right, excited = _amplitudes(params, s, [
         _components(params, s - t, s, Direction.LEFT),

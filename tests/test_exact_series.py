@@ -137,7 +137,8 @@ def test_series_without_a_residue_plan_refuses_points_past_its_causal_limit():
     with pytest.raises(ValueError, match=r"tau = 1e\+300 .* u / tau = 1e\+08 round trips"):
         excitation_probability_exact(params, [0.0, 1e308])
     assert time.perf_counter() - start < 1.0
-    # the limit sits above the 2**14 + 1/2 round trips the norm's cap admits
+    # the limit sits far above the norm's: its panel cap admits t <= ~7850,
+    # under 6 round trips, wherever tau has no plan
     params = SystemParams.from_round_trip_phase(1500.0, math.pi, -1.0)
     assert excitation_probability_exact(params, (2**14 + 0.5) * 1500.0) >= 0.0
     with pytest.raises(ValueError, match="round trips exceed 2\\*\\*15"):

@@ -10,6 +10,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mirrorqed import (
@@ -422,10 +424,11 @@ def test_norm_matches_the_every_kink_rule_across_a_seeded_sweep():
     assert worst < 1e-12
 
 
-def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch):
-    # the cap's worst accepted round-trip case: 2**14 round trips before t,
-    # which took 1 046 592 positions and ~136 MB with a break at every kink
-    params = SystemParams(omega_e=1.0, tau=5.0 / 2**14, r_m=-0.5)
+@pytest.mark.parametrize("tau", [1e-300, 1e-6, math.nextafter(5.0 / 2**14, 0.0)])
+def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch, tau):
+    # past the 18th lattice kink nothing breaks, so 5e6 round trips take 466
+    # positions (a break at every kink took 1 046 592 and ~136 MB at 2**14)
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
     series = wavepacket.round_trip_series
     positions = []
 
@@ -436,7 +439,7 @@ def test_norm_work_and_memory_stop_growing_with_the_round_trips(monkeypatch):
     monkeypatch.setattr(wavepacket, "round_trip_series", counted)
     tracemalloc.start()
     try:
-        norm = total_photon_norm(params, 4.99)
+        norm = total_photon_norm(params, 5.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -629,13 +632,9 @@ def test_norm_below_the_smallest_normal_delay_is_the_norm_at_no_delay():
     assert total_photon_norm(tiny, 5.0) == pytest.approx(1.0, abs=1e-12)
 
 
-# 32 nodes per panel of at most 0.5 in each direction: at t 1e6 the panels
-# would take ~8 GB whatever tau is.  At t 5 the short delays fit more than
-# 2**14 round trips, each with one lattice kink, and so at least one panel,
-# per direction: at tau 1e-6 the kinks alone would take 5e6 entries per
-# direction.
-PANEL_CAP_CASES = [(0.0, 1e6), (1e-320, 1e6), (100.0, 1e6), (math.inf, 1e6),
-                   (1e-300, 5.0), (1e-6, 5.0), (math.nextafter(5.0 / 2**14, 0.0), 5.0)]
+# At t 1e6 the panels would take ~4 GB whatever tau is (~30 MB at the cap of
+# 2**15); at t 1e300 and tau 1e-300, t / tau overflows.
+PANEL_CAP_CASES = [(0.0, 1e6), (1e-320, 1e6), (100.0, 1e6), (math.inf, 1e6), (1e-300, 1e300)]
 
 
 @pytest.mark.parametrize("tau, t", PANEL_CAP_CASES, ids=[str(tau) for tau, _ in PANEL_CAP_CASES])
@@ -651,10 +650,65 @@ def test_norm_refuses_more_panels_than_the_cap_before_it_allocates(tau, t):
     assert peak < 100_000
 
 
-def test_norm_without_delay_takes_t_8000():
-    # 32 000 panels, just inside the panel cap
-    params = SystemParams(omega_e=1.0, tau=0.0, r_m=-0.5)
-    assert total_photon_norm(params, 8000.0) == pytest.approx(1.0, abs=1e-12)
+# (tau, largest t the cap admits, a t just past it): 4t panels at tau 0,
+# 4t + tau while tau < 2t, and 6t from tau >= 2t on
+@pytest.mark.parametrize("tau, inside, outside", [
+    (0.0, 8192.0, 8192.000001), (1.0, 8191.75, 8191.750001), (2e4, 32768 / 6, 5461.333334),
+])
+def test_norm_cap_edge(tau, inside, outside):
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    assert total_photon_norm(params, inside) == pytest.approx(1.0, abs=1e-12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 32768 panels, got "):
+            total_photon_norm(params, outside)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def round_trip_panel_count(tau, t):
+    """The panel count of the earlier cap: two directions in x plus one panel
+    per round trip before t, from t and tau alone."""
+    tau = tau if tau >= np.finfo(float).tiny else 0.0
+    return (2.0 * t + min(tau / 2.0, t)) / 0.5 + (2.0 * t / tau if tau else 0.0)
+
+
+class NodesPlaced(Exception):
+    """Raised in place of the first Gauss node the norm would place."""
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tau=st.one_of(st.sampled_from([0.0, math.inf]),
+                     st.floats(-300.0, 6.0).map(lambda e: 10.0**e)),
+       t=st.floats(0.0, 1e5, exclude_min=True))
+def test_norm_cap_refuses_only_what_the_round_trip_count_refused(tau, t):
+    # the cap drops a non-negative term, so every (tau, t) the earlier count
+    # accepted stays accepted; a refusal comes before any node is placed, and
+    # nodes only where both directions fit 2**15 panels of 0.5
+    def place(*args):
+        raise NodesPlaced
+
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wavepacket, "_gauss_panels", place)
+        with pytest.raises((NodesPlaced, ValueError)) as outcome:
+            total_photon_norm(params, t)
+    if outcome.type is ValueError:
+        assert "at most 32768 panels, got " in str(outcome.value)
+        assert round_trip_panel_count(tau, t) > 2**15
+    else:
+        assert (2.0 * t + min(tau / 2.0, t)) / 0.5 <= 2**15
+
+
+# Near trapping the residue sum forms each exponent from two rounded terms,
+# and the cancellation between branches turns that rounding into ~eps |Omega| s
+@pytest.mark.xfail(strict=True, reason="the norm is 1 + 8.66e-12 near trapping at t 8180 "
+                   "(ROADMAP item 2, exponents in reduced variables)")
+def test_norm_near_trapping_at_the_cap():
+    params = SystemParams(omega_e=1.0, tau=0.02, r_m=-1.0)
+    assert total_photon_norm(params, 8180.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("direction", list(Direction))
