@@ -32,7 +32,8 @@ class SystemParams:
     Attributes:
         omega_e: Emitter transition frequency (units of Gamma).
         tau: Round-trip time emitter -> mirror -> emitter (units of 1/Gamma).
-        r_m: Complex mirror reflection coefficient, |r_m| <= 1.
+        r_m: Complex mirror reflection coefficient, |r_m| <= 1; one up to
+            1 + 1e-9 is taken as rounding and scaled onto the unit circle.
         t_m: Real mirror transmission sqrt(1 - |r_m|^2), derived from r_m.
         gamma: Free-space decay rate Gamma, the unit of rate: always 1.0.
     """
@@ -54,6 +55,11 @@ class SystemParams:
                              f"{self.omega_e} and tau = {self.tau}")
         if not abs(self.r_m) <= 1 + UNITARITY_TOL:
             raise ValueError(f"|r_m| must not exceed 1, got {abs(self.r_m)}")
+        if abs(self.r_m) > 1:  # within the tolerance: onto the unit circle, not past it
+            r_m = self.r_m / abs(self.r_m)
+            while abs(r_m) > 1:  # the division can round one ulp above
+                r_m = complex(math.nextafter(r_m.real, 0.0), math.nextafter(r_m.imag, 0.0))
+            object.__setattr__(self, "r_m", r_m)
         object.__setattr__(self, "t_m", math.sqrt(max(0.0, 1.0 - abs(self.r_m) ** 2)))
 
     @classmethod

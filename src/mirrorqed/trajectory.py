@@ -160,8 +160,11 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     yields four 64-bit words per counter step and a float64 uniform reads
     one word, so the stream is advanced i // 4 counter steps and i % 4
     uniforms are discarded; the next uniform is the one that
-    `trajectory_rng(master_seed, 0).random(n)[i]` returns.
+    `trajectory_rng(master_seed, 0).random(n)[i]` returns.  A negative
+    index is refused (ValueError): Philox would wrap it round the counter.
     """
+    if trajectory_index < 0:
+        raise ValueError(f"trajectory_index must be non-negative, got {trajectory_index}")
     bit_generator = np.random.Philox(key=master_seed & 0xFFFFFFFFFFFFFFFF)
     bit_generator.advance(trajectory_index // 4)
     generator = np.random.Generator(bit_generator)

@@ -130,6 +130,7 @@ def _amplitudes(params: SystemParams, s: np.ndarray, tables):
 
 def _field(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
     """Emission times, light cone and total amplitude of one direction at positions x."""
+    direction = Direction(direction)  # +-1 name the members; anything else is refused
     if np.isnan(x).any():
         raise ValueError("positions must not be nan")
     if not 0 < t < math.inf:
@@ -181,7 +182,7 @@ def spatial_profile(
         positions=positions,
         amplitudes=amplitudes,
         density=np.abs(amplitudes) ** 2,
-        direction=direction,
+        direction=Direction(direction),
         region_index=region,
         time=t,
     )
@@ -370,13 +371,12 @@ def _whole_photon_spectrum(
 # Rabinowitz, Methods of Numerical Integration, 1984).
 _GAUSS_ORDER = 8
 _PANEL_LEN = 0.5
-# Most Gauss panels the norm admits, counted from the breaks before any node is
-# placed: t for the right-movers plus the span t + min(tau / 2, t) of the breaks,
-# over _PANEL_LEN.  While tau < 2t the count, 4t + tau, is about the series
-# positions over 8 (4t - tau); at tau 0 it is twice them and at tau >= 2t three
-# times, so t reaches 8192 - tau / 4, 8192 and 32768 / 6.  Just inside the edge
-# (omega_e 1, r_m -0.5) it peaks by tracemalloc at 14.2 / 30.4 / 30.4 / 27.8 / 30.9
-# / 30.3 / 28.1 / 14.5 / 14.0 MB at tau 0 / 0.02 / 1 / 100 / 500 / 700 / 1500 / 1e4 / inf.
+# Most Gauss panels the norm admits, counted before any node is placed: t for the
+# right-movers plus the end of the last interval, over _PANEL_LEN.  That is
+# 4t + tau while tau <= 2t and 4t beyond: t reaches 8192 - tau / 4, and 8192 from
+# tau 16384 on (just short of tau / 2 in between).  Just inside the edge (omega_e 1,
+# r_m -0.5) tracemalloc peaks at 13.5 / 30.4 / 30.4 / 27.8 / 30.9 / 30.3 / 28.1 / 13.0
+# / 15.6 / 15.6 MB at tau 0 / 0.02 / 1 / 100 / 500 / 700 / 1500 / 1e4 / 2e4 / inf.
 _MAX_PANELS = 2**15
 
 
@@ -385,33 +385,33 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _smooth_breaks(params: SystemParams, t: float) -> np.ndarray:
-    """Emission times between which the density is smooth enough for the Gauss rule.
+def _smooth_breaks(params: SystemParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals (lo, hi) of emission time that hold a photon and a smooth density.
 
-    Both directions are integrated over s = x + t (left) or t - x (right) on
-    [0, t + min(tau / 2, t)], and broken at the same doubles: the fronts
-    (s = 0), the emitter (t) and the mirror (t -+ tau / 2), where the density
-    jumps, and lattice point k tau, where the term (s - k tau)^k / k! starts
-    a kink of order k (k - 1 for the reflected left-mover).  Smooth means
-    C^(2m) for the m-point rule (m = _GAUSS_ORDER), so past the first 2m + 2
-    lattice points nothing breaks, and the cost stops growing with t / tau.
+    Both directions are integrated over s = x + t (left) or t - x (right) on the
+    same intervals: [0, t + tau / 2] cut at the fronts (s = 0), the emitter (t)
+    and the mirror (t -+ tau / 2), where the density jumps, and at the first
+    2m + 2 lattice points k tau, where (s - k tau)^k / k! starts a kink of order
+    k (k - 1 reflected); past them it is C^(2m), as the m-point rule needs (m =
+    _GAUSS_ORDER).  Intervals inside (t, tau) are dropped: the photon left the
+    emitter over [0, t] and, reflected, over [tau, t + tau / 2].
     """
     tau = params.tau if params.tau >= _NO_DELAY else 0.0  # as in round_trip_series
-    hi = t + min(tau / 2.0, t)  # no left-mover lies beyond x = t
+    end = t + tau / 2.0  # no left-mover lies beyond x = tau / 2
     count = math.ceil(min(t / tau, 2 * _GAUSS_ORDER + 1)) + 1 if 0 < tau < math.inf else 0
     lattice = np.arange(1, count + 1) * tau
-    points = np.unique(np.concatenate([(0.0, t - tau / 2.0, t, hi), lattice]))
-    return points[(0.0 <= points) & (points <= hi)]
+    points = np.unique(np.clip(np.concatenate([(0.0, t - tau / 2.0, t, end), lattice]), 0.0, end))
+    kept = (points[1:] <= t) | (points[:-1] >= tau)
+    return points[:-1][kept], points[1:][kept]
 
 
-def _gauss_panels(breaks: np.ndarray, order: int, max_len: float):
-    """Nodes and weights of Gauss-Legendre panels of at most max_len between breaks.
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int, max_len: float):
+    """Nodes and weights of Gauss-Legendre panels of at most max_len on intervals [lo, hi].
 
-    Each interval [lo, hi] is cut into ceil((hi - lo) / max_len) equal pieces
+    Each interval is cut into ceil((hi - lo) / max_len) equal pieces
     with np.linspace's arithmetic: edge k is k * step + lo, and the last one
     is hi itself.
     """
-    lo, hi = breaks[:-1], breaks[1:]
     pieces = np.maximum(1, np.ceil((hi - lo) / max_len)).astype(int)
     interval = np.repeat(np.arange(len(pieces)), pieces)
     k = np.arange(len(interval)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -427,26 +427,27 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
     """P_e(t) plus the photon probability integrated over both directions.
 
     Unitarity demands this equals 1 at every time.  Both directions share
-    8-point Gauss-Legendre panels of at most 0.5 in emission time between the
-    breaks of `_smooth_breaks`, and one series call gives them and P_e(t).
+    8-point Gauss-Legendre panels of at most 0.5 in emission time on the
+    intervals of `_smooth_breaks`, and one series call gives them and P_e(t).
 
     Raises:
         ValueError: Unless 0 < t < inf, or if the quadrature would take more
-            than 2**15 panels: past t 8192 at tau 0, past t 8192 - tau / 4
-            while tau < 2t, and past t 32768 / 6 from tau >= 2t on.
+            than 2**15 panels: past t 8192 - tau / 4 while tau <= 2t, and past
+            t 8192 beyond.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    breaks = _smooth_breaks(params, t)
-    panels = (t + breaks[-1]) / _PANEL_LEN  # both directions, before any node is placed
+    lo, hi = _smooth_breaks(params, t)
+    panels = (t + hi[-1]) / _PANEL_LEN  # both directions, before any node is placed
     if not panels <= _MAX_PANELS:
         raise ValueError(f"the quadrature must take at most {_MAX_PANELS} panels, got "
-                         f"{panels:.6g} for t = {t} and emission times up to {breaks[-1]:.6g}")
-    s, weights = _gauss_panels(breaks, _GAUSS_ORDER, _PANEL_LEN)
+                         f"{panels:.6g} for t = {t} and emission times up to {hi[-1]:.6g}")
+    s, weights = _gauss_panels(lo, hi, _GAUSS_ORDER, _PANEL_LEN)
     s = np.append(s, t)  # the emitter's own amplitude, for P_e(t)
     left, right, excited = _amplitudes(params, s, [
         _components(params, s - t, s, Direction.LEFT),
         _components(params, t - s, s, Direction.RIGHT),
         [(np.arange(s.size) == s.size - 1, 0.0, 1.0)]])
     density = np.abs(left[:-1]) ** 2 + np.abs(right[:-1]) ** 2
-    return float(abs(excited[-1]) ** 2 + np.dot(weights, density))
+    # fsum, not a BLAS dot: the same last bits at any thread count
+    return float(abs(excited[-1]) ** 2 + math.fsum(weights * density))

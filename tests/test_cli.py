@@ -55,6 +55,22 @@ def test_excitation_no_mirror_columns_agree(tmp_path):
     assert meta["longtime"]["xi"] == {"re": 0.0, "im": 0.0}
 
 
+def test_excitation_with_a_mirror_just_past_the_unit_circle_stays_a_probability(tmp_path):
+    # r_m was kept at -1.0000000005, so the mirror added norm: P_exact 2.6e144
+    # and P_markovian 1.4e217 at t 1e12; as r_m = -1 it sits on the 4/9 plateau
+    out = tmp_path / "past.csv"
+    code = run([
+        "excitation", "--tau", "1", "--phase", "6.283185307179586", "--rm", "-1.0000000005",
+        "--tmax", "1e12", "--grid", "3", "--out", str(out),
+    ])
+    assert code == 0
+    meta, header, data = read_table(out)
+    assert meta["params"]["r_m"] == {"re": -1.0, "im": 0.0}
+    assert header == ["t", "P_exact", "P_markovian"]
+    assert np.all(data[:, 1:] <= 1.0)
+    assert data[-1, 1] == pytest.approx(4.0 / 9.0, rel=1e-12)
+
+
 def test_excitation_records_longtime_failure(tmp_path):
     out = tmp_path / "trap.csv"
     code = run([

@@ -1,13 +1,14 @@
 """Tests for parameters, mirror scattering, piecewise-polynomial algebra and
 the public surface."""
 
+import cmath
 import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mirrorqed
@@ -102,6 +103,22 @@ def test_params_validation():
         SystemParams(omega_e=-1.0, tau=1.0, r_m=0)
     with pytest.raises(ValueError, match="r_m"):
         SystemParams(omega_e=1.0, tau=1.0, r_m=1.5)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(excess=st.floats(0.0, 1e-9, exclude_min=True), phase=st.floats(-math.pi, math.pi))
+@example(excess=7.922262845738715e-10, phase=-0.8173737021634899)  # r / |r| is 1 + 2.2e-16
+def test_params_put_a_mirror_past_the_unit_circle_on_it(excess, phase):
+    # |r_m| up to 1 + 1e-9 is accepted as rounding; kept as given, it let the
+    # mirror add norm, and r / |r| alone lands one ulp above 1 at some phases
+    params = SystemParams(omega_e=1.0, tau=1.0, r_m=(1.0 + excess) * cmath.exp(1j * phase))
+    assert abs(params.r_m) <= 1
+    assert params.t_m**2 + abs(params.r_m) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_params_put_a_real_mirror_past_the_unit_circle_on_plus_or_minus_one():
+    for r_m in (-1.0000000005, -(1 + 2.2e-16), 1 + 1e-9):
+        assert SystemParams(omega_e=1.0, tau=1.0, r_m=r_m).r_m == math.copysign(1.0, r_m)
 
 
 @pytest.mark.parametrize(

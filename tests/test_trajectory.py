@@ -642,6 +642,15 @@ def test_trajectory_rng_starts_at_uniform_i_of_the_seed_stream():
         assert np.array_equal(trajectory_rng(seed, 3).random(5), stream[3:])
 
 
+def test_a_negative_trajectory_index_is_refused():
+    # Philox's advance(-1) wraps round the counter, so index -1 read a stream
+    # at an arbitrary position and run_trajectory made a trajectory up
+    with pytest.raises(ValueError, match="trajectory_index must be non-negative, got -1"):
+        trajectory_rng(7, -1)
+    with pytest.raises(ValueError, match="trajectory_index must be non-negative, got -1"):
+        run_trajectory(config_for(), -1)
+
+
 def test_run_trajectory_reads_the_ensembles_draw():
     # trajectory i keeps P_e at the steps where its threshold v = 1 - u_i is
     # at most S, u_i uniform i of the ensemble's draw, and is zero elsewhere

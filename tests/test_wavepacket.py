@@ -4,6 +4,9 @@ import cmath
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -308,18 +311,21 @@ def set_based_breaks(params, t, direction, kinks=18):
     return np.array(sorted(p for p in points if lo <= p <= hi))
 
 
-def set_based_emission_breaks(params, t, kinks=18):
-    """The norm's breakpoints in emission time, gathered one lattice point at a
-    time into a set: the fronts, the emitter, the mirror and the first `kinks`
-    lattice points, on [0, t + min(tau / 2, t)] for both directions."""
+def set_based_emission_intervals(params, t, kinks=18):
+    """The norm's intervals in emission time, cut one lattice point at a time
+    from a set: the fronts, the emitter, the mirror and the first `kinks`
+    lattice points cut [0, t + tau / 2] for both directions, and an interval
+    is kept where a photon was emitted, over [0, t] or over [tau, t + tau / 2]."""
     tau = params.tau
-    hi = t + min(tau / 2.0, t)
+    hi = t + tau / 2.0
     points = {0.0, t - tau / 2.0, t, hi}
     k = 1
     while 0 < tau < math.inf and k <= kinks and k * tau <= hi:
         points.add(k * tau)
         k += 1
-    return np.array(sorted(p for p in points if 0.0 <= p <= hi))
+    points = sorted(p for p in points if 0.0 <= p <= hi)
+    pairs = [(a, b) for a, b in zip(points[:-1], points[1:]) if b <= t or a >= tau]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
 
 def emission_norm(params, t, s, ws):
@@ -330,14 +336,15 @@ def emission_norm(params, t, s, ws):
         (amp,) = _amplitudes(params, s, [_components(params, x, s, direction)])
         density = density + np.abs(amp) ** 2
     return float(abs(wavepacket.round_trip_series(params, np.array([t]))[0]) ** 2
-                 + np.dot(ws, density))
+                 + math.fsum(ws * density))
 
 
-def linspace_panels(breaks, order, max_len):
-    """Gauss-Legendre nodes and weights built one np.linspace panel at a time."""
+def linspace_panels(los, his, order, max_len):
+    """Gauss-Legendre nodes and weights built one np.linspace panel at a time
+    on the intervals [lo, hi]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     all_nodes, all_weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
+    for lo, hi in zip(los, his):
         edges = np.linspace(lo, hi, max(1, int(math.ceil((hi - lo) / max_len))) + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -359,16 +366,17 @@ PANEL_CASES = [
 @pytest.mark.parametrize("params, t", PANEL_CASES)
 @pytest.mark.parametrize("direction", [Direction.LEFT, Direction.RIGHT], ids=["left", "right"])
 def test_array_built_panels_match_the_linspace_loop_bit_for_bit(params, t, direction):
-    breaks = _smooth_breaks(params, t)
-    assert breaks.tobytes() == set_based_emission_breaks(params, t).tobytes()
+    intervals = _smooth_breaks(params, t)
+    assert [side.tobytes() for side in intervals] == [
+        side.tobytes() for side in set_based_emission_intervals(params, t)]
     for order, max_len in ((32, 0.5), (7, 0.3)):
-        ss, ws = _gauss_panels(breaks, order, max_len)
-        ref_ss, ref_ws = linspace_panels(breaks, order, max_len)
+        ss, ws = _gauss_panels(*intervals, order, max_len)
+        ref_ss, ref_ws = linspace_panels(*intervals, order, max_len)
         assert ss.tobytes() == ref_ss.tobytes()
         assert ws.tobytes() == ref_ws.tobytes()
     # the norm's own rule: 8 points on panels of at most 0.5, where this
     # direction's amplitudes from the norm's one series call are its own
-    ref_ss, ref_ws = linspace_panels(breaks, 8, 0.5)
+    ref_ss, ref_ws = linspace_panels(*intervals, 8, 0.5)
     x = ref_ss - t if direction is Direction.LEFT else t - ref_ss
     own = _components(params, x, ref_ss, direction)
     other = _components(params, -x, ref_ss, Direction(-direction))
@@ -381,8 +389,8 @@ def test_array_built_panels_match_the_linspace_loop_bit_for_bit(params, t, direc
 @pytest.mark.parametrize("t", [0.1, 0.75, 1.0, 2.0, 7.3, 12.0])
 def test_lattice_breaks_match_the_set_based_loop(tau, t):
     params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
-    breaks = _smooth_breaks(params, t)
-    assert breaks.tobytes() == set_based_emission_breaks(params, t).tobytes()
+    assert [side.tobytes() for side in _smooth_breaks(params, t)] == [
+        side.tobytes() for side in set_based_emission_intervals(params, t)]
 
 
 def every_kink_norm(params, t):
@@ -391,7 +399,8 @@ def every_kink_norm(params, t):
     kinks = math.inf if params.tau >= np.finfo(float).tiny else 0
     total = excitation_probability_exact(params, t)
     for direction in Direction:
-        xs, ws = linspace_panels(set_based_breaks(params, t, direction, kinks), 64, 0.5)
+        breaks = set_based_breaks(params, t, direction, kinks)
+        xs, ws = linspace_panels(breaks[:-1], breaks[1:], 64, 0.5)
         total += float(np.dot(ws, photon_density(params, xs, direction, t)))
     return total
 
@@ -460,7 +469,7 @@ def test_norm_takes_both_directions_from_one_series_call(monkeypatch, params, t)
     # s <= t of the nodes and of t itself, which gives P_e(t), and the
     # reflected left-mover adds s - tau wherever it reaches (all of them at
     # tau 0, where its delay is 0 too): no emission time is evaluated twice
-    s = np.append(_gauss_panels(_smooth_breaks(params, t), 8, 0.5)[0], t)
+    s = np.append(_gauss_panels(*_smooth_breaks(params, t), 8, 0.5)[0], t)
     reflected = (s >= params.tau) & (s - t <= params.tau / 2) if params.tau else False
     expected = np.count_nonzero(s <= t) + np.count_nonzero(reflected)
     series = wavepacket.round_trip_series
@@ -474,6 +483,47 @@ def test_norm_takes_both_directions_from_one_series_call(monkeypatch, params, t)
     norm = total_photon_norm(params, t)
     assert calls == [expected]
     assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau, t, nodes", [
+    (0.37, 0.2, 24), (3.0, 2.0, 40), (100.0, 60.0, 1120), (math.inf, 5.0, 80),
+    (math.inf, 5461.33, 87384),
+])
+def test_norm_places_no_node_where_no_photon_was_emitted(monkeypatch, tau, t, nodes):
+    # the direct movers were emitted over [0, t] and the reflected left-mover
+    # over [tau, t + tau / 2]: no node lies in (t, tau), which held 8, 16,
+    # 640, 80 and 87 384 of them when the panels ran up to t + min(tau / 2, t)
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    place = wavepacket._gauss_panels
+    placed = []
+
+    def kept(*args):
+        panels = place(*args)
+        placed.append(panels[0])
+        return panels
+
+    monkeypatch.setattr(wavepacket, "_gauss_panels", kept)
+    norm = total_photon_norm(params, t)
+    (s,) = placed
+    assert s.size == nodes
+    assert not np.any((t < s) & (s < tau))
+    assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norm_is_the_same_double_at_any_blas_thread_count():
+    # a BLAS dot over the ~130k nodes gave 1 + 2.2e-16 on one OpenBLAS thread
+    # and 1 + 6.7e-16 on two; math.fsum does not depend on the threads
+    package_root = os.path.dirname(os.path.dirname(wavepacket.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = ("from mirrorqed import SystemParams, total_photon_norm\n"
+            "params = SystemParams(omega_e=1.0, tau=500.0, r_m=-0.5)\n"
+            "print(total_photon_norm(params, 8067.0).hex())\n")
+    norms = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+    ).stdout for threads in ("1", "2")]
+    assert norms[0] == norms[1]
+    assert float.fromhex(norms[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("tau", [2e4, math.inf])
@@ -508,7 +558,7 @@ def test_field_amplitude_evaluates_the_series_once(monkeypatch, direction):
 
 def left_norm(params, t):
     """The left-moving photon probability on the norm's panels in emission time."""
-    s, ws = _gauss_panels(_smooth_breaks(params, t), 8, 0.5)
+    s, ws = _gauss_panels(*_smooth_breaks(params, t), 8, 0.5)
     (left,) = _amplitudes(params, s, [_components(params, s - t, s, Direction.LEFT)])
     return float(np.dot(ws, np.abs(left) ** 2))
 
@@ -627,7 +677,8 @@ def test_norm_at_an_infinite_delay_is_the_free_decay():
 def test_norm_below_the_smallest_normal_delay_is_the_norm_at_no_delay():
     # a subnormal tau acts as tau = 0, as in round_trip_series: no kinks
     tiny, none = (SystemParams(omega_e=1.0, tau=tau, r_m=-0.5) for tau in (5e-324, 0.0))
-    assert _smooth_breaks(tiny, 5.0).tolist() == _smooth_breaks(none, 5.0).tolist()
+    assert [side.tolist() for side in _smooth_breaks(tiny, 5.0)] == [
+        side.tolist() for side in _smooth_breaks(none, 5.0)]
     assert total_photon_norm(tiny, 5.0) == total_photon_norm(none, 5.0)
     assert total_photon_norm(tiny, 5.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -650,10 +701,11 @@ def test_norm_refuses_more_panels_than_the_cap_before_it_allocates(tau, t):
     assert peak < 100_000
 
 
-# (tau, largest t the cap admits, a t just past it): 4t panels at tau 0,
-# 4t + tau while tau < 2t, and 6t from tau >= 2t on
+# (tau, largest t the cap admits, a t just past it): 4t + tau panels while
+# tau <= 2t (4t at tau 0), and 4t beyond
 @pytest.mark.parametrize("tau, inside, outside", [
-    (0.0, 8192.0, 8192.000001), (1.0, 8191.75, 8191.750001), (2e4, 32768 / 6, 5461.333334),
+    (0.0, 8192.0, 8192.000001), (1.0, 8191.75, 8191.750001), (2e4, 8192.0, 8192.000001),
+    (math.inf, 8192.0, 8192.000001),
 ])
 def test_norm_cap_edge(tau, inside, outside):
     params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
@@ -699,7 +751,8 @@ def test_norm_cap_refuses_only_what_the_round_trip_count_refused(tau, t):
         assert "at most 32768 panels, got " in str(outcome.value)
         assert round_trip_panel_count(tau, t) > 2**15
     else:
-        assert (2.0 * t + min(tau / 2.0, t)) / 0.5 <= 2**15
+        tau = tau if tau >= np.finfo(float).tiny else 0.0
+        assert (t + t + tau / 2.0 if tau <= 2.0 * t else 2.0 * t) / 0.5 <= 2**15
 
 
 # Near trapping the residue sum forms each exponent from two rounded terms,
@@ -720,6 +773,25 @@ def test_nan_positions_are_refused(evaluate, direction):
     for x in (math.nan, [math.nan, 0.5]):
         with pytest.raises(ValueError, match="positions must not be nan"):
             evaluate(params, x, direction, 2.0)
+
+
+def test_a_direction_is_a_member_or_its_value():
+    # -1 and 'left' used to give the right-movers, since only the LEFT member
+    # itself chose the left-moving rows
+    params = params_for(1.0, 1.0, -0.5)
+    x = np.linspace(-3.0, 3.0, 61)
+    for direction in Direction:
+        value = int(direction)
+        assert (field_amplitude(params, x, value, 2.0).tobytes()
+                == field_amplitude(params, x, direction, 2.0).tobytes())
+        profile = spatial_profile(params, 2.0, x, value)
+        assert profile.direction is direction
+        assert profile.density.tobytes() == photon_density(params, x, direction, 2.0).tobytes()
+    for evaluate in (field_amplitude, photon_density,
+                     lambda params, x, d, t: spatial_profile(params, t, x, d)):
+        for direction in ("left", 0):
+            with pytest.raises(ValueError, match="is not a valid Direction"):
+                evaluate(params, x, direction, 2.0)
 
 
 def test_infinite_positions_hold_no_photon():
