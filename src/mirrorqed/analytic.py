@@ -325,9 +325,9 @@ def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
     res = None
     if b and x.size and x[-1] >= _SWITCH_MIN:
         res = _residues(_pole_argument(b, tau, envelope))
-        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s.  The norm's
-        # panel cap meets no plan at t <= ~7850 (under 6 round trips) while tau <= 2t,
-        # and at t <= 8192 beyond it, under one round trip
+        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s.  At Gamma 1
+        # no plan is left from tau ~1387 on, where the norm's panel cap stops at
+        # t ~15 690, under 12 round trips
         if res is None and not x[-1] <= 2**15:
             raise ValueError(f"the exact series at tau = {tau} has no residue plan (|a tau| > "
                              f"e^700), and u / tau = {x[-1]:.6g} round trips exceed 2**15")
@@ -400,6 +400,8 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
     2^{m e_0} and m! is divided out as a mantissa and a power of two, so
     neither m! nor (t - k tau)^m has to fit a double: only c_n(t) itself.
     """
+    if math.isnan(t):
+        raise ValueError("t must not be nan")
     m = _loop_count(n)
     rho = _round_trip_mirror(params)
     top = math.frexp(params.gamma / 2.0 * t)[1]

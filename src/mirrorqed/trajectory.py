@@ -51,6 +51,7 @@ the exact analytic solution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ from .core import SystemParams
 # `_evolve` peaks at 52 MB by tracemalloc, 26 bytes a step, and takes 1.8 s;
 # `ensemble_average` peaks at 112 MB and takes 2.0 s (one x86-64 core).
 _MAX_STEPS = 2**21
+# Largest ensemble.  `ensemble_average` takes 24 bytes a trajectory before it
+# counts any: at this many (N 25, t_max 10) it peaks at 100.7 MB by tracemalloc
+# and takes 0.14 s (one x86-64 core).
+_MAX_TRAJECTORIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class TrajectoryConfig:
         params: The emitter-mirror system; any r_m with |r_m| <= 1 and tau > 0.
         boxes: Number N of boxes per direction, 2 <= N <= 2**20 + 1, so that
             one round trip of 2 (N - 1) steps fits in the 2**21-step cap.
-        n_trajectories: Ensemble size.
+        n_trajectories: Ensemble size, 1 <= n <= 2**22.
         t_max: End time of each trajectory, at most 2**21 steps of dt.
         master_seed: 64-bit seed; trajectory i reads uniform i of the Philox
             stream keyed by master_seed.
@@ -87,6 +92,11 @@ class TrajectoryConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("boxes", "n_trajectories", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.boxes < 2:  # checked before dt divides by boxes - 1
             raise ValueError(f"boxes must be >= 2, got {self.boxes}")
         # `_evolve` allocates a ring of 2 N - 3 emissions before its first step,
@@ -95,8 +105,9 @@ class TrajectoryConfig:
         if not 2 * (self.boxes - 1) <= _MAX_STEPS:
             raise ValueError(f"one round trip of 2 (boxes - 1) steps must fit in {_MAX_STEPS} "
                              f"steps, got boxes = {self.boxes}")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        if not 1 <= self.n_trajectories <= _MAX_TRAJECTORIES:
+            raise ValueError(f"n_trajectories must be between 1 and {_MAX_TRAJECTORIES}, "
+                             f"got {self.n_trajectories}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         dt = self.dt

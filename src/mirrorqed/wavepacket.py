@@ -371,18 +371,16 @@ def _whole_photon_spectrum(
 # Rabinowitz, Methods of Numerical Integration, 1984).
 _GAUSS_ORDER = 8
 _PANEL_LEN = 0.5
-# Most Gauss panels the norm admits, counted before any node is placed: t for the
-# right-movers plus the end of the last interval, over _PANEL_LEN.  That is
-# 4t + tau while tau <= 2t and 4t beyond: t reaches 8192 - tau / 4, and 8192 from
-# tau 16384 on (just short of tau / 2 in between).  Just inside the edge (omega_e 1,
-# r_m -0.5) tracemalloc peaks at 13.5 / 30.4 / 30.4 / 27.8 / 30.9 / 30.3 / 28.1 / 13.0
-# / 15.6 / 15.6 MB at tau 0 / 0.02 / 1 / 100 / 500 / 700 / 1500 / 1e4 / 2e4 / inf.
+# The norm admits at most 2**15 panels of at most 0.5 over the emission times
+# that hold a photon, counted before any node is placed.  Just
+# inside the edge (omega_e 1, r_m -0.5) tracemalloc peaks at 27.0 / 60.8 / 60.8 /
+# 58.1 / 48.3 / 36.0 / 33.3 / 31.2 MB at tau 0 / 0.02 / 1 / 100 / 500 / 1e4 / 2e4 / inf.
 _MAX_PANELS = 2**15
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 def _smooth_breaks(params: SystemParams, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,21 +403,20 @@ def _smooth_breaks(params: SystemParams, t: float) -> tuple[np.ndarray, np.ndarr
     return points[:-1][kept], points[1:][kept]
 
 
-def _gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int, max_len: float):
-    """Nodes and weights of Gauss-Legendre panels of at most max_len on intervals [lo, hi].
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, pieces: np.ndarray):
+    """Nodes and weights of the Gauss-Legendre rule on `pieces` equal panels of each [lo, hi].
 
-    Each interval is cut into ceil((hi - lo) / max_len) equal pieces
-    with np.linspace's arithmetic: edge k is k * step + lo, and the last one
-    is hi itself.
+    The panels use np.linspace's arithmetic: edge k is k * step + lo, and the
+    last one is hi itself.
     """
-    pieces = np.maximum(1, np.ceil((hi - lo) / max_len)).astype(int)
-    interval = np.repeat(np.arange(len(pieces)), pieces)
-    k = np.arange(len(interval)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    count = pieces.astype(int)
+    interval = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(interval)) - np.repeat(np.cumsum(count) - count, count)
     step, start = ((hi - lo) / pieces)[interval], lo[interval]
     a = k * step + start
-    b = np.where(k + 1 == pieces[interval], hi[interval], (k + 1) * step + start)
+    b = np.where(k + 1 == count[interval], hi[interval], (k + 1) * step + start)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes, weights = _gauss_nodes(order)
+    nodes, weights = _gauss_rule()
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
@@ -431,18 +428,17 @@ def total_photon_norm(params: SystemParams, t: float) -> float:
     intervals of `_smooth_breaks`, and one series call gives them and P_e(t).
 
     Raises:
-        ValueError: Unless 0 < t < inf, or if the quadrature would take more
-            than 2**15 panels: past t 8192 - tau / 4 while tau <= 2t, and past
-            t 8192 beyond.
+        ValueError: Unless 0 < t < inf, or if the intervals need more than
+            2**15 panels of at most 0.5, counted before any node is placed.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     lo, hi = _smooth_breaks(params, t)
-    panels = (t + hi[-1]) / _PANEL_LEN  # both directions, before any node is placed
-    if not panels <= _MAX_PANELS:
+    pieces = np.maximum(1.0, np.ceil((hi - lo) / _PANEL_LEN))  # floats: ~1e300 has no int
+    if not pieces.sum() <= _MAX_PANELS:
         raise ValueError(f"the quadrature must take at most {_MAX_PANELS} panels, got "
-                         f"{panels:.6g} for t = {t} and emission times up to {hi[-1]:.6g}")
-    s, weights = _gauss_panels(lo, hi, _GAUSS_ORDER, _PANEL_LEN)
+                         f"{pieces.sum():.6g} for t = {t} and tau = {params.tau}")
+    s, weights = _gauss_panels(lo, hi, pieces)
     s = np.append(s, t)  # the emitter's own amplitude, for P_e(t)
     left, right, excited = _amplitudes(params, s, [
         _components(params, s - t, s, Direction.LEFT),

@@ -152,6 +152,19 @@ def test_dyson_order_zero_is_unity():
         assert dyson_coefficient_closed(params, 0, t) == 1.0
 
 
+def test_dyson_closed_form_at_a_non_finite_time():
+    # c_4(nan) used to be refused as an overflow, and c_0(nan) was 1; an
+    # infinite t keeps c_0 = 1 and overflows every higher order
+    params = params_for(1.0, math.pi, -1)
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="t must not be nan"):
+            dyson_coefficient_closed(params, n, math.nan)
+    assert dyson_coefficient_closed(params, 0, math.inf) == 1.0
+    for n in (2, 4):
+        with pytest.raises(OverflowError, match="beyond the double range"):
+            dyson_coefficient_closed(params, n, math.inf)
+
+
 def test_dyson_rejects_odd_order():
     params = params_for(1.0, math.pi, -1)
     with pytest.raises(ValueError):

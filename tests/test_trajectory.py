@@ -188,6 +188,35 @@ def test_config_refuses_more_boxes_than_a_round_trip_in_the_step_cap_before_it_a
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("n_trajectories", [2**22 + 1, 10**10])
+def test_config_refuses_more_trajectories_than_the_cap_before_it_allocates(n_trajectories):
+    # the ensemble takes 24 bytes a trajectory before it counts any:
+    # 10**10 of them would need ~240 GB
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"between 1 and 4194304, got {n_trajectories}$"):
+            ensemble_average(TrajectoryConfig(params, n_trajectories=n_trajectories))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("boxes", 4.5), ("boxes", 25.0), ("n_trajectories", 100.0), ("n_trajectories", "5000"),
+    ("master_seed", 1.5),
+])
+def test_config_refuses_a_setting_that_is_not_an_integer(field, value):
+    # boxes 4.5 gave dt = tau / 7, and the run then failed inside the step
+    # loop; a seed of 1.5 failed where the random stream is keyed
+    params = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-1.0)
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        TrajectoryConfig(params, **{field: value})
+    # a numpy integer is an integer
+    assert getattr(TrajectoryConfig(params, **{field: np.int64(25)}), field) == 25
+
+
 def test_config_takes_the_most_boxes_whose_round_trip_fits_the_step_cap():
     params = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-1.0)
     config = TrajectoryConfig(params, boxes=2**20 + 1, t_max=1.0)
