@@ -28,9 +28,9 @@ sum has no cancellation but needs many branches at small t / tau.  Each
 point therefore takes the causal sum while it has fewer lattice terms than
 a switch of 16 (lowered, down to 8, where the estimated cancellation
 sum |term| / |f| ~ exp((W_0(|a| tau) - Re W_0(a tau)) t / tau) would pass
-1e4), and the residue sum beyond.  Each call plans that sum afresh, one W_j
-per branch |j| <= J (J set by |W_0| and the switch), each kept only where it
-exceeds 1e-17 of the W_0 term; it and the long-time pole share one z = a tau.
+1e4), and the residue sum beyond.  One cached plan per system holds z = a tau,
+W_0 and that sum's W_j of branches |j| <= J (J set by |W_0| and the switch),
+each kept where it exceeds 1e-17 of the W_0 term; the long-time pole reads it.
 The envelope exp(-i Omega t) enters every exponent, so growing terms never
 overflow while the amplitude stays bounded.  Causal term k takes it in local
 time v = t - k tau, as b^k v^k / k! exp(-i Omega v) with the bounded
@@ -44,6 +44,7 @@ a closed form that is analytic in q = 2 (1 + e a tau) and finite at q = 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,13 +74,6 @@ class Xi0Diverges(Exception):
     The decay constant xi = W_0(a tau) / tau may still exist there: solve_xi
     returns it for a trapped or slowly decaying emitter.
     """
-
-
-def _pole_argument(b: complex, tau: float, envelope: complex) -> complex:
-    """z = a tau, a = b exp(-envelope tau), for every W_j(z) of the residue plan
-    and the long-time pole; complex infinity where a leaves the double range."""
-    exponent = -envelope * tau
-    return b * cmath.exp(exponent) * tau if exponent.real <= 709.0 else complex(math.inf, math.inf)
 
 
 def _round_trip_mirror(params: SystemParams) -> complex:
@@ -164,29 +158,36 @@ def _lambert_w(z: complex, k: int) -> complex:
 _SWITCH_MIN = 8
 _SWITCH_MAX = 16
 _CANCELLATION_MAX = 1e4
+_PLANS = 16  # systems whose plan `_plan` keeps: a run reads one system's plan many times
 
 
 @dataclass(frozen=True)
-class _Residues:
-    """Poles s_j = W_j(a tau) / tau of the Laplace transform 1 / (s - a exp(-s tau)).
+class _Plan:
+    """One system's z = a tau, W_0(z) and the poles s_j = W_j(z) / tau of its residue sum,
+    shared through the cache by every caller, so its arrays are only read.
 
-    `branches` holds the W_j summed one by one, smallest real part first; past
-    x = u / tau = `reach` a branch stays below 1e-17 of the W_0 term, which
-    reaches every point.  `pair` is q = 2 (1 + e a tau) when W_0 and its
-    merging branch are summed together in closed form, else None.
+    z is complex infinity past the double range, with w0 None; past |z| = e^700 no branch is
+    kept and `switch` is inf.  `branches` holds the W_j smallest real part first; past
+    x = u / tau = `reach` each stays below 1e-17 of the W_0 term, which reaches every point.
+    `pair` is q = 2 (1 + e z) where W_0 and its merging branch are summed in closed form.
     """
 
-    switch: int
+    z: complex
+    w0: complex | None
+    switch: float
     branches: np.ndarray
     reach: np.ndarray
     pair: complex | None
 
 
-def _residues(z: complex) -> _Residues | None:
-    """Residue plan at z = a tau (`_pole_argument`), or None where |z| > e^700."""
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(b: complex, tau: float, envelope: complex) -> _Plan:
+    """The `_Plan` of the series at b, tau, envelope (`_series_key`): a = b exp(-envelope tau)."""
+    exponent = -envelope * tau
+    z = b * cmath.exp(exponent) * tau if exponent.real <= 709.0 else complex(math.inf, math.inf)
+    w0 = _lambert_w(z, 0) if cmath.isfinite(z) else None
     if not abs(z) <= math.exp(700.0):
-        return None
-    w0 = _lambert_w(z, 0)
+        return _Plan(z, w0, math.inf, np.empty(0, dtype=complex), np.empty(0), None)
     # sum |causal terms| is the series at |a|, ~ exp(W_0(|a| tau) x), while
     # the sum itself is ~ exp(W_0(a tau) x)
     gap = _lambert_w(abs(z), 0).real - w0.real
@@ -213,8 +214,8 @@ def _residues(z: complex) -> _Residues | None:
     if pair is None:
         kept.append((w0, math.inf))
     kept.sort(key=lambda branch: branch[0].real)
-    return _Residues(switch, np.array([w for w, _ in kept], dtype=complex),
-                     np.array([end for _, end in kept]), pair)
+    return _Plan(z, w0, switch, np.array([w for w, _ in kept], dtype=complex),
+                 np.array([end for _, end in kept]), pair)
 
 
 def _exp(exponent):
@@ -231,7 +232,7 @@ def _exp(exponent):
 
 
 def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
-                 res: _Residues) -> np.ndarray:
+                 plan: _Plan) -> np.ndarray:
     """sum_j exp((s_j + envelope) u) / (1 + W_j), smallest terms first.
 
     The caller passes u and x = u / tau ascending (`_round_trip_sum` sorts
@@ -239,17 +240,17 @@ def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
     """
     total = np.zeros(u.shape, dtype=complex)
     # W_0's infinite reach takes every point, also where x = u / tau is inf
-    for w, end in zip(res.branches, np.searchsorted(x, res.reach, side="right")):
+    for w, end in zip(plan.branches, np.searchsorted(x, plan.reach, side="right")):
         with np.errstate(over="ignore"):
             term = (w / tau + envelope) * u[:end]
         term = _exp(term)
         term /= 1.0 + w
         total[:end] += term
-    if res.pair is not None:
+    if plan.pair is not None:
         # both poles have Re W < -1/2, so the pair is 0 in double precision long
         # before x = u / tau overflows; points where it has skip it
         finite = np.searchsorted(x, math.inf)
-        total[:finite] += _pair_sum(u[:finite], x[:finite], envelope, res.pair)
+        total[:finite] += _pair_sum(u[:finite], x[:finite], envelope, plan.pair)
     return total
 
 
@@ -322,20 +323,17 @@ def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
         live, ul = live[order], ul[order]
     with np.errstate(over="ignore"):  # an overflowing x is past every switch
         x = ul / tau  # floor(x) >= switch exactly where x >= switch
-    res = None
+    split = x.size  # without a plan every point takes the causal sum, an overflowing x too
     if b and x.size and x[-1] >= _SWITCH_MIN:
-        res = _residues(_pole_argument(b, tau, envelope))
-        # causal terms alone take ~12 us a round trip: 2**15 is ~0.4 s.  At Gamma 1
-        # no plan is left from tau ~1387 on, where the norm's panel cap stops at
-        # t ~15 690, under 12 round trips
-        if res is None and not x[-1] <= 2**15:
-            raise ValueError(f"the exact series at tau = {tau} has no residue plan (|a tau| > "
+        plan = _plan(b, tau, envelope)
+        # ~12 us a causal round trip, so 2**15 take ~0.4 s; the norm's panel cap stays under 12
+        if plan.switch == math.inf and not x[-1] <= 2**15:
+            raise ValueError(f"the exact series at tau = {tau} keeps no residue branch (|a tau| > "
                              f"e^700), and u / tau = {x[-1]:.6g} round trips exceed 2**15")
-    # without a plan every point takes the causal sum, an overflowing x too
-    split = int(np.searchsorted(x, res.switch)) if res is not None else x.size
+        split = int(np.searchsorted(x, plan.switch))
     total[live[:split]] = _causal_sum(ul[:split], b, tau, envelope)
     if split < x.size:
-        total[live[split:]] = _residue_sum(ul[split:], x[split:], tau, envelope, res)
+        total[live[split:]] = _residue_sum(ul[split:], x[split:], tau, envelope, plan)
     return complex(total[0]) if u_in.ndim == 0 else total.reshape(u_in.shape)
 
 
@@ -351,20 +349,25 @@ def round_trip_series(params: SystemParams, u):
     reason.  Returns a complex scalar or an array shaped like u.
 
     Raises:
-        ValueError: Unless every u is finite, or where no residue plan exists
-            (|a tau| > e^700, tau > ~1387) for a u past 2**15 round trips.
+        ValueError: Unless every u is finite, or where the plan keeps no residue
+            branch (|a tau| > e^700, tau > ~1387) for a u past 2**15 round trips.
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("times must be finite")
-    consts = derived_constants(params)
-    envelope = -1j * consts.omega_complex
-    if params.tau < _NO_DELAY:
+    b, tau, envelope = _series_key(params)
+    if tau < _NO_DELAY:
         with np.errstate(over="ignore"):
-            exponent = (envelope + consts.a) * u_arr
+            exponent = (envelope + derived_constants(params).a) * u_arr
         out = np.where(u_arr >= 0, _exp(exponent), 0.0)
         return complex(out[()]) if u_arr.ndim == 0 else out
-    return _round_trip_sum(u_arr, -params.r_m * params.gamma / 2.0, params.tau, envelope)
+    return _round_trip_sum(u_arr, b, tau, envelope)
+
+
+def _series_key(params: SystemParams) -> tuple[complex, float, complex]:
+    """(b, tau, envelope) = (-r_m Gamma / 2, tau, -i Omega) in doubles, the series' `_plan` key."""
+    envelope = -1j * derived_constants(params).omega_complex
+    return -params.r_m * params.gamma / 2.0, float(params.tau), complex(envelope)
 
 
 # A delay below the smallest normal double acts as none: |a tau| < 2.2e-308 there, so
@@ -542,7 +545,7 @@ def excitation_curve(params: SystemParams, times) -> ExcitationCurve:
 def _longtime_pole(params: SystemParams) -> tuple[complex, complex]:
     """(xi, xi0) = (W_0(a tau) / tau, 1 / (1 + W_0(a tau))), the pole of
     1 / (s - a exp(-s tau)) with the largest real part and its residue; (a, 1)
-    without a lattice (tau < _NO_DELAY) or a mirror (a = 0); W_0 is the plan's.
+    without a lattice (tau < _NO_DELAY) or a mirror (a = 0); z and W_0 are the `_plan`'s.
 
     Raises:
         NoLongtimeSolution: If a tau is not finite, or real (to _REAL_AXIS)
@@ -552,16 +555,15 @@ def _longtime_pole(params: SystemParams) -> tuple[complex, complex]:
     consts, tau = derived_constants(params), params.tau
     if tau < _NO_DELAY or consts.a == 0:
         return consts.a, 1.0 + 0j
-    z = _pole_argument(-params.r_m * params.gamma / 2.0, tau, -1j * consts.omega_complex)
-    if not cmath.isfinite(z):
+    plan = _plan(*_series_key(params))
+    if plan.w0 is None:
         raise NoLongtimeSolution("a tau exceeds the double range")
-    if math.e * z.real <= -1.0 and abs(z.imag) <= _REAL_AXIS * abs(z):
+    if math.e * plan.z.real <= -1.0 and abs(plan.z.imag) <= _REAL_AXIS * abs(plan.z):
         raise NoLongtimeSolution(
-            f"a tau = {z.real:.6g} is real and at or below -1/e: two poles share "
+            f"a tau = {plan.z.real:.6g} is real and at or below -1/e: two poles share "
             "the slowest decay, so no single exponential dominates"
         )
-    w0 = _lambert_w(z, 0)
-    return w0 / tau, 1.0 / (1.0 + w0)
+    return plan.w0 / tau, 1.0 / (1.0 + plan.w0)
 
 
 def solve_xi(params: SystemParams) -> complex:

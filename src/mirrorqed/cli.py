@@ -86,8 +86,16 @@ def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarra
             fh.write(rows)
 
 
+def _mirror(args) -> complex:
+    """r_m = --rm exp(i --rm-phase), refused before it is formed unless both flags are finite."""
+    for flag, value in (("--rm", args.rm), ("--rm-phase", args.rm_phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return args.rm * np.exp(1j * args.rm_phase)
+
+
 def _params_from_args(args) -> SystemParams:
-    r_m = args.rm * np.exp(1j * args.rm_phase)
+    r_m = _mirror(args)
     if args.phase is not None:
         return SystemParams.from_round_trip_phase(tau=args.tau, phase=args.phase, r_m=r_m)
     return SystemParams(omega_e=args.omega_e, tau=args.tau, r_m=r_m)
@@ -165,7 +173,7 @@ def run_dressed(args) -> int:
     phases = np.linspace(args.phase_min, args.phase_max, args.phase_points)
     if not np.all(np.diff(phases) > 0):
         raise ValueError("phase grid must be strictly increasing")
-    r_m = args.rm * np.exp(1j * args.rm_phase)
+    r_m = _mirror(args)
     system = SystemParams(omega_e=0.0, tau=1.0, r_m=r_m)  # checks r_m for every phase
     rates = [_dressed_rates(system.r_m, phase, system.gamma) for phase in phases.tolist()]
     grid = {"phase_min": args.phase_min, "phase_max": args.phase_max, "points": args.phase_points}

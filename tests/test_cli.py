@@ -540,6 +540,14 @@ REFUSALS = [
     ("spectrum --tau 10 --omega-e 1e308 --rm -0.5", PHASE_OVERFLOW),
     ("excitation --tau inf --phase 1 --rm -0.5",
      "from_round_trip_phase requires 0 < tau < inf, got inf; pass omega_e directly"),
+    # a mirror with no value: these warned in np.exp or in the product and then
+    # blamed |r_m|, or ended in a traceback with warnings as errors
+    ("excitation --tau 1 --phase 1 --rm -1 --rm-phase inf", "--rm-phase must be finite, got inf"),
+    ("excitation --tau 1 --phase 1 --rm -1 --rm-phase nan", "--rm-phase must be finite, got nan"),
+    ("excitation --tau 1 --phase 1 --rm inf", "--rm must be finite, got inf"),
+    ("dressed --rm -1 --rm-phase nan", "--rm-phase must be finite, got nan"),
+    ("dressed --rm -1 --rm-phase -inf", "--rm-phase must be finite, got -inf"),
+    ("dressed --rm -inf", "--rm must be finite, got -inf"),
     # a ring of 2 N - 3 emissions whose round trip the step cap never reaches
     ("trajectory --tau 1 --phase 1 --rm -1 --boxes 1048578 --tmax 0.001",
      "one round trip of 2 (boxes - 1) steps must fit in 2097152 steps, got boxes = 1048578"),

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from mirrorqed import analytic
 from mirrorqed import (
     Direction,
     SystemParams,
@@ -35,7 +34,7 @@ from mirrorqed import (
     spectrum,
     total_photon_norm,
 )
-from mirrorqed.analytic import _lambert_w, _residues, _round_trip_sum
+from mirrorqed.analytic import _lambert_w, _plan, _round_trip_sum, _series_key
 
 # tau at which a tau = -1/e for phase pi and r_m = -1: tau/2 exp(tau/2) = 1/e
 CRITICAL_TAU = 2 * float(mp.lambertw(1 / mp.e))
@@ -112,8 +111,8 @@ def test_probability_matches_high_precision_causal_sum(case):
 
 def test_causal_only_cases_have_no_residue_plan():
     tau, phase, r_m, _ = REGRESSION_CASES["causal-only-t16.5tau"]
-    params = SystemParams.from_round_trip_phase(tau, phase, r_m)
-    assert _residues(derived_constants(params).a * tau) is None
+    plan = _plan(*_series_key(SystemParams.from_round_trip_phase(tau, phase, r_m)))
+    assert plan.switch == math.inf and plan.branches.size == 0
 
 
 # tau 1400 and 1410 have |a tau| > e^700 (no residue plan, as at tau 1500);
@@ -313,7 +312,7 @@ def test_series_commutes_with_a_permutation_of_its_points(params):
     # change any point's value, on either side of the switch
     tau = params.tau
     planned = params.r_m != 0 and tau >= np.finfo(float).tiny
-    switch = (_residues(derived_constants(params).a * tau).switch if planned else 16) * tau
+    switch = (_plan(*_series_key(params)).switch if planned else 16) * tau
     rng = np.random.default_rng(5)
     lattice = np.arange(0, 40) * tau
     u = np.concatenate([
@@ -396,8 +395,8 @@ def test_lambert_w_far_branches_match_scipy(k):
 def test_residue_plan_branches_are_scipy_branches(tau, phase, r_m):
     # every branch the plan keeps is one W_j(a tau), none twice, W_0 unless it
     # is paired with its merging branch, smallest real part first
-    z = derived_constants(SystemParams.from_round_trip_phase(tau, phase, r_m)).a * tau
-    plan = _residues(z)
+    plan = _plan(*_series_key(SystemParams.from_round_trip_phase(tau, phase, r_m)))
+    z = plan.z
     j = np.arange(-len(plan.branches) - 8, len(plan.branches) + 9)
     candidates = lambertw(z, j)
     kept = []
@@ -435,27 +434,51 @@ def test_tiny_delay_at_long_times():
     assert probabilities == pytest.approx([1.0, 1.0], abs=1e-5)
 
 
-def test_residue_plan_takes_w0_from_the_z_of_solve_xi(monkeypatch):
-    # the series' plan and the long-time pole share one W_0, bit for bit, over
-    # delays from 1e-300 to 1e3 and complex mirrors
-    plans = []
-
-    def recording(z):
-        plans.append(plan := residues(z))
-        return plan
-
-    residues = analytic._residues
-    monkeypatch.setattr(analytic, "_residues", recording)
+def test_residue_plan_takes_w0_from_the_z_of_solve_xi():
+    # the series and the long-time pole build one plan between them and share
+    # its W_0, bit for bit, over delays from 1e-300 to 1e3 and complex mirrors
     rng = np.random.default_rng(29)
     for _ in range(300):
         tau = 10 ** rng.uniform(-300, 3)
         r_m = rng.uniform(0.05, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         params = SystemParams(omega_e=rng.uniform(0, 10), tau=tau, r_m=r_m)
-        plans.clear()
+        _plan.cache_clear()
         round_trip_series(params, 20 * tau)
-        (plan,) = plans
-        assert plan.pair is None  # W_0 is the last branch
-        assert solve_xi(params) == complex(plan.branches[-1]) / tau, params
+        xi = solve_xi(params)
+        assert _plan.cache_info().misses == 1, params
+        plan = _plan(*_series_key(params))
+        assert plan.pair is None and complex(plan.branches[-1]) == plan.w0  # W_0 is the last branch
+        assert xi == plan.w0 / tau, params
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("r_m", [1.0, -1.0, 0.7, -0.7])
+def test_cached_plan_does_not_make_the_series_depend_on_call_order(tau, r_m):
+    # r_m + 0i and r_m - 0i are one cache key; at omega_e 0 their a tau sits on
+    # the real axis with either sign of zero, and whichever system comes first
+    # builds the plan both read
+    systems = [SystemParams(omega_e=0.0, tau=tau, r_m=complex(r_m, zero)) for zero in (0.0, -0.0)]
+    u = np.linspace(0.0, 40 * tau, 401)
+    runs = []
+    for order in (systems, systems[::-1]):
+        _plan.cache_clear()
+        runs.append({math.copysign(1.0, p.r_m.imag): round_trip_series(p, u).tobytes()
+                     for p in order})
+    assert runs[0] == runs[1]
+    assert len(set(runs[0].values())) == 1
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.array])
+def test_cached_plan_is_keyed_by_the_doubles_of_a_system(kind):
+    # tau and omega_e as float32 or 0-d arrays hold the doubles of the float
+    # system and make an equal cache key; the series takes them as doubles, so
+    # either call order gives the float system's bytes
+    u = np.linspace(0.0, 40.0, 401)
+    plain = SystemParams(omega_e=1.5, tau=1.0, r_m=-0.5)
+    other = SystemParams(omega_e=kind(1.5), tau=kind(1.0), r_m=-0.5)
+    for order in ((plain, other), (other, plain)):
+        _plan.cache_clear()
+        assert len({round_trip_series(p, u).tobytes() for p in order}) == 1
 
 
 @pytest.mark.parametrize("tau, r_m", [(1e-5, 1e-320), (1e-200, 1e-200), (1e-5, 1e-316)])
