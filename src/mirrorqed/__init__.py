@@ -44,7 +44,6 @@ from .wavepacket import (
     Spectrum,
     field_amplitude,
     laplace_spectrum,
-    photon_density,
     spatial_profile,
     spectrum,
     total_photon_norm,
@@ -88,7 +87,6 @@ __all__ = [
     "field_amplitude",
     "laplace_spectrum",
     "mirror_coefficients",
-    "photon_density",
     "pp_add",
     "pp_eval",
     "pp_integrate",

@@ -28,9 +28,10 @@ sum has no cancellation but needs many branches at small t / tau.  Each
 point therefore takes the causal sum while it has fewer lattice terms than
 a switch of 16 (lowered, down to 8, where the estimated cancellation
 sum |term| / |f| ~ exp((W_0(|a| tau) - Re W_0(a tau)) t / tau) would pass
-1e4), and the residue sum beyond.  One cached plan per system holds z = a tau,
-W_0 and that sum's W_j of branches |j| <= J (J set by |W_0| and the switch),
-each kept where it exceeds 1e-17 of the W_0 term; the long-time pole reads it.
+1e4), and the residue sum beyond.  One cached plan per system holds z = a tau
+and W_0, which the long-time pole reads, and builds on the residue sum's first
+use that sum's W_j of branches |j| <= J (J set by |W_0| and the switch), each
+kept where it exceeds 1e-17 of the W_0 term.
 The envelope exp(-i Omega t) enters every exponent, so growing terms never
 overflow while the amplitude stays bounded.  Causal term k takes it in local
 time v = t - k tau, as b^k v^k / k! exp(-i Omega v) with the bounded
@@ -167,55 +168,63 @@ class _Plan:
     shared through the cache by every caller, so its arrays are only read.
 
     z is complex infinity past the double range, with w0 None; past |z| = e^700 no branch is
-    kept and `switch` is inf.  `branches` holds the W_j smallest real part first; past
-    x = u / tau = `reach` each stays below 1e-17 of the W_0 term, which reaches every point.
-    `pair` is q = 2 (1 + e z) where W_0 and its merging branch are summed in closed form.
+    kept and `switch` is inf.  `pair` is q = 2 (1 + e z) where W_0 and its merging branch are
+    summed in closed form.  The branches are built on first use (`branches`), so the
+    long-time pole, which reads z and W_0 alone, never pays for them.
     """
 
     z: complex
     w0: complex | None
     switch: float
-    branches: np.ndarray
-    reach: np.ndarray
     pair: complex | None
+
+    @functools.cached_property
+    def branches(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W_j, reach): the kept W_j, smallest real part first, and for each the x = u / tau
+        past which it stays below 1e-17 of the W_0 term, which reaches every point."""
+        if self.switch == math.inf:
+            return np.empty(0, dtype=complex), np.empty(0)
+        z, w0 = self.z, self.w0
+        # |exp(W_j x)| = (|z| / |W_j|)^x with |W_j| ~ 2 pi |j|, so past `count`
+        # branches every term is below 1e-17 of the W_0 term at all x >= switch
+        # (a z that underflowed to 0 keeps W_0 = 0 alone: every other Re W_j < -744)
+        count = math.ceil(abs(w0) * 10.0 ** (17.0 / self.switch) / (2.0 * math.pi)) + 1 if z else 0
+        merging = -1 if z.imag >= 0 else 1
+        lead = 17.0 * math.log(10.0) + math.log(max(1.0, abs(1.0 + w0)))
+        kept = []
+        for j in range(-count, count + 1):
+            if j == 0 or (j == merging and self.pair is not None):
+                continue
+            w = _lambert_w(z, j)
+            drop = w0.real - w.real
+            end = (lead - math.log(abs(1.0 + w))) / drop if drop > 0 else math.inf
+            if end > self.switch:
+                kept.append((w, end))
+        if self.pair is None:
+            kept.append((w0, math.inf))
+        kept.sort(key=lambda branch: branch[0].real)
+        return np.array([w for w, _ in kept], dtype=complex), np.array([end for _, end in kept])
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _plan(b: complex, tau: float, envelope: complex) -> _Plan:
-    """The `_Plan` of the series at b, tau, envelope (`_series_key`): a = b exp(-envelope tau)."""
+    """The `_Plan` of the series at b, tau, envelope (`_series_key`): a = b exp(-envelope tau).
+
+    z, W_0(z), the switch and the pair are set here; the branches wait for the residue sum.
+    """
     exponent = -envelope * tau
     z = b * cmath.exp(exponent) * tau if exponent.real <= 709.0 else complex(math.inf, math.inf)
     w0 = _lambert_w(z, 0) if cmath.isfinite(z) else None
     if not abs(z) <= math.exp(700.0):
-        return _Plan(z, w0, math.inf, np.empty(0, dtype=complex), np.empty(0), None)
+        return _Plan(z, w0, math.inf, None)
     # sum |causal terms| is the series at |a|, ~ exp(W_0(|a| tau) x), while
     # the sum itself is ~ exp(W_0(a tau) x)
     gap = _lambert_w(abs(z), 0).real - w0.real
     switch = _SWITCH_MAX
     if gap * _SWITCH_MAX > math.log(_CANCELLATION_MAX):
         switch = max(_SWITCH_MIN, int(math.log(_CANCELLATION_MAX) / gap))
-    # |exp(W_j x)| = (|z| / |W_j|)^x with |W_j| ~ 2 pi |j|, so past `count`
-    # branches every term is below 1e-17 of the W_0 term at all x >= switch
-    # (a z that underflowed to 0 keeps W_0 = 0 alone: every other Re W_j < -744)
-    count = math.ceil(abs(w0) * 10.0 ** (17.0 / switch) / (2.0 * math.pi)) + 1 if z else 0
     q = 2.0 * (1.0 + math.e * z)
-    pair = q if abs(q) < _PAIR_Q else None
-    merging = -1 if z.imag >= 0 else 1
-    lead = 17.0 * math.log(10.0) + math.log(max(1.0, abs(1.0 + w0)))
-    kept = []
-    for j in range(-count, count + 1):
-        if j == 0 or (j == merging and pair is not None):
-            continue
-        w = _lambert_w(z, j)
-        drop = w0.real - w.real
-        end = (lead - math.log(abs(1.0 + w))) / drop if drop > 0 else math.inf
-        if end > switch:
-            kept.append((w, end))
-    if pair is None:
-        kept.append((w0, math.inf))
-    kept.sort(key=lambda branch: branch[0].real)
-    return _Plan(z, w0, switch, np.array([w for w, _ in kept], dtype=complex),
-                 np.array([end for _, end in kept]), pair)
+    return _Plan(z, w0, switch, q if abs(q) < _PAIR_Q else None)
 
 
 def _exp(exponent):
@@ -239,8 +248,9 @@ def _residue_sum(u: np.ndarray, x: np.ndarray, tau: float, envelope: complex,
     them), so each branch only touches the prefix of points before its reach.
     """
     total = np.zeros(u.shape, dtype=complex)
+    branches, reach = plan.branches
     # W_0's infinite reach takes every point, also where x = u / tau is inf
-    for w, end in zip(plan.branches, np.searchsorted(x, plan.reach, side="right")):
+    for w, end in zip(branches, np.searchsorted(x, reach, side="right")):
         with np.errstate(over="ignore"):
             term = (w / tau + envelope) * u[:end]
         term = _exp(term)
@@ -303,7 +313,7 @@ def _causal_sum(u: np.ndarray, b: complex, tau: float, envelope: complex) -> np.
     return total
 
 
-def _round_trip_sum(u, b: complex, tau: float, envelope: complex = 0j):
+def _round_trip_sum(u, b: complex, tau: float, envelope: complex):
     """f(u) exp(envelope u) with f the causal round-trip sum; 0 where u < 0.
 
     a = b exp(-envelope tau) enters as b, one round trip's bounded factor in
@@ -365,9 +375,10 @@ def round_trip_series(params: SystemParams, u):
 
 
 def _series_key(params: SystemParams) -> tuple[complex, float, complex]:
-    """(b, tau, envelope) = (-r_m Gamma / 2, tau, -i Omega) in doubles, the series' `_plan` key."""
+    """(b, tau, envelope) = (-r_m Gamma / 2, tau, -i Omega), the series' `_plan` key; doubles,
+    as `SystemParams` stores them."""
     envelope = -1j * derived_constants(params).omega_complex
-    return -params.r_m * params.gamma / 2.0, float(params.tau), complex(envelope)
+    return -params.r_m * params.gamma / 2.0, params.tau, envelope
 
 
 # A delay below the smallest normal double acts as none: |a tau| < 2.2e-308 there, so

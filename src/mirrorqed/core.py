@@ -16,6 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 UNITARITY_TOL = 1e-9
+_SNAP_TOL = 1e-9  # relative distance from the lattice that `pp_snap` takes as drift
 
 
 class Direction(IntEnum):
@@ -28,6 +29,10 @@ class Direction(IntEnum):
 @dataclass(frozen=True)
 class SystemParams:
     """Configuration of the emitter-mirror system in Gamma-normalized units.
+
+    `omega_e` and `tau` are stored as floats and `r_m` as a complex, whatever
+    numeric type the caller passes; a value that float() refuses or overflows
+    on is a ValueError.
 
     Attributes:
         omega_e: Emitter transition frequency (units of Gamma).
@@ -45,12 +50,18 @@ class SystemParams:
     gamma: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
+        for name in ("omega_e", "tau"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
         object.__setattr__(self, "r_m", complex(self.r_m))
         if not self.tau >= 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         if not 0 <= self.omega_e < math.inf:
             raise ValueError(f"omega_e must be finite and non-negative, got {self.omega_e}")
-        if self.tau < math.inf and not math.isfinite(float(self.omega_e) * float(self.tau)):
+        if self.tau < math.inf and not math.isfinite(self.omega_e * self.tau):
             raise ValueError(f"omega_e tau must be finite at a finite tau, got omega_e = "
                              f"{self.omega_e} and tau = {self.tau}")
         if not abs(self.r_m) <= 1 + UNITARITY_TOL:
@@ -225,12 +236,10 @@ def pp_eval(p: PiecewisePolynomial, t):
     return complex(out[()]) if t_arr.ndim == 0 else out
 
 
-def pp_integrate(p: PiecewisePolynomial, from_zero: bool = True) -> PiecewisePolynomial:
-    """Antiderivative of p with exact coefficients, continuous across breakpoints.
+def pp_integrate(p: PiecewisePolynomial) -> PiecewisePolynomial:
+    """Running integral of p from 0, with exact coefficients, continuous across breakpoints.
 
-    With from_zero the constant is fixed so the result vanishes at t = 0,
-    i.e. it returns the running integral from 0; otherwise it vanishes at the
-    first breakpoint.
+    The constant is fixed so that the result vanishes at t = 0.
     """
     segments = []
     const = 0j
@@ -240,8 +249,7 @@ def pp_integrate(p: PiecewisePolynomial, from_zero: bool = True) -> PiecewisePol
         if j + 1 < len(p.breakpoints):
             const = complex(_poly_eval(anti, p.breakpoints[j + 1] - p.breakpoints[j]))
     q = PiecewisePolynomial(p.breakpoints, tuple(segments))
-    anchor = 0.0 if from_zero else p.breakpoints[0]
-    offset = pp_eval(q, anchor)
+    offset = pp_eval(q, 0.0)
     if offset != 0:
         segments = [(seg[0] - offset,) + seg[1:] for seg in q.segments]
         q = PiecewisePolynomial(p.breakpoints, tuple(segments))
@@ -286,12 +294,13 @@ def pp_add(p: PiecewisePolynomial, q: PiecewisePolynomial) -> PiecewisePolynomia
     return PiecewisePolynomial(tuple(merged), tuple(segments))
 
 
-def pp_snap(p: PiecewisePolynomial, spacing: float, rel_tol: float = 1e-9) -> PiecewisePolynomial:
+def pp_snap(p: PiecewisePolynomial, spacing: float) -> PiecewisePolynomial:
     """Snap breakpoints onto the lattice k * spacing.
 
     Breakpoints are meant to be integer multiples of the round-trip time;
     snapping recomputes each one as round(b/spacing) * spacing so repeated
-    shifts never accumulate rounding drift.
+    shifts never accumulate rounding drift.  A breakpoint is snapped when it
+    lies within _SNAP_TOL * max(spacing, 1) of its lattice point.
     """
     if spacing <= 0:
         return p
@@ -299,5 +308,5 @@ def pp_snap(p: PiecewisePolynomial, spacing: float, rel_tol: float = 1e-9) -> Pi
     for b in p.breakpoints:
         k = round(b / spacing)
         lattice = k * spacing
-        snapped.append(lattice if abs(b - lattice) <= rel_tol * max(spacing, 1.0) else b)
+        snapped.append(lattice if abs(b - lattice) <= _SNAP_TOL * max(spacing, 1.0) else b)
     return PiecewisePolynomial(tuple(snapped), p.segments)

@@ -145,22 +145,10 @@ def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
 
     Vectorized over x; returns 0 outside the light cone and outside each
     component's support, x = +-inf included, and refuses a nan x (ValueError).
+    Its squared modulus is the photon's probability density per unit length.
     """
     *_, amp = _field(params, np.asarray(x, dtype=float), direction, t)
     return amp if amp.ndim else complex(amp)
-
-
-def photon_density(params: SystemParams, x, direction: Direction, t: float):
-    """Probability density per unit length for a photon at (x, direction, t).
-
-    Covers all regions: interfering direct plus reflected left-movers for
-    x < 0, reflected-only left-movers between emitter and mirror, right-movers
-    before the mirror, and the transmitted tail (amplitude carrying t_m)
-    behind it.  Zero outside the light cone.
-    """
-    amp = field_amplitude(params, x, direction, t)
-    density = np.abs(np.asarray(amp)) ** 2
-    return float(density[()]) if np.asarray(x).ndim == 0 else density
 
 
 def spatial_profile(

@@ -41,7 +41,7 @@ def params_with_feedback(a, tau):
 
 def series_at(u, a, tau):
     """The round-trip series at a bare feedback constant a != 0 and delay tau > 0."""
-    return _round_trip_sum(u, a, tau)
+    return _round_trip_sum(u, a, tau, 0j)
 
 
 def residue_at(u, a, tau):
@@ -70,7 +70,7 @@ def brute_force_series(u, a, tau):
 def test_series_no_feedback_is_one():
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=0)
     u = np.linspace(0.0, 10.0, 11)
-    assert np.all(_round_trip_sum(u, derived_constants(params).a, params.tau) == 1.0)
+    assert np.all(_round_trip_sum(u, derived_constants(params).a, params.tau, 0j) == 1.0)
     free = np.exp(-1j * derived_constants(params).omega_complex * u)
     assert np.max(np.abs(round_trip_series(params, u) - free)) < 1e-15
 
@@ -78,7 +78,7 @@ def test_series_no_feedback_is_one():
 def test_series_negative_argument_is_zero():
     params = params_for(1.0, 0.3, -0.5)
     assert round_trip_series(params, -0.5) == 0.0
-    assert _round_trip_sum(-0.5, derived_constants(params).a, params.tau) == 0.0
+    assert _round_trip_sum(-0.5, derived_constants(params).a, params.tau, 0j) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mirrorqed
 from mirrorqed import (
+    Direction,
     PiecewisePolynomial,
     SystemParams,
     derived_constants,
@@ -23,6 +24,10 @@ from mirrorqed import (
     pp_scale,
     pp_shift,
     pp_snap,
+    round_trip_series,
+    solve_xi,
+    spatial_profile,
+    total_photon_norm,
 )
 
 
@@ -178,6 +183,35 @@ def test_params_accept_infinite_delay():
     assert params.tau == math.inf
 
 
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32, int, np.array])
+def test_params_store_omega_e_and_tau_as_floats(kind):
+    # a float32 tau gave a complex64 from solve_xi, and a 0-d array tau failed
+    # in spatial_profile, where the delay is a dict key: every path takes doubles
+    omega_e, tau = kind(3), kind(1)
+    params = SystemParams(omega_e=omega_e, tau=tau, r_m=-0.5)
+    plain = SystemParams(omega_e=float(omega_e), tau=float(tau), r_m=-0.5)
+    assert type(params.omega_e) is float and type(params.tau) is float
+
+    def outputs(p):
+        u = np.linspace(0.0, 20.0, 41)
+        x = np.linspace(-6.0, 1.0, 41)
+        return ([np.asarray(solve_xi(p)).tobytes(), round_trip_series(p, u).tobytes(),
+                 np.asarray(total_photon_norm(p, 5.0)).tobytes()]
+                + [spatial_profile(p, 5.0, x, d).density.tobytes() for d in Direction])
+
+    assert outputs(params) == outputs(plain)
+
+
+@pytest.mark.parametrize("field", ["omega_e", "tau"])
+@pytest.mark.parametrize("value", [10**400, "one", None, 1j, np.array([1.0, 2.0])],
+                         ids=["10**400", "str", "None", "complex", "array"])
+def test_params_refuse_what_float_refuses(field, value):
+    # 10**400 used to raise OverflowError from the omega_e tau check
+    kwargs = {"omega_e": 1.0, "tau": 1.0, "r_m": -0.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        SystemParams(**kwargs)
+
+
 def test_params_derives_transmission():
     params = SystemParams(omega_e=1.0, tau=1.0, r_m=-0.5)
     assert params.t_m == pytest.approx(math.sqrt(0.75), abs=1e-15)
@@ -248,7 +282,7 @@ def test_pp_validation():
 
 
 def test_pp_integrate_constant_gives_ramp():
-    ramp = pp_integrate(_constant_one(), from_zero=True)
+    ramp = pp_integrate(_constant_one())
     assert ramp.segments == ((0j, 1.0 + 0j),)
     assert ramp(2.5) == pytest.approx(2.5)
 
@@ -263,7 +297,7 @@ def test_pp_integrate_delayed_segment():
     # segment (t - tau) starting at tau integrates to (t - tau)^2 / 2 from tau on
     tau = 0.7
     p = PiecewisePolynomial((0.0, tau), ((0j,), (0j, 1.0 + 0j)))
-    q = pp_integrate(p, from_zero=True)
+    q = pp_integrate(p)
     rng = np.random.default_rng(3)
     for t in rng.uniform(0.0, 4.0, size=50):
         expected = 0.5 * (t - tau) ** 2 if t >= tau else 0.0
@@ -396,7 +430,7 @@ PUBLIC_NAMES = [
     "ensemble_average", "excitation_amplitude_exact",
     "excitation_curve", "excitation_probability_exact", "excitation_probability_longtime",
     "excitation_probability_markovian", "field_amplitude", "laplace_spectrum",
-    "mirror_coefficients", "photon_density", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",
+    "mirror_coefficients", "pp_add", "pp_eval", "pp_integrate", "pp_scale", "pp_shift",
     "pp_snap", "round_trip_series", "run_trajectory", "solve_longtime", "solve_xi",
     "spatial_profile", "spectrum", "total_photon_norm", "trajectory_rng",
 ]

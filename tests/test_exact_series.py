@@ -7,6 +7,7 @@ precision well past the digits its cancellation eats.
 """
 
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -42,7 +43,7 @@ CRITICAL_TAU = 2 * float(mp.lambertw(1 / mp.e))
 
 def series_at(u, a, tau):
     """The round-trip series at a bare feedback constant a != 0 and delay tau > 0."""
-    return _round_trip_sum(u, a, tau)
+    return _round_trip_sum(u, a, tau, 0j)
 
 
 def causal_reference(a, tau, u, digits=25):
@@ -112,7 +113,7 @@ def test_probability_matches_high_precision_causal_sum(case):
 def test_causal_only_cases_have_no_residue_plan():
     tau, phase, r_m, _ = REGRESSION_CASES["causal-only-t16.5tau"]
     plan = _plan(*_series_key(SystemParams.from_round_trip_phase(tau, phase, r_m)))
-    assert plan.switch == math.inf and plan.branches.size == 0
+    assert plan.switch == math.inf and plan.branches[0].size == 0
 
 
 # tau 1400 and 1410 have |a tau| > e^700 (no residue plan, as at tau 1500);
@@ -396,18 +397,18 @@ def test_residue_plan_branches_are_scipy_branches(tau, phase, r_m):
     # every branch the plan keeps is one W_j(a tau), none twice, W_0 unless it
     # is paired with its merging branch, smallest real part first
     plan = _plan(*_series_key(SystemParams.from_round_trip_phase(tau, phase, r_m)))
-    z = plan.z
-    j = np.arange(-len(plan.branches) - 8, len(plan.branches) + 9)
+    z, (branches, _) = plan.z, plan.branches
+    j = np.arange(-len(branches) - 8, len(branches) + 9)
     candidates = lambertw(z, j)
     kept = []
-    for w in plan.branches:
+    for w in branches:
         nearest = int(np.argmin(np.abs(candidates - w)))
         assert abs(w - candidates[nearest]) <= 1e-13 * abs(candidates[nearest]), (w, j[nearest])
         kept.append(int(j[nearest]))
     assert len(set(kept)) == len(kept)
     merging = -1 if z.imag >= 0 else 1
     assert 0 in kept if plan.pair is None else not {0, merging} & set(kept)
-    assert np.all(np.diff(plan.branches.real) >= 0)
+    assert np.all(np.diff(branches.real) >= 0)
 
 
 @pytest.mark.parametrize("tau", [1e-307, 1e-309, 1e-310, 5e-324])
@@ -447,8 +448,37 @@ def test_residue_plan_takes_w0_from_the_z_of_solve_xi():
         xi = solve_xi(params)
         assert _plan.cache_info().misses == 1, params
         plan = _plan(*_series_key(params))
-        assert plan.pair is None and complex(plan.branches[-1]) == plan.w0  # W_0 is the last branch
+        # W_0 is the last branch
+        assert plan.pair is None and complex(plan.branches[0][-1]) == plan.w0
         assert xi == plan.w0 / tau, params
+
+
+def test_long_time_pole_leaves_the_branches_unbuilt():
+    # solve_xi reads z and W_0 alone; building the 1582 branches at tau 1000 takes ms
+    params = SystemParams.from_round_trip_phase(1000.0, 2.0, -0.5)
+    _plan.cache_clear()
+    solve_xi(params)
+    plan = _plan(*_series_key(params))
+    assert "branches" not in vars(plan)
+    round_trip_series(params, 20 * 1000.0)
+    assert "branches" in vars(plan) and plan.branches[0].size > 1000
+
+
+# sha256 of round_trip_series on 201 points to 40 round trips at phase 2, r_m -0.5,
+# as the plan gave them when it built every branch with z and W_0
+EAGER_PLAN_DIGESTS = {
+    1.0: "41ff0e64626d0a8cbad9178f90d6c552ddc9e0cbbb70cbbb77aed39a1e4c412c",
+    100.0: "bf691f36e18bdf8f01513e43b6fc566b6f3d0e6aac4dc3566991f264bd4fa8e9",
+}
+
+
+@pytest.mark.parametrize("tau", sorted(EAGER_PLAN_DIGESTS))
+def test_lazy_branches_keep_the_series_bytes(tau):
+    params = SystemParams.from_round_trip_phase(tau, 2.0, -0.5)
+    _plan.cache_clear()
+    solve_xi(params)  # the plan first built without its branches
+    series = round_trip_series(params, np.linspace(0.0, 40 * tau, 201))
+    assert hashlib.sha256(series.tobytes()).hexdigest() == EAGER_PLAN_DIGESTS[tau]
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0, 10.0])

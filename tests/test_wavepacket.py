@@ -25,7 +25,6 @@ from mirrorqed import (
     excitation_probability_exact,
     field_amplitude,
     laplace_spectrum,
-    photon_density,
     spatial_profile,
     spectrum,
     total_photon_norm,
@@ -136,16 +135,16 @@ def test_left_amplitude_domain_errors():
 def test_density_vanishes_outside_light_cone():
     params = params_for(1.0, math.pi, -1)
     t = 1.5
-    assert photon_density(params, 2.0, Direction.RIGHT, t) == 0.0
-    assert photon_density(params, -2.0, Direction.LEFT, t) == 0.0
-    assert photon_density(params, -1.0, Direction.RIGHT, t) == 0.0
+    assert np.abs(field_amplitude(params, 2.0, Direction.RIGHT, t)) ** 2 == 0.0
+    assert np.abs(field_amplitude(params, -2.0, Direction.LEFT, t)) ** 2 == 0.0
+    assert np.abs(field_amplitude(params, -1.0, Direction.RIGHT, t)) ** 2 == 0.0
 
 
 def test_density_free_space_profile():
     params = SystemParams(omega_e=1.0, tau=2.0, r_m=0)
     t = 3.0
     x = -1.2
-    assert photon_density(params, x, Direction.LEFT, t) == pytest.approx(
+    assert np.abs(field_amplitude(params, x, Direction.LEFT, t)) ** 2 == pytest.approx(
         0.5 * math.exp(-(x + t)), rel=1e-12
     )
 
@@ -153,14 +152,14 @@ def test_density_free_space_profile():
 def test_density_transmitted_carries_tm():
     params = params_for(1.0, math.pi, -0.6)
     t = 2.0
-    inside = photon_density(params, 0.49999, Direction.RIGHT, t)
-    outside = photon_density(params, 0.50001, Direction.RIGHT, t)
+    inside = np.abs(field_amplitude(params, 0.49999, Direction.RIGHT, t)) ** 2
+    outside = np.abs(field_amplitude(params, 0.50001, Direction.RIGHT, t)) ** 2
     assert outside / inside == pytest.approx(params.t_m**2, rel=1e-3)
 
 
 def test_density_no_left_movers_behind_mirror():
     params = params_for(1.0, math.pi, -0.6)
-    assert photon_density(params, 0.7, Direction.LEFT, 3.0) == 0.0
+    assert np.abs(field_amplitude(params, 0.7, Direction.LEFT, 3.0)) ** 2 == 0.0
 
 
 def test_field_components_interfere_left_of_emitter():
@@ -270,7 +269,8 @@ def test_norm_gauss_panels_match_adaptive_quadrature():
         adaptive = 0.0
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             val, err = quad(
-                lambda x: photon_density(params, x, direction, t), lo, hi, limit=200
+                lambda x: np.abs(field_amplitude(params, x, direction, t)) ** 2, lo, hi,
+                limit=200,
             )
             adaptive += val
         nodes_based = total_photon_norm(params, t) - excitation_probability_exact(
@@ -405,7 +405,7 @@ def every_kink_norm(params, t):
     for direction in Direction:
         breaks = set_based_breaks(params, t, direction, kinks)
         xs, ws = linspace_panels(breaks[:-1], breaks[1:], 64, 0.5)
-        total += float(np.dot(ws, photon_density(params, xs, direction, t)))
+        total += float(np.dot(ws, np.abs(field_amplitude(params, xs, direction, t)) ** 2))
     return total
 
 
@@ -804,8 +804,8 @@ def test_norm_near_trapping_at_the_cap():
 
 @pytest.mark.parametrize("direction", list(Direction))
 @pytest.mark.parametrize("evaluate", [
-    field_amplitude, photon_density, lambda params, x, d, t: spatial_profile(params, t, x, d),
-], ids=["field_amplitude", "photon_density", "spatial_profile"])
+    field_amplitude, lambda params, x, d, t: spatial_profile(params, t, x, d),
+], ids=["field_amplitude", "spatial_profile"])
 def test_nan_positions_are_refused(evaluate, direction):
     params = params_for(1.0, 1.0, -0.5)
     for x in (math.nan, [math.nan, 0.5]):
@@ -824,9 +824,9 @@ def test_a_direction_is_a_member_or_its_value():
                 == field_amplitude(params, x, direction, 2.0).tobytes())
         profile = spatial_profile(params, 2.0, x, value)
         assert profile.direction is direction
-        assert profile.density.tobytes() == photon_density(params, x, direction, 2.0).tobytes()
-    for evaluate in (field_amplitude, photon_density,
-                     lambda params, x, d, t: spatial_profile(params, t, x, d)):
+        density = np.abs(field_amplitude(params, x, direction, 2.0)) ** 2
+        assert profile.density.tobytes() == density.tobytes()
+    for evaluate in (field_amplitude, lambda params, x, d, t: spatial_profile(params, t, x, d)):
         for direction in ("left", 0):
             with pytest.raises(ValueError, match="is not a valid Direction"):
                 evaluate(params, x, direction, 2.0)
@@ -842,7 +842,7 @@ def test_infinite_positions_hold_no_photon():
         profile = spatial_profile(params, 2.0, positions, direction)
         assert profile.amplitudes.tolist() == [0j, 0j]
         assert profile.region_index.tolist() == regions
-        assert photon_density(params, math.inf, direction, 2.0) == 0.0
+        assert np.abs(field_amplitude(params, math.inf, direction, 2.0)) ** 2 == 0.0
 
 
 def test_spatial_profile_counts_round_trips_past_the_double_range():
@@ -862,7 +862,8 @@ def test_spatial_profile_counts_round_trips_past_the_double_range():
         profile = spatial_profile(params, t, positions, direction)
         assert profile.region_index.dtype == np.int64
         assert profile.region_index.tolist() == regions
-        assert np.array_equal(profile.density, photon_density(params, positions, direction, t))
+        density = np.abs(field_amplitude(params, positions, direction, t)) ** 2
+        assert np.array_equal(profile.density, density)
 
 
 # ---------------------------------------------------------------------------
