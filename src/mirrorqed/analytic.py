@@ -458,7 +458,9 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     is ever recomputed and none can drift.  The last row stays exact because
     I has no kink above the last kink of c_n.  For tau = 0 the table is one
     row that is its own delayed copy; for tau = inf no loop returns.  The
-    result has breakpoints k tau and agrees with the closed form.
+    result has breakpoints k tau and agrees with the closed form at every
+    finite t >= 0.  Below 0 it extends segment 0 (c_0(-1) = 1, where the
+    closed form gives 0), and it refuses a t that is not finite (`pp_eval`).
     """
     m = _loop_count(n)
     tau = params.tau

@@ -221,9 +221,11 @@ def pp_eval(p: PiecewisePolynomial, t):
     Each point gathers its segment's row of a zero-padded coefficient table,
     and one Horner pass covers all points.  The leading zero steps leave the
     accumulator at +0, so every point sees exactly its own segment's Horner
-    recurrence.
+    recurrence.  Refuses a t that is not finite (ValueError).
     """
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("t must be finite")
     breakpoints = np.asarray(p.breakpoints)
     idx = np.clip(np.searchsorted(breakpoints, t_arr, side="right") - 1, 0, None)
     width = p.degree + 1

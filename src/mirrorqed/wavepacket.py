@@ -20,6 +20,7 @@ photon is never complete.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,20 +43,13 @@ class EmitterNotDecayed(ValueError):
 class SpatialProfile:
     """Photon probability density per unit length sampled on a position grid.
 
-    `region_index` is the number of completed round trips n that labels the
-    interval each sample falls into: -c t + n d <= x < -c t + (n+1) d for
-    left-movers and c t - (n+1) d < x <= c t - n d for right-movers, with
-    d = c tau.  It is -1 outside the light cone: x < -c t for left-movers,
-    and x < 0 or x > c t for right-movers.  A delay below the smallest normal
-    double labels every sample inside 0, as tau = 0 does, and a count past
-    the int64 range saturates at np.iinfo(np.int64).max.
+    `amplitudes` is `field_amplitude` at `positions` and `density` |amplitudes|^2.
     """
 
     positions: np.ndarray
     amplitudes: np.ndarray
     density: np.ndarray
     direction: Direction
-    region_index: np.ndarray
     time: float
 
 
@@ -77,11 +71,6 @@ class Spectrum:
     spacing: float
 
 
-def _light_cone(x: np.ndarray, s: np.ndarray, direction: Direction) -> np.ndarray:
-    """Where a photon emitted at time s can be: s >= 0, and x >= 0 for right-movers."""
-    return (s >= 0) if direction is Direction.LEFT else (x >= 0) & (s >= 0)
-
-
 def _components(params: SystemParams, x: np.ndarray, s: np.ndarray, direction: Direction):
     """Region table at positions x with emission times s: rows (support, delay, weight).
 
@@ -89,16 +78,18 @@ def _components(params: SystemParams, x: np.ndarray, s: np.ndarray, direction: D
     the emitter amplitude at the retarded emission time, and the weight
     carries -i g / c: left-movers take delay 0 (direct) or tau (reflected,
     r_m), right-movers delay 0, weight 1 before the mirror and t_m behind it.
+    Every row lies in the light cone: s >= 0, and x >= 0 for right-movers.
     The caller forms s from x (x + t, or t - x for right-movers) or x from s.
     Boundary points use the convention Theta(0) = 1, except that the mirror
     position x = d/2 belongs to the transmitted region for right-movers and
     to the reflected region for left-movers (no double counting).
     """
     half_d = params.tau / 2.0  # emitter-mirror distance, c = 1
-    cone = _light_cone(x, s, direction)
+    cone = (s >= 0) if direction is Direction.LEFT else (x >= 0) & (s >= 0)
     if direction is Direction.LEFT:
+        # s - tau is nan at s = tau = inf (x = +inf), where no reflection returns
         rows = [((x <= 0) & cone, 0.0, 1.0),
-                ((x <= half_d) & (s >= params.tau), params.tau, params.r_m)]
+                ((x <= half_d) & (s >= params.tau) & (s < math.inf), params.tau, params.r_m)]
     else:
         behind = x >= half_d
         rows = [(~behind & cone, 0.0, 1.0), (behind & cone, 0.0, params.t_m)]
@@ -128,50 +119,36 @@ def _amplitudes(params: SystemParams, s: np.ndarray, tables):
         yield amp
 
 
-def _field(params: SystemParams, x: np.ndarray, direction: Direction, t: float):
-    """Emission times, light cone and total amplitude of one direction at positions x."""
-    direction = Direction(direction)  # +-1 name the members; anything else is refused
+def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
+    """Total single-photon amplitude at position(s) x for one direction.
+
+    Vectorized over x; returns 0 outside the light cone and outside each
+    component's support, x = +-inf included.  Refuses (ValueError) a nan x,
+    a direction that is not a Direction or its value, and t outside (0, inf).
+    Its squared modulus is the photon's probability density per unit length.
+    """
+    x = np.asarray(x, dtype=float)
+    direction = Direction(direction)
     if np.isnan(x).any():
         raise ValueError("positions must not be nan")
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     s = x + t if direction is Direction.LEFT else t - x
     (amp,) = _amplitudes(params, s, [_components(params, x, s, direction)])
-    return s, _light_cone(x, s, direction), amp
-
-
-def field_amplitude(params: SystemParams, x, direction: Direction, t: float):
-    """Total single-photon amplitude at position(s) x for one direction.
-
-    Vectorized over x; returns 0 outside the light cone and outside each
-    component's support, x = +-inf included, and refuses a nan x (ValueError).
-    Its squared modulus is the photon's probability density per unit length.
-    """
-    *_, amp = _field(params, np.asarray(x, dtype=float), direction, t)
     return amp if amp.ndim else complex(amp)
 
 
 def spatial_profile(
     params: SystemParams, t: float, positions, direction: Direction
 ) -> SpatialProfile:
-    """Sample the wave packet of one direction on a position grid; refuses a nan position."""
+    """One `field_amplitude` call of one direction on a position grid, and its density."""
     positions = np.asarray(positions, dtype=float)
-    emitted, cone, amplitudes = _field(params, positions, direction, t)
-    if params.tau >= _NO_DELAY:
-        with np.errstate(over="ignore"):  # s / tau past the double range is inf
-            trips = np.floor(emitted / params.tau)
-    else:
-        trips = np.zeros(positions.shape)
-    saturated = trips >= 2.0**63
-    region = np.where(cone & ~saturated, trips, 0.0).astype(np.int64)
-    region[saturated] = np.iinfo(np.int64).max
-    region[~cone] = -1
+    amplitudes = np.asarray(field_amplitude(params, positions, direction, t))
     return SpatialProfile(
         positions=positions,
         amplitudes=amplitudes,
         density=np.abs(amplitudes) ** 2,
         direction=Direction(direction),
-        region_index=region,
         time=t,
     )
 
@@ -195,6 +172,10 @@ def _decay_residual(
     params: SystemParams, t_final: float, sample_count: int, allow_undecayed: bool
 ) -> float:
     """P_e(t_final) for a valid spectrum grid; raises where `spectrum` does."""
+    try:
+        operator.index(sample_count)
+    except TypeError:
+        raise ValueError(f"sample_count must be an integer, got {sample_count!r}") from None
     if sample_count < 2 or sample_count & (sample_count - 1):
         raise ValueError(f"sample_count must be a power of two, got {sample_count}")
     if not 0 < t_final < math.inf:
@@ -298,7 +279,7 @@ def spectrum(
     16384 samples.  Kinks of the field at the round-trip lattice alias too.
 
     Raises:
-        ValueError: Unless sample_count is a power of two, 0 < t_final < inf
+        ValueError: Unless sample_count is an integer power of two, 0 < t_final < inf
             and the spacing t_final / sample_count is a normal double.
         EmitterNotDecayed: If P_e(t_final) > 1e-6, unless `allow_undecayed`
             is set (trapping regimes never decay; their spectrum covers only

@@ -165,6 +165,19 @@ def test_dyson_closed_form_at_a_non_finite_time():
             dyson_coefficient_closed(params, n, math.inf)
 
 
+def test_dyson_iterative_at_a_non_finite_time():
+    # the table's Horner pass gave nan + nan j at nan and +-inf (a RuntimeWarning
+    # at inf); below 0 it extends segment 0, where the closed form is 0
+    params = params_for(1.0, 1.0, -0.5)
+    for n in (0, 2, 4):
+        c_n = dyson_coefficient_iterative(params, n)
+        for t in (math.nan, math.inf, -math.inf, [0.5, math.nan], [math.inf, 0.5]):
+            with pytest.raises(ValueError, match="t must be finite"):
+                c_n(t)
+    assert dyson_coefficient_iterative(params, 0)(-1.0) == 1.0
+    assert dyson_coefficient_closed(params, 0, -1.0) == 0.0
+
+
 def test_dyson_rejects_odd_order():
     params = params_for(1.0, math.pi, -1)
     with pytest.raises(ValueError):

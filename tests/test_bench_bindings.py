@@ -60,6 +60,24 @@ def test_tracer_binds_and_restores_every_name(bench, tmp_path):
     assert metrics["analytic.solve_longtime.ms"] > 0
 
 
+def test_traced_wavepacket_counts_every_field_point(bench, tmp_path):
+    # spatial_profile used to evaluate the field through a private helper, so
+    # the traced field_amplitude counted none of the wavepacket snapshots
+    run, spans = bench
+    package = run.load_package()
+    tracer = spans.Tracer(package)
+    tracer.install()
+    try:
+        code = package["cli"].run([
+            "wavepacket", "--tau", "1", "--phase", "1", "--rm", "-0.5",
+            "--times", "1,2,3", "--xpoints", "7", "--out", str(tmp_path / "wav.csv"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert spans.summarize(tracer.take())["wavepacket.field_amplitude.points"] == 3 * 7
+
+
 def scenario_check(bench, tmp_path, workload, name):
     """The verdict of scenario `name` of `workload` under the benchmark's own check."""
     run, _ = bench

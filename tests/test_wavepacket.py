@@ -1,6 +1,7 @@
 """Tests for the spatial and spectral profiles of the emitted photon."""
 
 import cmath
+import hashlib
 import importlib.util
 import json
 import math
@@ -225,25 +226,19 @@ def test_amplitude_jump_only_at_reflection_front():
         assert abs(hi - lo) < 1e-6
 
 
-def test_spatial_profile_grid_and_regions():
+def test_spatial_profile_grid_and_light_cone():
     params = params_for(1.0, math.pi, -1)
     t = 2.5
     xs = np.linspace(-3.0, -0.01, 500)
     profile = spatial_profile(params, t, xs, Direction.LEFT)
     assert np.allclose(profile.density, np.abs(profile.amplitudes) ** 2)
     assert np.all(profile.density[xs + t < 0] == 0.0)
-    inside = (xs + t >= 0) & (xs < 0)
-    assert np.array_equal(
-        profile.region_index[inside], np.floor((xs[inside] + t) / params.tau).astype(int)
-    )
-    assert np.all(profile.region_index[xs + t < 0] == -1)
-    # right-movers count round trips back from the front at x = c t; points
-    # left of the emitter or beyond the front lie outside the light cone
+    # right-movers are 0 exactly outside the light cone: left of the emitter
+    # or beyond the front at x = c t
     params = params_for(1.0, math.pi, -0.5)
     xs = np.array([-0.5, 0.0, 0.5, 1.2, 2.0, 2.5, 3.0])
     profile = spatial_profile(params, 2.0, xs, Direction.RIGHT)
-    assert profile.region_index.tolist() == [-1, 2, 1, 0, 0, -1, -1]
-    assert np.array_equal(profile.density == 0.0, profile.region_index == -1)
+    assert np.array_equal(profile.density == 0.0, (xs < 0) | (xs > 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +637,13 @@ def test_spectrum_validates_sample_count():
     params = SystemParams(omega_e=5.0, tau=1.0, r_m=0)
     with pytest.raises(ValueError):
         spectrum(params, sample_count=1000)
+    # 1024.0 reached `&` on floats, a TypeError, through both spectrum entries
+    with pytest.raises(ValueError, match="sample_count must be an integer, got 1024.0"):
+        spectrum(params, 40.0, 1024.0)
+    with pytest.raises(ValueError, match="sample_count must be an integer, got 1024.0"):
+        wavepacket._whole_photon_spectrum(params, 40.0, 1024.0, False)
+    assert spectrum(params, 40.0, np.int64(1024)).frequencies.size == 1024
+    assert wavepacket._whole_photon_spectrum(params, 40.0, np.int64(1024), False)[0].size == 1024
 
 
 @pytest.mark.parametrize("t_final, samples", [(5e-324, 2), (1e-310, 4), (1e-305, 16384)])
@@ -832,38 +834,62 @@ def test_a_direction_is_a_member_or_its_value():
                 evaluate(params, x, direction, 2.0)
 
 
-def test_infinite_positions_hold_no_photon():
-    # both directions are 0 at x = +-inf; left-movers count round trips up
-    # from x = -c t, so +inf saturates that count like any x past int64
-    params = params_for(1.0, 1.0, -0.5)
-    positions = [-math.inf, math.inf]
-    for direction, regions in ((Direction.LEFT, [-1, np.iinfo(np.int64).max]),
-                               (Direction.RIGHT, [-1, -1])):
-        profile = spatial_profile(params, 2.0, positions, direction)
+@pytest.mark.parametrize("tau", [1.0, math.inf])
+def test_infinite_positions_hold_no_photon(tau):
+    # both directions are 0 at x = +-inf; at tau = inf a left-mover at x = +inf
+    # has s = tau, and its reflected row used to take s - tau = nan
+    params = SystemParams(omega_e=1.0, tau=tau, r_m=-0.5)
+    for direction in Direction:
+        profile = spatial_profile(params, 2.0, [-math.inf, math.inf], direction)
         assert profile.amplitudes.tolist() == [0j, 0j]
-        assert profile.region_index.tolist() == regions
         assert np.abs(field_amplitude(params, math.inf, direction, 2.0)) ** 2 == 0.0
 
 
-def test_spatial_profile_counts_round_trips_past_the_double_range():
-    # s / tau past int64 saturates, past the double range it is inf; a
-    # subnormal tau labels every sample inside as tau = 0 does
-    top = np.iinfo(np.int64).max
+def test_spatial_profile_is_the_field_past_the_double_range():
+    # s / tau past the double range and a tau below the smallest normal double
     phase_one = SystemParams.from_round_trip_phase(tau=1.0, phase=1.0, r_m=-0.5)
     subnormal = SystemParams(omega_e=1.0, tau=5e-324, r_m=-1.0)
     tiny = SystemParams(omega_e=1.0, tau=1e-300, r_m=0.0)
     cases = [
-        (phase_one, 1e300, Direction.LEFT, [-1e300, -5e299, 0.0], [0, top, top]),
-        (subnormal, 1.0, Direction.LEFT, [-2.0, -1.0, 0.0], [-1, 0, 0]),
-        (tiny, 1e10, Direction.LEFT, [-1e10 - 1.0, -5e9, 0.0], [-1, top, top]),
-        (tiny, 1e10, Direction.RIGHT, [-1.0, 0.0, 5e9], [-1, top, top]),
+        (phase_one, 1e300, Direction.LEFT, [-1e300, -5e299, 0.0]),
+        (subnormal, 1.0, Direction.LEFT, [-2.0, -1.0, 0.0]),
+        (tiny, 1e10, Direction.LEFT, [-1e10 - 1.0, -5e9, 0.0]),
+        (tiny, 1e10, Direction.RIGHT, [-1.0, 0.0, 5e9]),
     ]
-    for params, t, direction, positions, regions in cases:
+    for params, t, direction, positions in cases:
         profile = spatial_profile(params, t, positions, direction)
-        assert profile.region_index.dtype == np.int64
-        assert profile.region_index.tolist() == regions
         density = np.abs(field_amplitude(params, positions, direction, t)) ** 2
         assert np.array_equal(profile.density, density)
+
+
+# sha256 of the field_amplitude bytes and then of spatial_profile(...).density
+# at t 2, on PROFILE_POSITIONS and then at one 0-d position, as the evaluator
+# with its own region count gave them (it raised at x = +inf for tau = inf
+# left-movers, where the amplitude is 0)
+PROFILE_POSITIONS = [-math.inf, -3.0, -2.0, -1.25, -0.5, 0.0, 0.3, 0.5, 1.1, 2.0, 2.5, math.inf]
+PROFILE_DIGESTS = {
+    (Direction.LEFT, 0.0): "d390e17c379b27109e5ad9a31b413d0a399776987f1f296dce1912b7abacb19d",
+    (Direction.LEFT, 5e-324): "633f60e50ad3f58f9a9192975ad01debaea722ecfea9a16256cd0a312585b12d",
+    (Direction.LEFT, 1.0): "a997b6bf687b297654239cfaeeff6961eb7cca1c29bb4b0affa26bd21dfbaed0",
+    (Direction.LEFT, math.inf): "a16a8e24e17c35bacd886b3d6bef19b1a02f166fecbf2ff1aca76ca3a7f601e3",
+    (Direction.RIGHT, 0.0): "f8762b0791f4bf9a8c1bf014a1304fcda124ea06b16cb4e49f57b524140ec99c",
+    (Direction.RIGHT, 5e-324): "f8762b0791f4bf9a8c1bf014a1304fcda124ea06b16cb4e49f57b524140ec99c",
+    (Direction.RIGHT, 1.0): "38f12940d461f5f6a193fe2f2b8fbbccd215ff9ccccf22792ab50d0521611392",
+    (Direction.RIGHT, math.inf): "dca36b1cd2719673a7ef2905730d19de6f1b9088f77397195eba5dc2581e4361",
+}
+
+
+@pytest.mark.parametrize("direction, tau", sorted(PROFILE_DIGESTS))
+def test_field_and_density_bytes_are_pinned(direction, tau):
+    params = SystemParams(omega_e=1.3, tau=tau, r_m=0.6 * cmath.exp(0.4j))
+    digest = hashlib.sha256()
+    for x in (PROFILE_POSITIONS, -1.25 if direction is Direction.LEFT else 1.1):
+        amplitudes = field_amplitude(params, x, direction, 2.0)
+        profile = spatial_profile(params, 2.0, x, direction)
+        assert profile.amplitudes.shape == profile.density.shape == np.shape(x)
+        digest.update(np.asarray(amplitudes).tobytes())
+        digest.update(profile.density.tobytes())
+    assert digest.hexdigest() == PROFILE_DIGESTS[direction, tau]
 
 
 # ---------------------------------------------------------------------------
