@@ -221,17 +221,23 @@ def pp_eval(p: PiecewisePolynomial, t):
     Each point gathers its segment's row of a zero-padded coefficient table,
     and one Horner pass covers all points.  The leading zero steps leave the
     accumulator at +0, so every point sees exactly its own segment's Horner
-    recurrence.  Refuses a t that is not finite (ValueError).
+    recurrence.  With fewer points than segments the table holds only the
+    points' own segments, one row per point.  Refuses a t that is not finite
+    (ValueError).
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("t must be finite")
     breakpoints = np.asarray(p.breakpoints)
     idx = np.clip(np.searchsorted(breakpoints, t_arr, side="right") - 1, 0, None)
-    width = p.degree + 1
-    table = np.array([seg + (0j,) * (width - len(seg)) for seg in p.segments], dtype=complex)
-    coeffs = table[idx]
     u = t_arr - breakpoints[idx]
+    segments = p.segments
+    if 0 < idx.size < len(segments):
+        segments = [segments[j] for j in idx.ravel().tolist()]
+        idx = np.arange(idx.size).reshape(idx.shape)
+    width = max(map(len, segments))
+    table = np.array([seg + (0j,) * (width - len(seg)) for seg in segments], dtype=complex)
+    coeffs = table[idx]
     out = np.zeros(t_arr.shape, dtype=complex)
     for i in reversed(range(width)):
         out = out * u + coeffs[..., i]

@@ -2,11 +2,15 @@
 
 import cmath
 import math
+import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw
 
 from mirrorqed import (
@@ -27,7 +31,7 @@ from mirrorqed import (
     solve_longtime,
     solve_xi,
 )
-from mirrorqed.analytic import _lambert_w, _round_trip_sum
+from mirrorqed.analytic import _MAX_ORDER, _lambert_w, _round_trip_sum
 
 
 def params_for(tau, phase, r_m):
@@ -298,9 +302,11 @@ def test_dyson_at_delays_near_the_double_range_is_right_or_loud(tau):
     for t in (1.0, 1.5):
         ref, scale = mp_dyson(params, 40, t)
         assert abs(dyson_coefficient_closed(params, 40, t) - complex(ref)) <= 1e-14 * scale
-    # c_400(1) = 2^-200 / 200! ~ 8e-436 lies below the double range
-    with pytest.raises(OverflowError, match="beyond the double range"):
-        dyson_coefficient_closed(params, 400, 1.0)
+    # c_400(1) = 2^-200 / 200! ~ 8e-436 lies below the double range; from
+    # n = 2150 on, where 2^-(n/2) rounds to 0, c_n(1) returned 0j instead
+    for n in (400, 2150, 4000):
+        with pytest.raises(OverflowError, match="beyond the double range"):
+            dyson_coefficient_closed(params, n, 1.0)
     # one loop stays in range on both sides of the first return
     pp = dyson_coefficient_iterative(params, 2)
     for t in (1.0, 1.2 * tau):
@@ -318,6 +324,95 @@ def test_dyson_closed_form_where_its_factors_leave_the_double_range(n):
     value = dyson_coefficient_closed(params, n, 100.0)
     assert abs(value - complex(ref)) <= 1e-13 * scale
     assert float(abs(ref)) == pytest.approx({340: 9.207012702e-19, 400: 7.890639953e-36}[n])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tau=st.floats(math.log(1e-2), math.log(2.0)).map(math.exp),
+       radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2 * math.pi),
+       phase=st.floats(0.0, 2 * math.pi), m=st.integers(0, 20),
+       times=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), min_size=1, max_size=4))
+def test_dyson_forms_match_mpmath_with_a_complex_mirror(tau, radius, angle, phase, m, times):
+    # complex r_m up to n = 40; the fixed grids reach n = 40 only at r_m = -1
+    params = params_for(tau, phase, radius * cmath.exp(1j * angle))
+    values = dyson_coefficient_iterative(params, 2 * m)(np.array(times))
+    for t, value in zip(times, values):
+        ref, scale = mp_dyson(params, 2 * m, t)
+        assert abs(value - complex(ref)) <= 1e-12 * scale
+        assert abs(dyson_coefficient_closed(params, 2 * m, t) - complex(ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, tau, t, r_m", [
+    (5120, 1e4, 1536.0, -0.7), (5160, 1e4, 1536.0, -0.7), (5180, 1e4, 1536.0, -0.7),
+    (2200, 3.0, 820.0, 0.5),  # 274 terms, each f_k^1100 carried with its exponent
+])
+def test_dyson_closed_form_past_the_normal_powers(n, tau, t, r_m):
+    # f**m of a mantissa f in [0.5, 1) left the normal doubles past m = 1022 and
+    # kept a few bits: c_5120, c_5160 and c_5180 at t 1536 were 1.8e-4, 1.1e-2
+    # and 0.61 off, though each is a normal double
+    params = SystemParams(omega_e=1.3, tau=tau, r_m=r_m)
+    with mp.workdps(30):
+        ref, scale = mp_dyson(params, n, t)
+    assert abs(dyson_coefficient_closed(params, n, t) - complex(ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [4.0, "4", None, 4.5, 1j])
+def test_dyson_refuses_an_order_that_is_not_an_integer(n):
+    # 4.0 was taken as m = 2.0, and both forms then failed with a TypeError
+    params = params_for(0.5, 1.0, -0.5)
+    with pytest.raises(ValueError, match="n must be an even non-negative integer"):
+        dyson_coefficient_closed(params, n, 1.0)
+    with pytest.raises(ValueError, match="n must be an even non-negative integer"):
+        dyson_coefficient_iterative(params, n)
+
+
+def test_dyson_takes_a_numpy_integer_order():
+    # the closed form raised a TypeError from math.ldexp at np.int64(4)
+    params = params_for(0.5, 1.0, -0.5)
+    times = np.array([0.3, 0.7, 1.9])
+    assert dyson_coefficient_closed(params, np.int64(4), 1.9) == dyson_coefficient_closed(params, 4, 1.9)
+    c_4 = dyson_coefficient_iterative(params, np.int64(4))
+    assert c_4 == dyson_coefficient_iterative(params, 4)
+    assert c_4(times).tobytes() == dyson_coefficient_iterative(params, 4)(times).tobytes()
+
+
+@pytest.mark.parametrize("n", [_MAX_ORDER + 2, 2000, 10**6])
+def test_dyson_iterative_refuses_an_order_past_the_cap_before_it_allocates(n):
+    # n = 10**6 asked numpy for 3.64 TiB; n = 320 gave c_320(400) = 0 at
+    # tau = inf, where the closed form gives 3.1e83
+    params = params_for(0.05, 1.0, -0.7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n must be at most {_MAX_ORDER} for the iterative"):
+            dyson_coefficient_iterative(params, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_dyson_iterative_at_the_cap():
+    # the last order whose row 0, (Gamma/2)^150 / 150!, is a normal double;
+    # the build takes ~30 ms and peaks at ~1.9 MB on x86-64
+    params = params_for(0.05, 1.0, -0.7)
+    start = time.perf_counter()
+    dyson_coefficient_iterative(params, _MAX_ORDER)
+    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        c_n = dyson_coefficient_iterative(params, _MAX_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert len(c_n.segments) == _MAX_ORDER // 2 + 1
+    for t in (2.0, 7.5):
+        ref, scale = mp_dyson(params, _MAX_ORDER, t)
+        assert abs(c_n(t) - complex(ref)) <= 1e-12 * scale
+    # with no mirror c_300(t) = (-t/2)^150 / 150!: 2.5e82 at t = 400
+    free = dyson_coefficient_iterative(SystemParams(omega_e=1.0, tau=math.inf, r_m=-0.7), _MAX_ORDER)
+    for t in (3.0, 400.0):
+        ref = (-mp.mpf(t) / 2) ** (_MAX_ORDER // 2) / mp.factorial(_MAX_ORDER // 2)
+        assert free(t) == pytest.approx(complex(ref), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
