@@ -1,19 +1,18 @@
 """CSV rows of doubles, byte for byte as ``'%.17g' % v`` writes each value.
 
 A table of fewer than ``SMALL_TABLE`` values goes through one ``%`` over the
-whole table.  A larger one is formatted by numpy in blocks of ``BLOCK_VALUES``
-values.  The 17 correctly rounded digits of a value a with decimal exponent X
-come from the product a * 10**(16 - X): with Dekker's split of a and 10**k
-held as a double-double, its integer part is exact in int64 and its fraction
-is off by at most 2**-47, which decides the rounding of the last digit.  Each
-value then fills a record of four little-endian 64-bit words, taken whole
-from lookup tables: sign and "0.000" prefix, the digits, four at a time,
-with their point, exponent and separator.  A byte that '%.17g' would leave
-out holds 0, and one ``bytes.translate`` drops every 0 of the block.  Values
-the fast pass cannot vouch for are written by ``'%.17g' % v`` in place: nan,
-+-inf, nonzero |a| outside [1e-250, 1e250), and fractions within 1e-7 of 1/2
-(exact and near ties).  The bytes are therefore the per-value ones by
-construction.  The rows stay bytes until they are written.
+whole table.  A larger one is formatted by numpy in blocks of whole rows, at
+most ``BLOCK_VALUES`` values each.  The 17 correctly rounded digits of a value
+a with decimal exponent X come from the product a * 10**(16 - X): with Dekker's
+split of a and 10**k held as a double-double, its integer part is exact in
+int64 and its fraction is off by at most 2**-47, which decides the rounding of
+the last digit.  Each value then fills a record of four little-endian 64-bit
+words, taken whole from lookup tables: sign and "0.000" prefix, the digits,
+four at a time, with their point, exponent and separator.  A byte that '%.17g'
+would leave out holds 0, and one ``bytes.translate`` drops every 0 of the
+block.  Values the fast pass cannot vouch for are written by ``'%.17g' % v`` in
+place: nan, +-inf, nonzero |a| outside [1e-250, 1e250), and fractions within
+1e-7 of 1/2 (exact and near ties).  The rows stay bytes until they are written.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import numpy as np
 # Below this many values one '%' over the table is faster than the numpy pass: in
 # a CLI run the two cross at ~300-390 values (in a hot loop at 180-204 values).
 SMALL_TABLE = 320
-# Values per numpy pass: each pass pays ~0.1 ms for its ~100 numpy calls, and
-# its work arrays peak at ~180 bytes a value.  In process the README tables
-# format fastest at 4096-8192 values per pass, and ~10% slower at 2048.
+# Values per numpy pass at most, in whole rows (one row if it is wider): each pays
+# ~0.1 ms for its ~100 numpy calls, and its work arrays peak at ~180 bytes a value.
+# In process the README tables format fastest at 4096-8192 values, ~10% slower at 2048.
 BLOCK_VALUES = 4096
 
 _FAST_MIN, _FAST_MAX = 1e-250, 1e250  # the nonzero |a| the numpy pass formats
@@ -183,8 +182,8 @@ def _digit_words(digits: np.ndarray, quads: np.ndarray):
     return body, np.maximum(kept_bytes - 126, 1)
 
 
-def _format_block(values: np.ndarray, ncols: int, start: int) -> bytes:
-    """Values of a row-order table from flat index ``start`` on, as CSV bytes."""
+def _format_block(values: np.ndarray, ncols: int) -> bytes:
+    """Whole rows of ``ncols`` values, flat in row order, as CSV bytes."""
     powers, quads, words, lead, after, point = _tables()
     digits, i, slow = _digits(values, powers)
     body, significant = _digit_words(digits, quads)
@@ -200,7 +199,7 @@ def _format_block(values: np.ndarray, ncols: int, start: int) -> bytes:
     rec[:, 0] |= body[0]
     rec[:, 1] = body[1]
     rec[:, 2] = body[2]
-    rec[(ncols - 1 - start) % ncols::ncols, 3] ^= _NEWLINE
+    rec[ncols - 1::ncols, 3] ^= _NEWLINE
 
     text = rec.view(np.uint8).reshape(values.size, _RECORD)
     for k in np.flatnonzero(slow):
@@ -211,12 +210,11 @@ def _format_block(values: np.ndarray, ncols: int, start: int) -> bytes:
 
 
 def format_rows(columns: list[np.ndarray]) -> bytes:
-    """Equal-length float columns as ASCII CSV rows, each ending in a newline."""
-    table = np.column_stack(columns)
-    nrows, ncols = table.shape
-    if table.size < SMALL_TABLE:
+    """Equal-length float64 columns as ASCII CSV rows, each ending in a newline."""
+    nrows, ncols = len(columns[0]), len(columns)
+    if nrows * ncols < SMALL_TABLE:
         row = ",".join(["%.17g"] * ncols) + "\n"
-        return ((row * nrows) % tuple(table.ravel().tolist())).encode("ascii")
-    flat = table.ravel()
-    return b"".join(_format_block(flat[start:start + BLOCK_VALUES], ncols, start)
-                    for start in range(0, flat.size, BLOCK_VALUES))
+        return ((row * nrows) % tuple(np.column_stack(columns).ravel().tolist())).encode("ascii")
+    rows = max(BLOCK_VALUES // ncols, 1)
+    return b"".join(_format_block(np.column_stack([c[r:r + rows] for c in columns]).ravel(), ncols)
+                    for r in range(0, nrows, rows))

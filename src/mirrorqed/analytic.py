@@ -396,10 +396,10 @@ _REAL_AXIS = 16.0 * np.finfo(float).eps
 # ---------------------------------------------------------------------------
 
 
-# The largest order n that dyson_coefficient_iterative builds.  Row 0 of its
-# table holds (Gamma/2)^{n/2} / (n/2)!, which is below the normal doubles from
-# n = 302 on (c_320(400) at tau = inf came out 0 against 3.1e83).  At the cap
-# the build takes ~30 ms and peaks at ~1.9 MB (x86-64); its cost grows as n^3.
+# The largest order n that dyson_coefficient_iterative builds.  Row 0 of its table
+# holds (Gamma/2)^{n/2} / (n/2)!: 1.23e-308 at the cap, a subnormal one bit short, and
+# 4.1e-311 at n = 302 (c_320(400) at tau = inf came out 0 against 3.1e83).  At the
+# cap the build takes ~30 ms and peaks at ~1.9 MB (x86-64); its cost grows as n^3.
 _MAX_ORDER = 300
 # A mantissa f in [0.5, 1) keeps f**m >= 2^-m normal up to this power.
 _NORMAL_POWER = 1022
@@ -440,11 +440,11 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
     sums at most n/2 + 1 terms, one per completed round trip.
     With (Gamma/2)(t - k tau) = f_k 2^{e_k}, the terms are summed in units of
     2^{m e_0} and m! is divided out as a mantissa and a power of two, so
-    neither m! nor (t - k tau)^m has to fit a double: only c_n(t) itself,
-    else OverflowError.  Past m = 1022, where f_k^m can fall below the normal
-    doubles, each f_k^m is a mantissa and a power of two too, and the unit
-    takes that of f_0^m.  The weight C(m, k) rho^k is carried from term to
-    term.
+    neither m! nor (t - k tau)^m has to fit a double: only c_n(t) itself, as
+    a normal double, else OverflowError.  Past m = 1022, where f_k^m can fall
+    below the normal doubles, each f_k^m is a mantissa and a power of two too,
+    and the unit takes that of f_0^m.  The weight C(m, k) rho^k is carried
+    from term to term.
     """
     if math.isnan(t):
         raise ValueError("t must not be nan")
@@ -476,7 +476,7 @@ def dyson_coefficient_closed(params: SystemParams, n: int, t: float) -> complex:
         value = complex(math.ldexp(acc.real, exponent), math.ldexp(acc.imag, exponent))
     except OverflowError:
         value = complex(math.inf)
-    if not cmath.isfinite(value) or (acc and not value):
+    if acc and not 2.0**-1022 <= math.hypot(value.real, value.imag) < math.inf:
         raise OverflowError(f"c_{n}({t}) at tau = {params.tau} is beyond the double range")
     return value
 
@@ -513,7 +513,7 @@ def dyson_coefficient_iterative(params: SystemParams, n: int) -> PiecewisePolyno
     m = _loop_count(n)
     if n > _MAX_ORDER:
         raise ValueError(f"n must be at most {_MAX_ORDER} for the iterative table, got {n}: "
-                         "(Gamma/2)^(n/2) / (n/2)! leaves the normal doubles above it")
+                         "(Gamma/2)^(n/2) / (n/2)! is subnormal from it on")
     tau = params.tau
     rows = m + 1 if 0 < tau < math.inf else 1
     rho = _round_trip_mirror(params)

@@ -77,7 +77,7 @@ def _json_safe(obj):
 def _write_table(out, metadata: dict, header: list[str], columns: list[np.ndarray]) -> None:
     head = "# " + json.dumps(_json_safe(metadata), sort_keys=True, allow_nan=False) + "\n"
     head += ",".join(header) + "\n"
-    rows = format_rows([np.asarray(col, dtype=float) for col in np.broadcast_arrays(*columns)])
+    rows = format_rows(columns)
     if out is None:
         sys.stdout.write(head + rows.decode("ascii"))
     else:

@@ -355,6 +355,21 @@ def test_dyson_closed_form_past_the_normal_powers(n, tau, t, r_m):
     assert abs(dyson_coefficient_closed(params, n, t) - complex(ref)) <= 1e-13 * scale
 
 
+def test_dyson_closed_form_refuses_a_subnormal_value():
+    # c_2998(674.74) ~ -1.33e-322 came back as -1.334e-322, 27 steps of the
+    # smallest subnormal, with the few bits a subnormal keeps; c_2998(688) ~
+    # -6.2e-310 is subnormal too, and c_2998(692) ~ -3.7e-306 is normal
+    params = SystemParams(omega_e=1.0, tau=15.43, r_m=0.5 + 0.3j)
+    for t in (674.74, 688.0):
+        with mp.workdps(30):
+            assert 0 < abs(mp_dyson(params, 2998, t)[0]) < np.finfo(float).tiny
+        with pytest.raises(OverflowError, match="beyond the double range"):
+            dyson_coefficient_closed(params, 2998, t)
+    with mp.workdps(30):
+        ref, scale = mp_dyson(params, 2998, 692.0)
+    assert abs(dyson_coefficient_closed(params, 2998, 692.0) - complex(ref)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("n", [4.0, "4", None, 4.5, 1j])
 def test_dyson_refuses_an_order_that_is_not_an_integer(n):
     # 4.0 was taken as m = 2.0, and both forms then failed with a TypeError

@@ -674,8 +674,9 @@ SPECIAL_VALUES = [
 
 def test_write_table_special_values_match_per_value_format(capsys):
     values = np.array(SPECIAL_VALUES)
+    # every subcommand passes equal-length float64 columns: integers as doubles
     ints = np.array([0, -1, 2**53 + 1, 2**63 - 1, -(2**63), *range(len(values) - 5)])
-    columns = [values, ints, np.float64(0.5), 3]  # the last two are broadcast
+    columns = [values, ints.astype(float), np.full(values.size, 0.5), np.full(values.size, 3.0)]
     assert written_rows(columns, capsys) == per_value_rows(columns)
 
 

@@ -150,7 +150,7 @@ def test_series_without_a_residue_plan_refuses_points_past_its_causal_limit():
 # dominates): the plan keeps hundreds of branches (1268 at tau 800, switch 16)
 # and their sum is off by up to hundreds of orders of magnitude.
 @pytest.mark.xfail(strict=True, reason="the residue sum is silently wrong at large tau "
-                   "(ROADMAP item 2, the switch)")
+                   "(ROADMAP item 1, the switch)")
 @pytest.mark.parametrize("tau, round_trips", [
     (200.0, 16.5), (300.0, 16.5), (400.0, 16.5), (800.0, 16.5), (800.0, 40.5),
     (1300.0, 16.5), (1300.0, 60.5), (1385.0, 16.5), (1385.0, 60.5),

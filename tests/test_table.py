@@ -98,7 +98,8 @@ def mixed_table(rows, ncols, seed=0):
     decades = rng.uniform(-10, 10, size) * 10.0 ** rng.integers(-250, 250, size)
     bits = np.frombuffer(rng.bytes(8 * size), dtype=np.float64)
     values = np.where(rng.random(size) < 0.8, decades, bits)
-    values[rng.integers(0, size, 20)] = rng.choice(SPECIAL, 20)
+    if size:
+        values[rng.integers(0, size, 20)] = rng.choice(SPECIAL, 20)
     return values.reshape(rows, ncols)
 
 
@@ -107,28 +108,63 @@ def mixed_table(rows, ncols, seed=0):
 SLOW_VALUES = [math.nan, -math.inf, 1e300, (2**53 - 1) / 4]
 
 
-@pytest.mark.parametrize(
-    ("rows", "ncols"),
-    [
-        (SMALL_TABLE - 1, 1), (SMALL_TABLE, 1), (SMALL_TABLE + 1, 1),
-        (BLOCK_VALUES - 1, 1), (BLOCK_VALUES, 1), (BLOCK_VALUES + 1, 1),
-        (2 * BLOCK_VALUES + 1, 1),
-        # blocks that end inside a row
-        (BLOCK_VALUES // 5 + 1, 5), (2 * BLOCK_VALUES // 3 + 1, 3),
-    ],
-)
-def test_tables_at_the_crossover_and_block_edges(rows, ncols, monkeypatch):
+def block_rows(ncols):
+    """Rows per numpy block: whole rows, at most BLOCK_VALUES values unless one row is more."""
+    return max(BLOCK_VALUES // ncols, 1)
+
+
+def counted_blocks(monkeypatch):
+    """The (values, ncols) of every `_format_block` call from now on."""
     blocks = []
     format_block = _table._format_block
     monkeypatch.setattr(_table, "_format_block", lambda *a: blocks.append(a) or format_block(*a))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    ("rows", "ncols"),
+    [
+        (0, 1), (0, 4),
+        (SMALL_TABLE - 1, 1), (SMALL_TABLE, 1), (SMALL_TABLE + 1, 1),
+        # a block's rows, one row either side of that, and a third block of one row
+        *((rows, ncols) for ncols in range(1, 6)
+          for rows in (block_rows(ncols) - 1, block_rows(ncols), block_rows(ncols) + 1,
+                       2 * block_rows(ncols) + 1)),
+        # rows wider than a block: one row per block
+        (3, BLOCK_VALUES + 1),
+    ],
+)
+def test_tables_at_the_crossover_and_block_edges(rows, ncols, monkeypatch):
+    blocks = counted_blocks(monkeypatch)
     table = mixed_table(rows, ncols)
     size = table.size
-    edges = [k for start in range(0, size, BLOCK_VALUES)
-             for k in (start, min(start + BLOCK_VALUES, size) - 1)]
+    step = block_rows(ncols) * ncols
+    edges = [k for start in range(0, size, step) for k in (start, min(start + step, size) - 1)]
     table.ravel()[edges] = np.resize(SLOW_VALUES, len(edges))
     assert_rows_match(table)
-    expected = 0 if size < SMALL_TABLE else -(-size // BLOCK_VALUES)
+    expected = 0 if size < SMALL_TABLE else -(-rows // block_rows(ncols))
     assert len(blocks) == expected
+    assert all(block.size % ncols == 0 and n == ncols for block, n in blocks)
+    assert all(block.size <= max(BLOCK_VALUES, ncols) for block, _ in blocks)
+
+
+# The shapes of the tables the benchmark's CLI runs write, and the blocks each
+# took when blocks were cut every BLOCK_VALUES values: cutting at whole rows
+# keeps every count
+@pytest.mark.parametrize(
+    ("rows", "ncols", "expected"),
+    [
+        (2001, 3, 2), (2001, 4, 2), (4001, 4, 4), (16384, 2, 8),
+        (2001, 2, 1), (401, 3, 1), (248, 3, 1), (248, 4, 1), (201, 3, 1), (201, 4, 1),
+        (61, 4, 0), (61, 3, 0), (49, 4, 0), (49, 3, 0),
+    ],
+)
+def test_bench_tables_keep_their_block_counts(rows, ncols, expected, monkeypatch):
+    blocks = counted_blocks(monkeypatch)
+    table = mixed_table(rows, ncols, seed=rows)
+    assert_rows_match(table)
+    assert len(blocks) == expected
+    assert expected == (0 if table.size < SMALL_TABLE else -(-table.size // BLOCK_VALUES))
 
 
 def test_importing_the_cli_leaves_out_exact_arithmetic_modules():

@@ -798,7 +798,7 @@ def test_norm_is_refused_exactly_where_its_built_panels_exceed_the_cap(tau, t):
 # the norm is 1 + 8.66e-12 at t 8180, and 1 + 1.54e-11 at t 16374, inside the
 # cap's edge 16374.37
 @pytest.mark.xfail(strict=True, reason="the norm is 1 + 8.66e-12 near trapping at t 8180 "
-                   "(ROADMAP item 2, exponents in reduced variables)")
+                   "(ROADMAP item 5, exponents in reduced variables)")
 def test_norm_near_trapping_at_the_cap():
     params = SystemParams(omega_e=1.0, tau=0.02, r_m=-1.0)
     assert total_photon_norm(params, 8180.0) == pytest.approx(1.0, abs=1e-12)

@@ -19,6 +19,7 @@ tree could not be run at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -115,25 +116,32 @@ def report(verdicts: dict, outputs: dict) -> list[str]:
     return lines
 
 
-def compare(base_rev: str) -> int:
+@contextlib.contextmanager
+def base_checkout(base_rev: str):
+    """Yield (tree, base sha, head sha): `base_rev` checked out with `git worktree`
+    into a temporary directory, which is removed again on exit."""
     git = ["git", "-C", str(ROOT)]
     head_sha = subprocess.run([*git, "rev-parse", "--short", "HEAD"],
                               capture_output=True, text=True).stdout.strip()
     base_sha = subprocess.run([*git, "rev-parse", "--short", base_rev],
                               capture_output=True, text=True, check=True).stdout.strip()
-    print(f"base {base_sha} against the working tree at {head_sha}, seeds "
-          f"{', '.join(map(str, SEEDS))}")
     with tempfile.TemporaryDirectory(prefix="output_diff_") as tmp:
-        tmp = Path(tmp)
-        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tmp / "base"),
-                        base_sha], check=True)
+        tree = Path(tmp) / "base"
+        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), base_sha],
+                       check=True)
         try:
-            outputs = {side: tmp / f"out-{side}" for side in ("base", "head")}
-            verdicts = {side: run_tree(tree, outputs[side])
-                        for side, tree in (("base", tmp / "base"), ("head", ROOT))}
+            yield tree, base_sha, head_sha
         finally:
-            subprocess.run([*git, "worktree", "remove", "--force", str(tmp / "base")],
-                           check=False)
+            subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=False)
+
+
+def compare(base_rev: str) -> int:
+    with base_checkout(base_rev) as (base_tree, base_sha, head_sha):
+        print(f"base {base_sha} against the working tree at {head_sha}, seeds "
+              f"{', '.join(map(str, SEEDS))}")
+        outputs = {side: base_tree.parent / f"out-{side}" for side in ("base", "head")}
+        verdicts = {side: run_tree(tree, outputs[side])
+                    for side, tree in (("base", base_tree), ("head", ROOT))}
         broken = {side: v for side, v in verdicts.items() if isinstance(v, str)}
         for side, reason in broken.items():
             print(f"{side}: could not run the scenarios: {reason}")
